@@ -9,7 +9,7 @@ package bandwidth
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Interval is a half-open transmission interval [Start, End) of one stream,
@@ -93,31 +93,40 @@ func (u *Usage) Average(from, to float64) float64 {
 
 // Peak returns the maximum number of streams transmitting at the same time.
 func (u *Usage) Peak() int {
-	type event struct {
-		t     float64
-		delta int
-	}
-	events := make([]event, 0, 2*len(u.intervals))
+	starts := make([]float64, 0, len(u.intervals))
+	ends := make([]float64, 0, len(u.intervals))
 	for _, iv := range u.intervals {
 		if iv.Duration() == 0 {
 			continue
 		}
-		events = append(events, event{iv.Start, +1}, event{iv.End, -1})
+		starts = append(starts, iv.Start)
+		ends = append(ends, iv.End)
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
-		}
-		return events[i].delta < events[j].delta // process ends before starts at ties
-	})
-	cur, peak := 0, 0
-	for _, e := range events {
-		cur += e.delta
-		if cur > peak {
-			peak = cur
-		}
-	}
+	_, peak := sweep(starts, ends, math.Inf(-1))
 	return peak
+}
+
+// sweep sorts the start and end times of a set of half-open intervals in
+// place and merge-walks them in time order, retiring ends before starts
+// at ties.  The count only rises at a start, so it returns the largest
+// count reached at a start strictly before cut (the peak of the profile
+// before cut) and the largest at any start (the peak of the whole
+// profile).
+func sweep(starts, ends []float64, cut float64) (before, peak int) {
+	slices.Sort(starts)
+	slices.Sort(ends)
+	j := 0
+	for i, s := range starts {
+		for j < len(ends) && ends[j] <= s {
+			j++
+		}
+		cur := i + 1 - j
+		peak = max(peak, cur)
+		if s < cut {
+			before = max(before, cur)
+		}
+	}
+	return before, peak
 }
 
 // Profile returns the number of active streams sampled at the start of each
@@ -143,5 +152,14 @@ func (u *Usage) Profile(from, to float64, samples int) []int {
 
 // Intervals returns a copy of the recorded intervals.
 func (u *Usage) Intervals() []Interval {
-	return append([]Interval(nil), u.intervals...)
+	return u.IntervalsSince(0)
+}
+
+// IntervalsSince returns a copy of the intervals recorded after the first
+// i, in recording order (nil when there are none).
+func (u *Usage) IntervalsSince(i int) []Interval {
+	if i >= len(u.intervals) {
+		return nil
+	}
+	return append([]Interval(nil), u.intervals[i:]...)
 }

@@ -2,6 +2,8 @@ package bandwidth
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -210,3 +212,121 @@ func TestZeroWidthIntervalsIgnoredEverywhere(t *testing.T) {
 		t.Errorf("Total = %g, want 2", got)
 	}
 }
+
+// eventSortPeak is the original Peak: one event per interval end point,
+// sorted by time with ends before starts at ties, then a running count.
+// It is the oracle for the sort-free sweep.
+func eventSortPeak(ivs []Interval) int {
+	type event struct {
+		t     float64
+		delta int
+	}
+	events := make([]event, 0, 2*len(ivs))
+	for _, iv := range ivs {
+		if iv.Duration() == 0 {
+			continue
+		}
+		events = append(events, event{iv.Start, +1}, event{iv.End, -1})
+	}
+	sort.Slice(events, func(i, j int) bool {
+		if events[i].t != events[j].t {
+			return events[i].t < events[j].t
+		}
+		return events[i].delta < events[j].delta
+	})
+	cur, peak := 0, 0
+	for _, e := range events {
+		cur += e.delta
+		peak = max(peak, cur)
+	}
+	return peak
+}
+
+// randomIntervals draws n intervals on a coarse grid, so ties between
+// starts and ends are frequent.
+func randomIntervals(rng *rand.Rand, n int) []Interval {
+	ivs := make([]Interval, n)
+	for i := range ivs {
+		s := float64(rng.Intn(40)) / 4
+		ivs[i] = Interval{Start: s, End: s + float64(rng.Intn(12))/4}
+	}
+	return ivs
+}
+
+func TestPeakMatchesEventSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		ivs := randomIntervals(rng, rng.Intn(60))
+		u := New()
+		for _, iv := range ivs {
+			u.Add(iv.Start, iv.End)
+		}
+		if got, want := u.Peak(), eventSortPeak(ivs); got != want {
+			t.Fatalf("trial %d: Peak = %d, event-sort oracle = %d over %v", trial, got, want, ivs)
+		}
+	}
+}
+
+// TestTrackerMatchesUsage feeds intervals in random batches, settling a
+// random frontier no later than the earliest start still to come after
+// each batch, and checks the tracked peak against Usage.Peak over
+// everything added so far.
+func TestTrackerMatchesUsage(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 300; trial++ {
+		ivs := randomIntervals(rng, rng.Intn(80))
+		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
+		var tr Tracker
+		u := New()
+		for next := 0; next < len(ivs); {
+			k := next + 1 + rng.Intn(8)
+			if k > len(ivs) {
+				k = len(ivs)
+			}
+			for _, iv := range ivs[next:k] {
+				tr.Add(iv.Start, iv.End)
+				u.Add(iv.Start, iv.End)
+			}
+			next = k
+			if next < len(ivs) && rng.Intn(3) > 0 {
+				tr.Settle(ivs[next].Start - float64(rng.Intn(3))/4)
+			}
+			if got, want := tr.Peak(), u.Peak(); got != want {
+				t.Fatalf("trial %d after %d intervals: Tracker.Peak = %d, Usage.Peak = %d", trial, next, got, want)
+			}
+		}
+		tr.Settle(math.Inf(1))
+		if got, want := tr.Peak(), u.Peak(); got != want || len(tr.pending) != 0 {
+			t.Fatalf("trial %d settled at +Inf: Peak = %d (want %d), %d intervals still pending", trial, got, want, len(tr.pending))
+		}
+	}
+}
+
+func TestTrackerReleasesLargeFold(t *testing.T) {
+	var tr Tracker
+	for i := 0; i < 100000; i++ {
+		tr.Add(float64(i), float64(i)+2)
+	}
+	tr.Settle(99990)
+	if got := tr.Peak(); got != 2 {
+		t.Fatalf("Peak = %d, want 2", got)
+	}
+	if len(tr.pending) != 11 || cap(tr.pending) > 1024 {
+		t.Fatalf("after settling, %d intervals pending in a backing array of %d; want 11 in a small one", len(tr.pending), cap(tr.pending))
+	}
+}
+
+func BenchmarkUsagePeak(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	u := New()
+	for i := 0; i < 500000; i++ {
+		s := rng.Float64() * 1e4
+		u.Add(s, s+rng.Float64()*20)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPeak = u.Peak()
+	}
+}
+
+var benchPeak int

@@ -387,6 +387,11 @@ func (s *epochSched) Drain(horizon float64) float64 {
 
 func (s *epochSched) Totals() Totals { return s.totals }
 
+// Frontier is the current epoch's start: closed epochs are finalized, and
+// the open epoch's plan starts no stream before its base (arrivals are
+// epoch-relative and clamped at 0).
+func (s *epochSched) Frontier() float64 { return s.base() }
+
 // replanFallback is the never-fail plan: a private full stream per
 // arrival (exactly the unicast strawman).
 func replanFallback(times []float64, p PlanParams) PlanOutcome {

@@ -198,6 +198,12 @@ type Incremental interface {
 	Drain(horizon float64) float64
 	// Totals snapshots the accounting without mutating the schedule.
 	Totals() Totals
+	// Frontier returns the earliest absolute start that any stream not
+	// yet reported through Sink.StreamFinalized can have.  It never moves
+	// backwards, so the bandwidth profile before it is final: a consumer
+	// can settle its aggregates there (the serving layer's historical
+	// peak does).
+	Frontier() float64
 }
 
 // Config parameterizes a scheduler for one object (one delay epoch).

@@ -206,6 +206,12 @@ func (s *onlineSched) Drain(horizon float64) float64 {
 	return s.base + float64(n)*s.delay
 }
 
+// Frontier is the first slot of the open merge group: every stream before
+// it is finalized, and the group's streams start at or after it.
+func (s *onlineSched) Frontier() float64 {
+	return s.base + float64(s.finalized)*s.delay
+}
+
 func (s *onlineSched) Totals() Totals {
 	return Totals{
 		Clients:          s.clients,

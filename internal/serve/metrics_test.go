@@ -84,7 +84,8 @@ func TestPrometheusShape(t *testing.T) {
 		count   int64
 		hasCnt  bool
 	}
-	hists := map[string]*hist{} // key: {stage=...,strategy=...}
+	hists := map[string]*hist{}   // key: {stage=...,strategy=...}
+	plain := map[string]float64{} // unlabelled counter and gauge samples
 	typed := map[string]string{}
 	helped := map[string]bool{}
 	samples := 0
@@ -117,8 +118,12 @@ func TestPrometheusShape(t *testing.T) {
 			t.Errorf("sample %q appears before its # HELP/# TYPE lines", line)
 		}
 		if !strings.HasPrefix(name, "mod_stage_latency_seconds") {
-			if _, err := strconv.ParseFloat(val, 64); err != nil {
+			f, err := strconv.ParseFloat(val, 64)
+			if err != nil {
 				t.Errorf("sample %q: bad value: %v", line, err)
+			}
+			if labels == "" {
+				plain[name] = f
 			}
 			continue
 		}
@@ -176,8 +181,19 @@ func TestPrometheusShape(t *testing.T) {
 	if samples == 0 {
 		t.Fatal("no samples in exposition")
 	}
-	if typed["mod_stage_latency_seconds"] != "histogram" || typed["mod_requests_total"] != "counter" || typed["mod_shard_queue_depth"] != "gauge" {
+	if typed["mod_stage_latency_seconds"] != "histogram" || typed["mod_requests_total"] != "counter" || typed["mod_shard_queue_depth"] != "gauge" ||
+		typed["mod_peak_channels"] != "gauge" || typed["mod_busy_time_total"] != "counter" {
 		t.Errorf("metric types = %v, want histogram/counter/gauge families", typed)
+	}
+	// Nothing was submitted since the scrape, so Stats reads the same
+	// finalized history.
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Peak == 0 || plain["mod_peak_channels"] != float64(st.Peak) || plain["mod_busy_time_total"] != st.BusyTime {
+		t.Errorf("mod_peak_channels %v, mod_busy_time_total %v; Stats reports peak %d, busy time %v (want equal and nonzero)",
+			plain["mod_peak_channels"], plain["mod_busy_time_total"], st.Peak, st.BusyTime)
 	}
 	if len(hists) == 0 {
 		t.Fatal("no stage histograms exposed despite MeterStages")

@@ -48,6 +48,14 @@ func WritePrometheus(w io.Writer, m *MetricsSnapshot) {
 	fmt.Fprint(w, "# TYPE mod_live_channels gauge\n")
 	fmt.Fprintf(w, "mod_live_channels %d\n", m.Stats.LiveChannels)
 
+	fmt.Fprint(w, "# HELP mod_peak_channels Historical peak of simultaneously transmitting streams, over finalized streams.\n")
+	fmt.Fprint(w, "# TYPE mod_peak_channels gauge\n")
+	fmt.Fprintf(w, "mod_peak_channels %d\n", m.Stats.Peak)
+
+	fmt.Fprint(w, "# HELP mod_busy_time_total Finalized bandwidth: the summed durations of finalized streams, in catalog time units.\n")
+	fmt.Fprint(w, "# TYPE mod_busy_time_total counter\n")
+	fmt.Fprintf(w, "mod_busy_time_total %g\n", m.Stats.BusyTime)
+
 	fmt.Fprint(w, "# HELP mod_wal_flushes_total Durability-store flushes (WAL group commits); the ratio of admitted requests to flushes is the group-commit coalescing factor.\n")
 	fmt.Fprint(w, "# TYPE mod_wal_flushes_total counter\n")
 	fmt.Fprintf(w, "mod_wal_flushes_total %d\n", m.Stats.WALFlushes)

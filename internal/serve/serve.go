@@ -492,6 +492,10 @@ type Server struct {
 	// stage observed off the shard goroutines.
 	respMu  sync.Mutex
 	respond []stats.LogHistogram
+
+	// peak folds the shards' finalized intervals into the historical peak
+	// and busy time that Stats and Metrics report.
+	peak peakFold
 }
 
 // route is one catalog object's resolved destination: its shard and its
@@ -624,6 +628,7 @@ func New(cfg Config) (*Server, error) {
 	s := newServerShell(cfg)
 	s.ctx, s.cancel = context.WithCancel(base)
 	s.shards = make([]*shard, cfg.Shards)
+	s.peak = newPeakFold(cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = newShard(i, s)
 	}
@@ -939,13 +944,13 @@ type MetricsSnapshot struct {
 
 // Metrics snapshots the counters, per-shard queue accounting, and stage
 // histograms (merging the per-shard sets).  Like Stats it crosses each
-// shard's message channel once.
+// shard's message channel once, at the same cost.
 func (s *Server) Metrics() (MetricsSnapshot, error) {
-	snaps, err := s.gather(func(reply chan shardSnapshot) any { return statsMsg{reply: reply} })
+	st, snaps, err := s.readStats()
 	if err != nil {
 		return MetricsSnapshot{}, err
 	}
-	m := MetricsSnapshot{Stats: s.assemble(snaps)}
+	m := MetricsSnapshot{Stats: st}
 	m.Stages = make([]StageSet, len(s.stratNames))
 	for i, name := range s.stratNames {
 		m.Stages[i].Strategy = name
@@ -980,13 +985,32 @@ func (s *Server) observeRespond(strategy string, ns int64) {
 }
 
 // Stats snapshots the server-wide counters and per-object accounting.  The
-// historical Peak and BusyTime cover finalized streams only.
+// historical Peak and BusyTime cover finalized streams only.  They are
+// kept up to date across reads: a read folds in the streams finalized
+// since the previous one and settles the profile before the earliest
+// start any unfinalized stream can have.  It costs O(objects + streams
+// finalized since the last read + streams ending after that frontier),
+// not O(history); only the first read after a restore folds the whole
+// restored history.  At one shard BusyTime is bit-identical to
+// DrainResult.Usage.Total() over the same streams; with more it is the
+// shard-order sum of per-shard sums.
 func (s *Server) Stats() (Stats, error) {
-	snaps, err := s.gather(func(reply chan shardSnapshot) any { return statsMsg{reply: reply} })
+	st, _, err := s.readStats()
+	return st, err
+}
+
+// readStats gathers every shard's snapshot with the intervals it
+// finalized since the fold cursor, assembles them, and folds the new
+// intervals into the historical peak and busy time.
+func (s *Server) readStats() (Stats, []shardSnapshot, error) {
+	from := s.peak.cursors()
+	snaps, err := s.gather(func(i int, reply chan shardSnapshot) any { return statsMsg{from: from[i], reply: reply} })
 	if err != nil {
-		return Stats{}, err
+		return Stats{}, nil, err
 	}
-	return s.assemble(snaps), nil
+	st := s.assemble(snaps)
+	st.Peak, st.BusyTime = s.peak.fold(snaps)
+	return st, snaps, nil
 }
 
 // Object returns the live accounting snapshot for one object.
@@ -998,7 +1022,7 @@ func (s *Server) Object(name string) (ObjectStats, error) {
 	sh := r.sh
 	reply := make(chan shardSnapshot, 1)
 	select {
-	case sh.msgs <- statsMsg{reply: reply}:
+	case sh.msgs <- statsMsg{from: -1, reply: reply}:
 	case <-s.quit:
 		return ObjectStats{}, ErrClosed
 	}
@@ -1052,7 +1076,7 @@ func (s *Server) Drain(horizon float64) (*DrainResult, error) {
 	if horizon <= 0 || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
 		return nil, fmt.Errorf("%w: drain horizon must be positive and finite, got %g", ErrBadRequest, horizon)
 	}
-	snaps, err := s.gather(func(reply chan shardSnapshot) any { return drainMsg{horizon: horizon, reply: reply} })
+	snaps, err := s.gather(func(_ int, reply chan shardSnapshot) any { return drainMsg{horizon: horizon, reply: reply} })
 	if err != nil {
 		return nil, err
 	}
@@ -1063,16 +1087,18 @@ func (s *Server) Drain(horizon float64) (*DrainResult, error) {
 			usage.Add(iv.Start, iv.End)
 		}
 	}
+	st.Peak, st.BusyTime = usage.Peak(), usage.Total()
 	return &DrainResult{Horizon: horizon, Objects: st.Objects, Usage: usage, Stats: st}, nil
 }
 
-// gather sends one message per shard and collects the snapshots.
-func (s *Server) gather(mk func(chan shardSnapshot) any) ([]shardSnapshot, error) {
+// gather sends one message per shard, built by mk from the shard index,
+// and collects the snapshots in shard order.
+func (s *Server) gather(mk func(shard int, reply chan shardSnapshot) any) ([]shardSnapshot, error) {
 	snaps := make([]shardSnapshot, 0, len(s.shards))
-	for _, sh := range s.shards {
+	for i, sh := range s.shards {
 		reply := make(chan shardSnapshot, 1)
 		select {
-		case sh.msgs <- mk(reply):
+		case sh.msgs <- mk(i, reply):
 		case <-s.quit:
 			return nil, ErrClosed
 		}
@@ -1087,7 +1113,7 @@ func (s *Server) gather(mk func(chan shardSnapshot) any) ([]shardSnapshot, error
 }
 
 // assemble merges shard snapshots into a Stats with objects in catalog
-// order and a historical peak over all finalized streams.
+// order; the caller fills in Peak and BusyTime.
 func (s *Server) assemble(snaps []shardSnapshot) Stats {
 	st := Stats{
 		Admitted:         s.admitted.Load(),
@@ -1111,30 +1137,17 @@ func (s *Server) assemble(snaps []shardSnapshot) Stats {
 			PressureHighWater: s.cfg.PressureHighWater,
 		}
 	}
-	usage := bandwidth.New()
+	st.Objects = make([]ObjectStats, len(s.cfg.Catalog))
 	for _, snap := range snaps {
-		st.Objects = append(st.Objects, snap.objects...)
-		for _, iv := range snap.intervals {
-			usage.Add(iv.Start, iv.End)
+		for k, o := range snap.objects {
+			st.Objects[snap.index[k]] = o
 		}
 	}
-	sortObjects(st.Objects, s.cfg.Catalog)
 	st.Strategies = make(map[string]int64, 2)
 	for _, o := range st.Objects {
 		st.Strategies[o.Strategy]++
 	}
-	st.Peak = usage.Peak()
-	st.BusyTime = usage.Total()
 	return st
-}
-
-// sortObjects orders stats in catalog order.
-func sortObjects(objs []ObjectStats, cat multiobject.Catalog) {
-	rank := make(map[string]int, len(cat))
-	for i, o := range cat {
-		rank[o.Name] = i
-	}
-	sort.Slice(objs, func(a, b int) bool { return rank[objs[a].Name] < rank[objs[b].Name] })
 }
 
 // Close stops every shard event loop.  In-flight Submits return ErrClosed.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/bandwidth"
@@ -44,8 +45,11 @@ type pauseMsg struct {
 	resume chan struct{}
 }
 
-// statsMsg asks the shard for a snapshot of its objects.
+// statsMsg asks the shard for a snapshot of its objects and of the
+// finalized intervals from index from on (the server's fold cursor for
+// the shard); a negative from asks for none.
 type statsMsg struct {
+	from  int
 	reply chan shardSnapshot
 }
 
@@ -57,8 +61,17 @@ type drainMsg struct {
 
 // shardSnapshot is a shard's answer to statsMsg/drainMsg.
 type shardSnapshot struct {
-	objects   []ObjectStats
+	// objects are the shard's object stats in shard order; index[k] is
+	// objects[k]'s catalog position.
+	objects []ObjectStats
+	index   []int
+	// intervals are the shard's finalized intervals from index from on,
+	// in finalization order.
 	intervals []bandwidth.Interval
+	from      int
+	// frontier is the minimum live.Incremental.Frontier over the shard's
+	// objects: no interval the shard finalizes later starts before it.
+	frontier float64
 	// stages is a copy of the shard's per-strategy stage histograms
 	// (indexed like Server.stratNames); Server.Metrics merges them.
 	stages []stageHist
@@ -388,10 +401,10 @@ func (sh *shard) handle(m any, q *shardQueue) bool {
 		sh.walCh <- walMsg{kind: walSnapshot, snap: sh.captureSnapshot(), errc: msg.reply}
 		sh.nextSnap = sh.now + sh.snapEvery
 	case statsMsg:
-		msg.reply <- sh.snapshot()
+		msg.reply <- sh.snapshot(msg.from)
 	case drainMsg:
 		sh.drain(msg.horizon)
-		msg.reply <- sh.snapshot()
+		msg.reply <- sh.snapshot(0)
 	case pauseMsg:
 		close(msg.ack)
 		select {
@@ -580,14 +593,22 @@ func (sh *shard) drain(horizon float64) {
 	sh.popEnds(sh.now)
 }
 
-// snapshot reports the shard's per-object stats and finalized intervals.
-func (sh *shard) snapshot() shardSnapshot {
+// snapshot reports the shard's per-object stats, its finalized intervals
+// from index from on (none when from is negative), and its frontier.
+func (sh *shard) snapshot(from int) shardSnapshot {
 	snap := shardSnapshot{
-		objects:   make([]ObjectStats, 0, len(sh.objects)),
-		intervals: sh.usage.Intervals(),
-		stages:    append([]stageHist(nil), sh.stages...),
+		objects:  make([]ObjectStats, 0, len(sh.objects)),
+		index:    make([]int, 0, len(sh.objects)),
+		from:     from,
+		frontier: math.Inf(1),
+		stages:   append([]stageHist(nil), sh.stages...),
+	}
+	if from >= 0 {
+		snap.intervals = sh.usage.IntervalsSince(from)
 	}
 	for _, st := range sh.objects {
+		snap.frontier = min(snap.frontier, st.sched.Frontier())
+		snap.index = append(snap.index, st.index)
 		tot := st.totals()
 		snap.objects = append(snap.objects, ObjectStats{
 			Name:             st.obj.Name,
