@@ -12,9 +12,10 @@ import (
 // Warm-start epoch replanning.
 //
 // A cold epoch close re-runs the whole batch planner over the epoch's
-// arrivals — for the off-line strategies that is the banded Knuth DP, an
-// O(n * W^2)-flavored bill paid at the boundary even though most of the
-// epoch was known long before it.  A warmState instead absorbs arrivals
+// arrivals — for the off-line strategies that is the banded Knuth DP,
+// O(n * W) cells for W arrivals per window at about two split candidates
+// each, a bill paid at the boundary even though most of the epoch was
+// known long before it.  A warmState instead absorbs arrivals
 // into resumable planner state as they are admitted (observe), so the
 // close (replan) pays only for the un-absorbed tail.  The contract is
 // strict bit-identity: a warm replan either reproduces the cold

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/moderr"
@@ -73,7 +74,7 @@ func TestExtendMatchesColdExactly(t *testing.T) {
 				at = end
 			}
 			sameCells(t, warm, cold, "chunked")
-			// One-by-one extends stress the in-place slide path.
+			// One-by-one extends stress the one-column-per-chunk path.
 			if n <= 60 {
 				one := &Tables{model: model, window: window}
 				for i := 0; i < n; i++ {
@@ -183,4 +184,112 @@ func TestCloneIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameCells(t, cl, cold, "extended clone")
+}
+
+// liveCadence returns the chunk ends at which warm epoch replanning extends
+// its tables over n arrivals: each time 32 + absorbed/8 arrivals are
+// pending (internal/live's absorption rule), then once for the tail at the
+// epoch's close.
+func liveCadence(n int) []int {
+	var ends []int
+	absorbed := 0
+	for k := 1; k <= n; k++ {
+		if k-absorbed >= 32+absorbed/8 {
+			ends = append(ends, k)
+			absorbed = k
+		}
+	}
+	if absorbed < n {
+		ends = append(ends, n)
+	}
+	return ends
+}
+
+// absorbLive grows tab over times the way warm epoch replanning does: an
+// Extend plus an AdvancePartition(L) at each liveCadence chunk end.
+func absorbLive(ctx context.Context, tab *Tables, times []float64, L float64, workers int) error {
+	at := 0
+	for _, end := range liveCadence(len(times)) {
+		if err := tab.Extend(ctx, times[at:end], workers); err != nil {
+			return err
+		}
+		if err := tab.AdvancePartition(L); err != nil {
+			return err
+		}
+		at = end
+	}
+	return nil
+}
+
+// TestExtendParallelMatchesCold drives the sharded diagonal driver on warm
+// tables: a table grown at the live absorption cadence with 4 workers must
+// equal a cold serial build cell for cell, unbanded and banded.  The
+// instances are big enough (n - 2 >= minParallelRows) for Extend to take
+// the parallel driver, and the banded one's late chunks have more than
+// minParallelRows rows per diagonal, so the pool itself fans out.
+func TestExtendParallelMatchesCold(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		n         int
+		perWindow float64
+		window    float64
+	}{
+		{"unbanded", 1500, 100, 0},
+		{"banded", 4800, 40, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.window > 0 {
+				widest, at := 0, 0
+				for _, end := range liveCadence(tc.n) {
+					widest = max(widest, end-at)
+					at = end
+				}
+				if widest < minParallelRows {
+					t.Fatalf("largest chunk %d < %d rows: the pool never fans out", widest, minParallelRows)
+				}
+			}
+			times := replanArrivals(tc.n, 1/tc.perWindow)
+			cold, err := ComputeTables(ctx, times, ReceiveTwo, tc.window, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := &Tables{model: ReceiveTwo, window: tc.window}
+			if err := absorbLive(ctx, warm, times, 1, 4); err != nil {
+				t.Fatal(err)
+			}
+			sameCells(t, warm, cold, tc.name)
+		})
+	}
+}
+
+// TestExtendAllocatesOnlyNewCells guards the append-only layout: absorbing
+// a flash-density epoch (about 10 media-length windows, a few hundred
+// arrivals each) at the live cadence, Extend and AdvancePartition together
+// may allocate at most 1.15x the final table — each cell once plus the
+// O(n) per-arrival bookkeeping, with no realloc-and-copy of old cells.
+func TestExtendAllocatesOnlyNewCells(t *testing.T) {
+	const (
+		n         = 4400
+		perWindow = 440
+		L         = 1.0
+	)
+	ctx := context.Background()
+	times := replanArrivals(n, 1.0/perWindow)
+	tab, err := ComputeTables(ctx, nil, ReceiveTwo, L, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := absorbLive(ctx, tab, times, L, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	ratio := float64(alloc) / float64(tab.MemoryBytes())
+	t.Logf("%d arrivals, %d cells: allocated %d bytes, %.3fx the %d-byte table", n, tab.Cells(), alloc, ratio, tab.MemoryBytes())
+	if ratio > 1.15 {
+		t.Fatalf("absorbing the epoch allocated %.2fx the final table, want <= 1.15x", ratio)
+	}
 }

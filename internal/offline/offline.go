@@ -19,17 +19,19 @@
 // reference (MergeCostTable), a split-monotonicity accelerated variant
 // (Knuth-style bounds, MergeCostTableFast) that runs in O(n^2) in practice,
 // and the production path ComputeTables, which runs the same accelerated
-// recurrence in flat banded triangular storage — 12 bytes per cell instead
-// of 32 — either row-major serially or with each DP diagonal sharded across
-// a worker pool.  The tables are resumable: Tables.Extend appends an
-// arrival suffix to an existing solve, filling only the band cells whose
-// interval touches the new arrivals, bit-identical to a cold ComputeTables
-// over the concatenation — the warm-start substrate of the live layer's
-// epoch replanning (AdvancePartition and SolveForest resume the forest
-// partition the same way).  The test suite cross-validates all variants
-// cell for cell on random instances and against the closed forms of the
-// slotted case.  The package is used as the exact-optimum baseline for
-// evaluating the on-line algorithms on general arrival sequences.
+// recurrence in banded, column-major, append-only storage — 12 bytes per
+// cell instead of 32 — either column by column serially or with each DP
+// diagonal sharded across a worker pool.  The tables are resumable:
+// Tables.Extend appends an arrival suffix to an existing solve as new
+// columns, the only band cells whose interval touches the new arrivals,
+// writing each cell once and never moving an old one, bit-identical to a
+// cold ComputeTables over the concatenation — the warm-start substrate of
+// the live layer's epoch replanning (AdvancePartition and SolveForest
+// resume the forest partition the same way).  The test suite
+// cross-validates all variants cell for cell on random instances and
+// against the closed forms of the slotted case.  The package is used as the
+// exact-optimum baseline for evaluating the on-line algorithms on general
+// arrival sequences.
 package offline
 
 import (
@@ -242,7 +244,7 @@ func OptimalForest(times []float64, L float64, model Model) (*Forest, error) {
 
 // OptimalForestWorkers is OptimalForest with an explicit context and DP
 // worker count (0 means GOMAXPROCS).  The interval DP is computed in banded
-// flat storage: a group rooted at arrival i can only extend while
+// column storage: a group rooted at arrival i can only extend while
 // times[j] - times[i] < L, so only the O(n * W) intervals inside an L-window
 // are materialized, where W is the largest number of arrivals in any such
 // window — the reason the arrival cap of policy.OfflineOptimal could be
@@ -300,15 +302,19 @@ func (t *Tables) AdvancePartition(L float64) error {
 	t.choice[0] = 0
 	const inf = math.MaxFloat64
 	times := t.times
-	// best[j] = minimum cost of serving arrivals 0..j-1.
+	// best[j] = minimum cost of serving arrivals 0..j-1.  Its last group
+	// starts at some i in [p, j-1], p being the first arrival with
+	// times[j-1] - times[p] < L: nondecreasing in j and, since L <= window,
+	// never below lo(j-1).
+	p := t.lo(t.solved)
 	for j := t.solved + 1; j <= n; j++ {
 		best := inf
 		pick := 0
-		for i := j - 1; i >= 0; i-- {
-			if times[j-1]-times[i] >= L {
-				break
-			}
-			c := t.best[i] + L + t.MC(i, j-1)
+		p = bandLo(times, L, p, j-1)
+		// MC(i, j-1) for descending i is column j-1 read front to back.
+		col := t.mc[j-1]
+		for i := j - 1; i >= p; i-- {
+			c := t.best[i] + L + col[j-1-i]
 			if c < best {
 				best = c
 				pick = i

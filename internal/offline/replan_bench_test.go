@@ -62,8 +62,8 @@ func BenchmarkEpochReplanWarm(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Absorb the shared prefix in two steps so the handle carries
-			// the capacity headroom a live mid-epoch handle would have.
+			// Absorb the shared prefix in two steps, like a live mid-epoch
+			// handle built by more than one Extend.
 			if err := base.Extend(ctx, times[:k/2], 1); err != nil {
 				b.Fatal(err)
 			}
@@ -91,4 +91,42 @@ func BenchmarkEpochReplanWarm(b *testing.B) {
 			}
 		})
 	}
+}
+
+// Flash-density epoch: one replanning epoch (512 slots at a 2% start-up
+// delay, about 10 media lengths) of the busiest object of a 64-object
+// Zipf(1) catalog under a 4x flash crowd — about 880 arrivals per
+// media-length window, a 7.4M-cell (89 MB) banded table.
+const (
+	flashN    = 8800
+	flashMean = 1.0 / 880
+	flashL    = 1.0
+)
+
+// BenchmarkAbsorbEpoch replays warm replanning's call sequence over one
+// flash-density epoch: Extend plus AdvancePartition each time
+// 32 + absorbed/8 arrivals are pending, once more for the tail, then
+// SolveForest at the close.  ns/cell is the DP layer's cost per stored
+// cell, the unit the end-to-end benchmark's offline.ns_per_cell reports.
+func BenchmarkAbsorbEpoch(b *testing.B) {
+	times := replanArrivals(flashN, flashMean)
+	ctx := context.Background()
+	var cells int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tab, err := ComputeTables(ctx, nil, ReceiveTwo, flashL, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := absorbLive(ctx, tab, times, flashL, 1); err != nil {
+			b.Fatal(err)
+		}
+		f, err := tab.SolveForest(flashL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = f.Cost
+		cells += tab.Cells()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
 }

@@ -5,24 +5,25 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/mergetree"
 	"repro/internal/moderr"
 )
 
-// Tables is the interval merge-cost dynamic program in flat storage: one
-// contiguous []float64 for the costs and one []int32 for the splits, packed
-// triangularly and optionally banded.  Compared with the [][]float64 +
-// [][]int tables of MergeCostTableFast this representation
+// Tables is the interval merge-cost dynamic program in banded, column-major,
+// append-only storage.  Column j holds the cells (i, j) for i from j down to
+// lo(j) — the first arrival whose window still covers times[j] — at index
+// j - i, as one []float64 of costs and one []int32 of splits.  Compared
+// with the [][]float64 + [][]int tables of MergeCostTableFast this
+// representation
 //
 //   - stores only the upper triangle (the DP never reads i > j), and
 //   - uses int32 splits (4 bytes instead of 8),
 //
 // which together cut memory to 6 n^2 bytes from 16 n^2 — 37.5% — for the
-// unbanded case, and far less when a window bound applies.  Row starts are
-// precomputed so every (i, j) access is one add and one load, keeping the
-// inner DP loop on two cache-resident arrays.
+// unbanded case, and far less when a window bound applies.
 //
 // When a window w > 0 is given, only the intervals [i, j] with
 // times[j] - times[i] < w are stored.  Every sub-interval of a stored
@@ -31,11 +32,13 @@ import (
 // rooted at arrival i can only span clients that arrive while the root's
 // full stream is still transmitting.
 //
-// Tables are resumable: Extend appends arrivals to an already-solved table
-// and fills only the cells whose interval touches the appended suffix, so
-// an epoch replanner can absorb arrivals incrementally instead of re-running
-// the whole DP (see Extend and SolveForest).  A Tables value is not safe for
-// concurrent use.
+// Tables are append-only and resumable: Extend appends arrivals to an
+// already-solved table as new columns — the only cells whose interval
+// touches the appended suffix — carved from one exact-size chunk per
+// call.  A cell, once written, is never copied, moved or zeroed again, so
+// an epoch replanner absorbing arrivals incrementally pays only for the
+// cells it adds (see Extend and SolveForest).  A Tables value is not safe
+// for concurrent use.
 type Tables struct {
 	n      int
 	model  Model
@@ -45,10 +48,11 @@ type Tables struct {
 	times []float64
 	// limit[i] is the largest j such that (i, j) is stored.
 	limit []int32
-	// off[i] is the flat index of cell (i, i); off[n] is the cell count.
-	off   []int64
-	mc    []float64
-	split []int32
+	// mc[j] and split[j] are column j: cell (i, j) at index j - i.  Each
+	// column is a view into the chunk of the grow call that added it.
+	mc    [][]float64
+	split [][]int32
+	cells int64
 
 	// Resumable forest-partition state (SolveForest): best[j] is the optimal
 	// cost of serving arrivals 0..j-1 with full streams of length solvedL,
@@ -73,62 +77,57 @@ func (t *Tables) InBand(i, j int) bool {
 
 // MC returns the optimal merge cost of a single tree over the arrivals
 // i..j (rooted at i).  The interval must be in band.
-func (t *Tables) MC(i, j int) float64 { return t.mc[t.off[i]+int64(j-i)] }
+func (t *Tables) MC(i, j int) float64 { return t.mc[j][j-i] }
 
 // Split returns the last merge h chosen for the interval [i, j] (0 when
 // i == j).  The interval must be in band.
-func (t *Tables) Split(i, j int) int { return int(t.split[t.off[i]+int64(j-i)]) }
+func (t *Tables) Split(i, j int) int { return int(t.split[j][j-i]) }
 
 // Cells returns the number of stored DP cells.
-func (t *Tables) Cells() int64 { return int64(len(t.mc)) }
+func (t *Tables) Cells() int64 { return t.cells }
 
-// MemoryBytes returns the size of the flat backing arrays in bytes
-// (cellBytes per cell: a float64 cost and an int32 split).  Extended tables
-// reserve up to 50% capacity headroom beyond this so follow-up extends can
-// grow in place.
-func (t *Tables) MemoryBytes() int64 { return t.Cells() * cellBytes }
+// MemoryBytes returns the size of the cell storage in bytes (cellBytes per
+// cell: a float64 cost and an int32 split).  Column chunks are allocated
+// at exactly their cells' size, so no capacity headroom hides beyond this.
+func (t *Tables) MemoryBytes() int64 { return t.cells * cellBytes }
 
 // cellBytes is the storage cost of one DP cell: a float64 cost plus an
 // int32 split.
 const cellBytes = 12
 
-// forEachBandLimit calls fn(i, lim) for every row i, where lim is the
-// largest j such that the interval [i, j] is inside the window (<= 0 or
-// +Inf means unbanded).  It is the single definition of the band used by
-// both ComputeTables and the pre-allocation estimates, so the memory guard
-// in policy.OfflineOptimal can never drift from what ComputeTables
-// actually allocates.
-func forEachBandLimit(times []float64, window float64, fn func(i, lim int)) {
-	n := len(times)
+// lo returns the first row stored in column j.
+func (t *Tables) lo(j int) int { return j + 1 - len(t.mc[j]) }
+
+// bandLo returns the first arrival i >= p with times[j] - times[i] < window
+// (0 when window <= 0 or +Inf, i.e. unbanded).  It is nondecreasing in j,
+// so a sweep over the columns passes the previous column's result as p.
+// It is the single definition of the band used by both ComputeTables and
+// the pre-allocation estimates, so the memory guard in
+// policy.OfflineOptimal can never drift from what ComputeTables actually
+// allocates.
+func bandLo(times []float64, window float64, p, j int) int {
 	if window <= 0 || math.IsInf(window, 1) {
-		for i := 0; i < n; i++ {
-			fn(i, n-1)
-		}
-		return
+		return 0
 	}
-	j := 0
-	for i := 0; i < n; i++ {
-		if j < i {
-			j = i
-		}
-		for j+1 < n && times[j+1]-times[i] < window {
-			j++
-		}
-		fn(i, j)
+	for times[j]-times[p] >= window {
+		p++
 	}
+	return p
 }
 
 // BandCells returns, in O(n) time and O(1) space, the number of DP cells
 // ComputeTables will allocate for the given window (<= 0 means unbanded).
 func BandCells(times []float64, window float64) int64 {
 	var cells int64
-	forEachBandLimit(times, window, func(i, lim int) {
-		cells += int64(lim-i) + 1
-	})
+	p := 0
+	for j := range times {
+		p = bandLo(times, window, p, j)
+		cells += int64(j-p) + 1
+	}
 	return cells
 }
 
-// BandBytes returns the size in bytes of the flat DP tables ComputeTables
+// BandBytes returns the size in bytes of the DP tables ComputeTables
 // would allocate for the given window, in O(n) time.  Callers can use it to
 // bound memory before committing to the computation.
 func BandBytes(times []float64, window float64) int64 {
@@ -136,8 +135,8 @@ func BandBytes(times []float64, window float64) int64 {
 }
 
 // ComputeTables runs the split-monotonicity (Knuth-accelerated) interval DP
-// of MergeCostTableFast into flat banded storage, sharding each diagonal of
-// the DP across a persistent pool of `workers` goroutines (0 means
+// of MergeCostTableFast into banded column storage, sharding each diagonal
+// of the DP across a persistent pool of `workers` goroutines (0 means
 // GOMAXPROCS).  All cells of one diagonal depend only on strictly shorter
 // intervals, so a diagonal is embarrassingly parallel; each cell is computed
 // by exactly the same float operations in the same order as the serial
@@ -145,10 +144,10 @@ func BandBytes(times []float64, window float64) int64 {
 // MergeCostTableFast for every in-band cell regardless of worker count.
 //
 // The DP can run for seconds at large n, so it honors ctx: cancellation is
-// observed within one work unit (one row of the serial driver, one diagonal
-// chunk of the parallel one), every pool goroutine is joined before the
-// call returns, and the error wraps ctx.Err() so callers can test it with
-// errors.Is(err, context.Canceled).
+// observed within one work unit (one column of the serial driver, one
+// diagonal chunk of the parallel one), every pool goroutine is joined
+// before the call returns, and the error wraps ctx.Err() so callers can
+// test it with errors.Is(err, context.Canceled).
 func ComputeTables(ctx context.Context, times []float64, model Model, window float64, workers int) (*Tables, error) {
 	if err := validateTimes(times); err != nil {
 		return nil, err
@@ -168,10 +167,10 @@ func ComputeTables(ctx context.Context, times []float64, model Model, window flo
 
 // Extend appends newTimes to the table's arrivals and fills only the cells
 // whose interval touches the appended suffix, reusing every previously
-// computed cell.  The result is bit-identical, cell for cell, to a cold
-// ComputeTables run over the concatenated arrivals: old cells are never
+// computed cell in place.  The result is bit-identical, cell for cell, to a
+// cold ComputeTables run over the concatenated arrivals: old cells are never
 // recomputed (a cell (i, j) depends only on times[i..j]), and new cells run
-// the same fillRange float operations in a dependency-respecting order.
+// the same fillColumn float operations in a dependency-respecting order.
 // newTimes must be strictly increasing and start after the table's last
 // arrival.
 //
@@ -196,44 +195,31 @@ func (t *Tables) Extend(ctx context.Context, newTimes []float64, workers int) er
 
 // Clone returns a deep copy of the table sharing no storage with t, so a
 // benchmark or test can Extend the copy while keeping the original intact.
-// Capacity headroom is preserved, so a clone extends in place exactly like
-// its original would.
+// The copy's columns are packed into one exact-size chunk.
 func (t *Tables) Clone() *Tables {
 	c := *t
-	c.times = cloneCap(t.times)
-	c.limit = cloneCap(t.limit)
-	c.off = cloneCap(t.off)
-	c.mc = cloneCap(t.mc)
-	c.split = cloneCap(t.split)
-	c.best = cloneCap(t.best)
-	c.choice = cloneCap(t.choice)
+	c.times = slices.Clone(t.times)
+	c.limit = slices.Clone(t.limit)
+	c.best = slices.Clone(t.best)
+	c.choice = slices.Clone(t.choice)
+	c.mc = make([][]float64, len(t.mc))
+	c.split = make([][]int32, len(t.split))
+	mc := make([]float64, 0, t.cells)
+	split := make([]int32, 0, t.cells)
+	for j := range t.mc {
+		a := len(mc)
+		mc = append(mc, t.mc[j]...)
+		split = append(split, t.split[j]...)
+		c.mc[j] = mc[a:len(mc):len(mc)]
+		c.split[j] = split[a:len(split):len(split)]
+	}
 	return &c
 }
 
-// cloneCap copies a slice preserving both length and capacity.
-func cloneCap[E any](s []E) []E {
-	if s == nil {
-		return nil
-	}
-	out := make([]E, len(s), cap(s))
-	copy(out, s)
-	return out
-}
-
-// growCap returns the allocation size for need cells: exact for a cold
-// build (headroom false), 1.5x for an extend so the next few extends can
-// slide rows in place instead of reallocating.
-func growCap(need int64, headroom bool) int64 {
-	if !headroom {
-		return need
-	}
-	return need + need/2
-}
-
-// grow appends newTimes (already validated as continuing t.times) and fills
-// the new in-band cells.  It is the single driver behind both ComputeTables
-// (growing an empty table) and Extend (growing a solved one), which is what
-// makes warm and cold results bit-identical by construction.
+// grow appends newTimes (already validated as continuing t.times) as new
+// columns and fills them.  It is the single driver behind both
+// ComputeTables (growing an empty table) and Extend (growing a solved one),
+// which is what makes warm and cold results bit-identical by construction.
 func (t *Tables) grow(ctx context.Context, newTimes []float64, workers int) error {
 	m := t.n
 	n := m + len(newTimes)
@@ -243,125 +229,65 @@ func (t *Tables) grow(ctx context.Context, newTimes []float64, workers int) erro
 	t.times = append(t.times, newTimes...)
 	times := t.times
 
-	// Re-derive the band limits.  Rows whose band does not reach the suffix
-	// keep their limit — a row's limit for j < m depends only on the old
-	// times — so the rows whose cells must move form a tail [firstChanged, m)
-	// (band contiguity: a row can only grow into the suffix if it already
-	// reached the previous last arrival).
-	firstChanged := m
-	limit := t.limit
-	if cap(limit) < n {
-		nl := make([]int32, m, growCap(int64(n), m > 0))
-		copy(nl, limit)
-		limit = nl
+	// Carve the new columns from one chunk per array, sized exactly: the
+	// first sweep counts their cells, the second slices the views and seeds
+	// each column's length-2 cell (split(j-1, j) = j, like the serial code;
+	// the length-1 cell (j, j) stays zero).
+	p0 := 0
+	if m > 0 {
+		p0 = t.lo(m - 1)
 	}
-	limit = limit[:n]
-	forEachBandLimit(times, t.window, func(i, lim int) {
-		if i < m && firstChanged == m && int32(lim) != limit[i] {
-			firstChanged = i
+	var add int64
+	for j, p := m, p0; j < n; j++ {
+		p = bandLo(times, t.window, p, j)
+		add += int64(j-p) + 1
+	}
+	mcChunk := make([]float64, add)
+	splitChunk := make([]int32, add)
+	t.mc = slices.Grow(t.mc, n-m)
+	t.split = slices.Grow(t.split, n-m)
+	widest := 0
+	for j, p, at := m, p0, 0; j < n; j++ {
+		p = bandLo(times, t.window, p, j)
+		w := j - p + 1
+		t.mc = append(t.mc, mcChunk[at:at+w:at+w])
+		t.split = append(t.split, splitChunk[at:at+w:at+w])
+		if w >= 2 {
+			t.mc[j][1] = edgeCost(times, j-1, j, j, t.model)
+			t.split[j][1] = int32(j)
 		}
-		limit[i] = int32(lim)
-	})
-	t.limit = limit
-
-	// Save the displaced rows' old offsets before re-deriving the offsets;
-	// offsets of rows before firstChanged are unchanged.
-	var oldOff []int64
-	if firstChanged < m {
-		oldOff = append(oldOff, t.off[firstChanged:m+1]...)
+		at += w
+		widest = max(widest, w)
 	}
-	off := t.off
-	if off == nil {
-		off = make([]int64, 1, n+1)
-	}
-	if cap(off) < n+1 {
-		no := make([]int64, len(off), growCap(int64(n+1), m > 0))
-		copy(no, off)
-		off = no
-	}
-	off = off[:n+1]
-	for i := firstChanged; i < n; i++ {
-		off[i+1] = off[i] + int64(limit[i]) - int64(i) + 1
-	}
-	t.off = off
-	newCells := off[n]
-
-	if m > 0 && int64(cap(t.mc)) >= newCells && int64(cap(t.split)) >= newCells {
-		// In place: slide the displaced rows right, highest row first so a
-		// destination never overwrites a pending source, and zero the gap
-		// cells each displaced row gained.  Cells past the old length were
-		// never written (lengths only grow), so they are still zero.
-		mc := t.mc[:newCells]
-		split := t.split[:newCells]
-		for i := m - 1; i >= firstChanged; i-- {
-			w := int(oldOff[i-firstChanged+1] - oldOff[i-firstChanged])
-			src, dst := int(oldOff[i-firstChanged]), int(off[i])
-			if src != dst {
-				copy(mc[dst:dst+w], mc[src:src+w])
-				copy(split[dst:dst+w], split[src:src+w])
-			}
-			for k := dst + w; k < int(off[i+1]); k++ {
-				mc[k] = 0
-				split[k] = 0
-			}
-		}
-		t.mc, t.split = mc, split
-	} else {
-		// Fresh storage: one bulk copy moves the unchanged prefix, then the
-		// displaced tail rows land at their new offsets.  Extends reserve
-		// headroom so the next ones take the in-place path above.
-		hc := growCap(newCells, m > 0)
-		mc := make([]float64, newCells, hc)
-		split := make([]int32, newCells, hc)
-		if p := off[firstChanged]; p > 0 {
-			copy(mc[:p], t.mc[:p])
-			copy(split[:p], t.split[:p])
-		}
-		for i := firstChanged; i < m; i++ {
-			w := int(oldOff[i-firstChanged+1] - oldOff[i-firstChanged])
-			src, dst := int(oldOff[i-firstChanged]), int(off[i])
-			copy(mc[dst:dst+w], t.mc[src:src+w])
-			copy(split[dst:dst+w], t.split[src:src+w])
-		}
-		t.mc, t.split = mc, split
-	}
+	t.cells += add
 	t.n = n
 
-	// Seed the new length-2 cells (split[i][i+1] = i+1, like the serial
-	// code); seeds wholly inside the old table are already final.
-	i0 := 0
-	if m > 0 {
-		i0 = m - 1
-	}
-	for i := i0; i+1 < n; i++ {
-		if int(limit[i]) >= i+1 {
-			idx := off[i] + 1
-			t.mc[idx] = edgeCost(times, i, i+1, i+1, t.model)
-			t.split[idx] = int32(i + 1)
+	// Row limits: only rows from lo(m) on reach the new columns.  lo is
+	// nondecreasing, so one pointer over the columns finds each row's last.
+	t.limit = append(t.limit, make([]int32, n-m)...)
+	for i, j := t.lo(m), m; i < n; i++ {
+		for j+1 < n && t.lo(j+1) <= i {
+			j++
 		}
+		t.limit[i] = int32(j)
 	}
 
 	// The two drivers below fill the same cells with the same per-cell code
-	// (fillRange), so their outputs are identical; they differ only in
-	// iteration order.  Serially, row-major order (rows from the bottom up)
-	// keeps reads and writes of the current and next row cache-resident —
-	// measurably faster than the diagonal order of the [][] reference.  With
+	// (fillColumn), so their outputs are identical; they differ only in
+	// iteration order.  Serially, the new columns are filled left to right,
+	// each from its length-3 cell (row j-2) to its longest (row lo(j)),
+	// reading the columns to its left and the cells just written.  With
 	// workers, cells of one diagonal are independent, so each diagonal is
-	// sharded across a persistent pool.  Rows before firstChanged have no
-	// new cells (their band never reaches the suffix) and are skipped.
+	// sharded across a persistent pool.
 	if workers <= 1 || n-2 < minParallelRows {
-		for i := n - 2; i >= firstChanged; i-- {
-			// One row is the serial work unit: cancellation is observed
-			// between rows, never mid-row.
+		for j := m; j < n; j++ {
+			// One column is the serial work unit: cancellation is observed
+			// between columns, never mid-column.
 			if err := ctx.Err(); err != nil {
 				return canceled(err)
 			}
-			jLo := i + 2
-			if jLo < m {
-				jLo = m
-			}
-			if lim := int(limit[i]); lim >= jLo {
-				t.fillRange(times, i, jLo, lim)
+			if lo := t.lo(j); j-2 >= lo {
+				t.fillColumn(times, j, j-2, lo)
 			}
 		}
 		return nil
@@ -384,14 +310,12 @@ func (t *Tables) grow(ctx context.Context, newTimes []float64, workers int) erro
 	}
 	defer close(jobs)
 
-	for length := 3; length <= n; length++ {
-		// Only rows whose cell (i, i+length-1) can be new: the cell's end
-		// must reach the suffix (i > m-length) and the row must have new
-		// cells at all (i >= firstChanged).
-		lo0 := m - length + 1
-		if lo0 < firstChanged {
-			lo0 = firstChanged
-		}
+	// No new column is longer than widest, so no longer diagonal has cells.
+	lom := t.lo(m)
+	for length := 3; length <= widest; length++ {
+		// Only rows whose cell (i, i+length-1) can be new: its column must
+		// be new (i > m-length), and banded rows start at lo(m) or later.
+		lo0 := max(m-length+1, lom)
 		hi0 := n - length + 1
 		rows := hi0 - lo0
 		if rows <= 0 {
@@ -440,38 +364,37 @@ func canceled(err error) error {
 const minParallelRows = 512
 
 // computeDiagonal fills the cells (i, i+length-1) for i in [lo, hi),
-// skipping rows whose band is too narrow.
+// skipping those outside the band (longer than their column).
 func (t *Tables) computeDiagonal(times []float64, length, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		j := i + length - 1
-		if j <= int(t.limit[i]) {
-			t.fillRange(times, i, j, j)
+		if length <= len(t.mc[j]) {
+			t.fillColumn(times, j, i, i)
 		}
 	}
 }
 
-// fillRange fills the cells (i, j) for j in [jLo, jHi] of row i, in
-// increasing j.  Cells (i, i) .. (i, jLo-1) and the whole rows below i must
+// fillColumn fills the cells (i, j) of column j for i from iHi down to iLo
+// (iHi <= j-2).  The cells (iHi+1 .. j, j) and the columns left of j must
 // already be final.  The float operations per cell match MergeCostTableFast
 // exactly (same expressions, same order), so the output is bit-identical to
 // the [][] reference no matter which driver calls this; only the indexing
-// is flattened.
-func (t *Tables) fillRange(times []float64, i, jLo, jHi int) {
-	off, mc, split := t.off, t.mc, t.split
-	offI := off[i]
-	// rowI is mc shifted so rowI[h] = mc(i, h); rowSplitI likewise for the
-	// split table, and rowI1/rowSplitI1 for row i+1.
-	rowI := mc[offI-int64(i):]
-	rowSplitI := split[offI-int64(i):]
-	offI1 := off[i+1]
-	rowI1Split := split[offI1-int64(i+1):]
+// is column-major.
+func (t *Tables) fillColumn(times []float64, j, iHi, iLo int) {
+	cols := t.mc
+	colJ := cols[j]
+	splitJ := t.split[j]
+	// split(i, j-1) and split(i+1, j) both sit at offset j-1-i: the former
+	// in the previous column, the latter in this one, just written.
+	splitPrev := t.split[j-1]
 	receiveAll := t.model == ReceiveAll
-	ti := times[i]
-	for j := jLo; j <= jHi; j++ {
+	tj := times[j]
+	tj2 := 2 * tj
+	for i := iHi; i >= iLo; i-- {
 		// Knuth bounds: only splits between the optima of [i, j-1] and
 		// [i+1, j] need examining.
-		sLo := int(rowSplitI[j-1])
-		sHi := int(rowI1Split[j])
+		sLo := int(splitPrev[j-1-i])
+		sHi := int(splitJ[j-1-i])
 		if sLo < i+1 {
 			sLo = i + 1
 		}
@@ -483,26 +406,26 @@ func (t *Tables) fillRange(times []float64, i, jLo, jHi int) {
 		}
 		best := math.Inf(1)
 		bestH := sLo
+		ti := times[i]
 		if receiveAll {
 			// edgeCost is times[j] - times[i], independent of h.
-			e := times[j] - ti
+			e := tj - ti
 			for h := sLo; h <= sHi; h++ {
-				c := rowI[h-1] + mc[off[h]+int64(j-h)] + e
+				c := cols[h-1][h-1-i] + colJ[j-h] + e
 				if c < best {
 					best, bestH = c, h
 				}
 			}
 		} else {
-			tj2 := 2 * times[j]
 			for h := sLo; h <= sHi; h++ {
-				c := rowI[h-1] + mc[off[h]+int64(j-h)] + (tj2 - times[h] - ti)
+				c := cols[h-1][h-1-i] + colJ[j-h] + (tj2 - times[h] - ti)
 				if c < best {
 					best, bestH = c, h
 				}
 			}
 		}
-		rowI[j] = best
-		rowSplitI[j] = int32(bestH)
+		colJ[j-i] = best
+		splitJ[j-i] = int32(bestH)
 	}
 }
 
