@@ -585,8 +585,8 @@ func benchStrategy(s *mod.Server, reqs []mod.Request, horizon float64, dump *csv
 			res.MaxReplanUS = us
 		}
 	}
-	res.BusyTime = dr.Usage.Total()
-	res.Peak = dr.Usage.Peak()
+	res.BusyTime = dr.Stats.BusyTime
+	res.Peak = dr.Stats.Peak
 	return res, rep, nil
 }
 

@@ -18,7 +18,8 @@
 // virtual time through the sharded event loops (the same deterministic
 // path the equivalence tests pin against the batch planners), drains the
 // server, and prints the admission report, the per-title strategies and
-// delay scales the evening ended with, and the real-time channel profile.
+// delay scales the evening ended with, and the server's peak, average and
+// busy time.
 //
 // Run with:
 //

@@ -128,38 +128,3 @@ func sweep(starts, ends []float64, cut float64) (before, peak int) {
 	}
 	return before, peak
 }
-
-// Profile returns the number of active streams sampled at the start of each
-// of `samples` equal sub-intervals of [from, to).
-func (u *Usage) Profile(from, to float64, samples int) []int {
-	if samples <= 0 || to <= from {
-		return nil
-	}
-	out := make([]int, samples)
-	step := (to - from) / float64(samples)
-	for i := 0; i < samples; i++ {
-		t := from + float64(i)*step
-		count := 0
-		for _, iv := range u.intervals {
-			if iv.Start <= t && t < iv.End {
-				count++
-			}
-		}
-		out[i] = count
-	}
-	return out
-}
-
-// Intervals returns a copy of the recorded intervals.
-func (u *Usage) Intervals() []Interval {
-	return u.IntervalsSince(0)
-}
-
-// IntervalsSince returns a copy of the intervals recorded after the first
-// i, in recording order (nil when there are none).
-func (u *Usage) IntervalsSince(i int) []Interval {
-	if i >= len(u.intervals) {
-		return nil
-	}
-	return append([]Interval(nil), u.intervals[i:]...)
-}

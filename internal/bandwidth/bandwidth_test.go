@@ -84,32 +84,6 @@ func TestAverage(t *testing.T) {
 	}
 }
 
-func TestProfile(t *testing.T) {
-	u := New()
-	u.Add(0, 2)
-	u.Add(1, 3)
-	p := u.Profile(0, 4, 4)
-	want := []int{1, 2, 1, 0}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("Profile = %v, want %v", p, want)
-		}
-	}
-	if u.Profile(0, 4, 0) != nil || u.Profile(4, 0, 2) != nil {
-		t.Errorf("degenerate profiles should be nil")
-	}
-}
-
-func TestIntervalsCopy(t *testing.T) {
-	u := New()
-	u.Add(1, 2)
-	ivs := u.Intervals()
-	ivs[0].Start = 99
-	if u.Intervals()[0].Start != 1 {
-		t.Errorf("Intervals should return a copy")
-	}
-}
-
 func TestIntervalDuration(t *testing.T) {
 	if (Interval{2, 5}).Duration() != 3 {
 		t.Errorf("Duration wrong")
@@ -137,9 +111,8 @@ func TestPeakFig3Example(t *testing.T) {
 	}
 }
 
-// Edge cases: an empty usage, zero-width query windows, and non-positive
-// sample counts must all degrade gracefully rather than divide by zero or
-// panic — the live serving layer calls these on freshly started servers.
+// Edge cases: an empty usage and zero-width query windows must degrade
+// gracefully rather than divide by zero or panic.
 
 func TestEmptyUsageEdgeCases(t *testing.T) {
 	u := New()
@@ -152,20 +125,8 @@ func TestEmptyUsageEdgeCases(t *testing.T) {
 	if got := u.Average(0, 10); got != 0 {
 		t.Errorf("empty Average = %g, want 0", got)
 	}
-	if got := u.Profile(0, 10, 4); len(got) != 4 {
-		t.Fatalf("empty Profile length = %d, want 4", len(got))
-	} else {
-		for i, c := range got {
-			if c != 0 {
-				t.Errorf("empty Profile[%d] = %d, want 0", i, c)
-			}
-		}
-	}
 	if got := u.Streams(); got != 0 {
 		t.Errorf("empty Streams = %d, want 0", got)
-	}
-	if got := u.Intervals(); len(got) != 0 {
-		t.Errorf("empty Intervals = %v, want none", got)
 	}
 }
 
@@ -178,22 +139,6 @@ func TestZeroWidthWindows(t *testing.T) {
 	}
 	if got := u.Average(5, 3); got != 0 {
 		t.Errorf("Average over inverted window = %g, want 0", got)
-	}
-	if got := u.Profile(3, 3, 5); got != nil {
-		t.Errorf("Profile over [3,3) = %v, want nil", got)
-	}
-	if got := u.Profile(5, 3, 5); got != nil {
-		t.Errorf("Profile over inverted window = %v, want nil", got)
-	}
-}
-
-func TestProfileNonPositiveSamples(t *testing.T) {
-	u := New()
-	u.Add(0, 10)
-	for _, samples := range []int{0, -1, -100} {
-		if got := u.Profile(0, 10, samples); got != nil {
-			t.Errorf("Profile with samples=%d = %v, want nil", samples, got)
-		}
 	}
 }
 
@@ -298,6 +243,46 @@ func TestTrackerMatchesUsage(t *testing.T) {
 		tr.Settle(math.Inf(1))
 		if got, want := tr.Peak(), u.Peak(); got != want || len(tr.pending) != 0 {
 			t.Fatalf("trial %d settled at +Inf: Peak = %d (want %d), %d intervals still pending", trial, got, want, len(tr.pending))
+		}
+	}
+}
+
+// TestTrackerResumesFromSettledPair restarts a tracker mid-stream the way
+// a restored server does: from the (frontier, peak) pair Settled reports,
+// re-adding only the intervals that end after the frontier.  The resumed
+// tracker must keep matching Usage.Peak over everything added.
+func TestTrackerResumesFromSettledPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 300; trial++ {
+		ivs := randomIntervals(rng, 1+rng.Intn(80))
+		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
+		var tr Tracker
+		u := New()
+		cut := rng.Intn(len(ivs))
+		for _, iv := range ivs[:cut] {
+			tr.Add(iv.Start, iv.End)
+			u.Add(iv.Start, iv.End)
+		}
+		if cut < len(ivs) {
+			tr.Settle(ivs[cut].Start - float64(rng.Intn(3))/4)
+		}
+		w, peak := tr.Settled()
+		resumed := NewTracker(w, peak)
+		for _, iv := range ivs[:cut] {
+			if iv.End > w {
+				resumed.Add(iv.Start, iv.End)
+			}
+		}
+		for _, iv := range ivs[cut:] {
+			resumed.Add(iv.Start, iv.End)
+			u.Add(iv.Start, iv.End)
+		}
+		if got, want := resumed.Peak(), u.Peak(); got != want {
+			t.Fatalf("trial %d resumed at %v (peak %d): Peak = %d, Usage.Peak = %d", trial, w, peak, got, want)
+		}
+		resumed.Settle(math.Inf(1))
+		if got, want := resumed.Peak(), u.Peak(); got != want {
+			t.Fatalf("trial %d resumed, settled at +Inf: Peak = %d, want %d", trial, got, want)
 		}
 	}
 }

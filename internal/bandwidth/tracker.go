@@ -11,7 +11,8 @@ import "math"
 // end after W; Peak sorts only those.  The result is exactly Usage.Peak
 // over every interval ever added.
 //
-// The zero value is an empty tracker.  It is not safe for concurrent use.
+// The zero value is an empty tracker; NewTracker resumes one from a
+// settled pair.  It is not safe for concurrent use.
 type Tracker struct {
 	// settled is the peak of the count profile before frontier.
 	settled  int
@@ -20,9 +21,19 @@ type Tracker struct {
 	pending []Interval
 }
 
+// NewTracker returns a tracker settled at frontier, with peak as the
+// peak of the count profile before it.  Re-adding every interval that
+// ends after frontier then restores a tracker that settled there: a
+// re-added interval that starts before frontier only undercounts a part
+// of the profile the settled peak already covers.
+func NewTracker(frontier float64, peak int) Tracker {
+	return Tracker{settled: peak, frontier: frontier}
+}
+
 // Add records one interval [start, end).  Empty or inverted intervals are
 // ignored, as in Usage.Add.  The peak stays exact only if start is at or
-// after every frontier settled so far.
+// after every frontier settled so far, or the interval's part before the
+// frontier is already in the settled peak (see NewTracker).
 func (t *Tracker) Add(start, end float64) {
 	if end <= start {
 		return
@@ -53,6 +64,12 @@ func (t *Tracker) Settle(w float64) {
 		kept = append([]Interval(nil), kept...)
 	}
 	t.pending = kept
+}
+
+// Settled returns the current frontier and the peak of the count profile
+// before it: the pair NewTracker resumes from.
+func (t *Tracker) Settled() (frontier float64, peak int) {
+	return t.frontier, t.settled
 }
 
 // Peak returns the maximum number of intervals overlapping at any time,

@@ -10,12 +10,15 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/multiobject"
 	"repro/internal/serve"
@@ -163,10 +166,10 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 							t.Fatalf("shards=%d %s cut=%d: drained objects diverged:\n got %+v\nwant %+v",
 								shards, v.name, cut, gotDrain.Objects, refDrain.Objects)
 						}
-						if got, want := gotDrain.Usage.Total(), refDrain.Usage.Total(); math.Float64bits(got) != math.Float64bits(want) {
+						if got, want := gotDrain.Stats.BusyTime, refDrain.Stats.BusyTime; math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("shards=%d %s cut=%d: busy time %g, want %g", shards, v.name, cut, got, want)
 						}
-						if got, want := gotDrain.Usage.Peak(), refDrain.Usage.Peak(); got != want {
+						if got, want := gotDrain.Stats.Peak, refDrain.Stats.Peak; got != want {
 							t.Fatalf("shards=%d %s cut=%d: peak %d, want %d", shards, v.name, cut, got, want)
 						}
 						gotStats, wantStats := gotDrain.Stats, refDrain.Stats
@@ -445,6 +448,378 @@ func TestWALFailureRepairSnapshot(t *testing.T) {
 		t.Fatalf("restored server reports %d WAL failures, want 0", gotDrain.Stats.WALFailures)
 	}
 	restored.Close()
+}
+
+// settleStore wraps a Mem store for the durable-settle-point tests: it
+// can hold one shard's Flush, so that shard's unacknowledged records stay
+// unflushed (a Clone drops them), fail one shard's next SaveSnapshot, and
+// counts each shard's saved snapshots and held flushes.
+type settleStore struct {
+	*store.Mem
+	mu       sync.Mutex
+	holdID   int
+	held     chan struct{} // non-nil while holding; closed to release
+	blocked  int
+	failNext map[int]bool
+	saves    map[int]int
+}
+
+func newSettleStore() *settleStore {
+	return &settleStore{Mem: store.NewMem(), failNext: map[int]bool{}, saves: map[int]int{}}
+}
+
+func (g *settleStore) Flush(shard int, mode store.SyncMode) error {
+	g.mu.Lock()
+	held := g.held
+	if held != nil && shard == g.holdID {
+		g.blocked++
+	} else {
+		held = nil
+	}
+	g.mu.Unlock()
+	if held != nil {
+		<-held
+	}
+	return g.Mem.Flush(shard, mode)
+}
+
+func (g *settleStore) SaveSnapshot(shard int, data []byte) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.failNext[shard] {
+		g.failNext[shard] = false
+		return errors.New("injected snapshot failure")
+	}
+	if err := g.Mem.SaveSnapshot(shard, data); err != nil {
+		return err
+	}
+	g.saves[shard]++
+	return nil
+}
+
+func (g *settleStore) hold(shard int) {
+	g.mu.Lock()
+	g.holdID, g.held = shard, make(chan struct{})
+	g.mu.Unlock()
+}
+
+// release lets held flushes through; it is a no-op when nothing is held.
+func (g *settleStore) release() {
+	g.mu.Lock()
+	if g.held != nil {
+		close(g.held)
+		g.held = nil
+	}
+	g.mu.Unlock()
+}
+
+func (g *settleStore) failNextSave(shard int) {
+	g.mu.Lock()
+	g.failNext[shard] = true
+	g.mu.Unlock()
+}
+
+// waitSaves waits until shard has saved n snapshots.
+func (g *settleStore) waitSaves(t *testing.T, shard, n int) {
+	t.Helper()
+	g.await(t, fmt.Sprintf("shard %d to save %d snapshots", shard, n), func() bool { return g.saves[shard] >= n })
+}
+
+// waitBlocked waits until a flush of the held shard is blocked.
+func (g *settleStore) waitBlocked(t *testing.T) {
+	t.Helper()
+	g.await(t, "a held flush", func() bool { return g.blocked > 0 })
+}
+
+func (g *settleStore) await(t *testing.T, what string, done func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		g.mu.Lock()
+		ok := done()
+		g.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// settleCatalog puts four objects on shard 0 and one on shard 1 of a
+// two-shard server (settleShards checks the routing).
+func settleCatalog() multiobject.Catalog {
+	var cat multiobject.Catalog
+	for _, name := range []string{"a", "b", "c", "e", "g"} {
+		cat = append(cat, multiobject.Object{Name: name, Length: 1, Popularity: 1, Delay: 0.05})
+	}
+	return cat
+}
+
+func settleConfig(st store.Store, restore bool) serve.Config {
+	return serve.Config{
+		Catalog:         settleCatalog(),
+		Shards:          2,
+		DefaultStrategy: "offline",
+		EpochSlots:      4,
+		// No cadence snapshots: the tests force each one.
+		SnapshotEpochs: 1000,
+		Store:          st,
+		Restore:        restore,
+	}
+}
+
+// settleShards returns the objects routed to shard 0 and to shard 1.
+func settleShards(t *testing.T, s *serve.Server) (x, y []string) {
+	t.Helper()
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range st.Objects {
+		if o.Shard == 0 {
+			x = append(x, o.Name)
+		} else {
+			y = append(y, o.Name)
+		}
+	}
+	if len(x) != 4 || len(y) != 1 {
+		t.Fatalf("objects routed %v to shard 0 and %v to shard 1, want four and one", x, y)
+	}
+	return x, y
+}
+
+// waitDequeued waits until shard 0's loop has taken n requests off its
+// queue, so they are admitted and their records are on the WAL channel.
+func waitDequeued(t *testing.T, s *serve.Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := s.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Shards[0].Dequeued == int64(n) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard 0 dequeued %d of %d requests", st.Shards[0].Dequeued, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// drainReference drains a store-less server that admitted reqs in order.
+func drainReference(t *testing.T, reqs []serve.Request, horizon float64) *serve.DrainResult {
+	t.Helper()
+	ref, err := serve.New(settleConfig(nil, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	submitAll(t, ref, reqs)
+	dr, err := ref.Drain(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dr
+}
+
+// checkRestoredDrain restores a server from disk, drains it, and requires
+// the drained accounting to be bit-identical to want's.
+func checkRestoredDrain(t *testing.T, disk *store.Mem, want *serve.DrainResult) {
+	t.Helper()
+	restored, err := serve.New(settleConfig(disk, true))
+	if err != nil {
+		t.Fatalf("New(restored): %v", err)
+	}
+	defer restored.Close()
+	got, err := restored.Drain(want.Horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Objects, want.Objects) {
+		t.Fatalf("drained objects diverged:\n got %+v\nwant %+v", got.Objects, want.Objects)
+	}
+	if got.Stats.Peak != want.Stats.Peak || math.Float64bits(got.Stats.BusyTime) != math.Float64bits(want.Stats.BusyTime) {
+		t.Fatalf("restored run drained peak %d busy %v, uninterrupted run over the acked requests: peak %d busy %v",
+			got.Stats.Peak, got.Stats.BusyTime, want.Stats.Peak, want.Stats.BusyTime)
+	}
+}
+
+// TestDurableSettlePointIgnoresUnackedStreams: a snapshot persists the
+// peak only behind the durable settle point, never the live one.  Shard 0
+// holds its flush while a burst of unacknowledged arrivals finalizes
+// streams that raise the peak, and Stats folds them.  Shard 1 moves on,
+// hears the settle point through two reads, and snapshots twice while
+// shard 0's snapshots wait behind the held flush.  The crash then loses
+// the burst, and the restored server must drain exactly like an
+// uninterrupted run over the acked requests.  Persisting the live
+// tracker's peak, or publishing shard 0's frontier when its snapshot is
+// captured instead of once it is saved, restores the lost burst's peak.
+func TestDurableSettlePointIgnoresUnackedStreams(t *testing.T) {
+	const horizon = 4.0
+	gs := newSettleStore()
+	s, err := serve.New(settleConfig(gs, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := settleShards(t, s)
+	var acked []serve.Request
+	for _, name := range append(append([]string(nil), x...), y...) {
+		acked = append(acked, serve.Request{Object: name, T: 0.1})
+	}
+	submitAll(t, s, acked)
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The burst: ten arrivals per shard-0 object early in the epoch
+	// [1.0, 1.2), and one at 1.3 that closes it, finalizing their streams.
+	gs.hold(0)
+	defer gs.release() // a failing test must not leave Close blocked
+	var burst []serve.Request
+	for j := 0; j < 10; j++ {
+		for _, name := range x {
+			burst = append(burst, serve.Request{Object: name, T: 1.0 + 0.013*float64(j)})
+		}
+	}
+	burst = append(burst, serve.Request{Object: x[0], T: 1.3})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.SubmitBatch(burst)
+	}()
+	waitDequeued(t, s, len(x)+len(burst))
+	// The burst's commit must be stuck in Flush before any snapshot of
+	// shard 0 reaches its writer; otherwise the snapshot could save in the
+	// same commit and make the burst durable.
+	gs.waitBlocked(t)
+
+	late := serve.Request{Object: y[0], T: 1.5}
+	submitAll(t, s, []serve.Request{late})
+	acked = append(acked, late)
+	want := drainReference(t, acked, horizon)
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Peak <= want.Stats.Peak {
+		t.Fatalf("the folded burst left the peak at %d, the acked requests alone reach %d: the test lost its coverage", st.Peak, want.Stats.Peak)
+	}
+
+	// Shard 0's snapshots are captured but wait behind the held flush.
+	for n := 2; n <= 3; n++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Snapshot()
+		}()
+		gs.waitSaves(t, 1, n)
+		for i := 0; i < 2; i++ {
+			if _, err := s.Stats(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	disk := gs.Mem.Clone()
+	gs.release()
+	wg.Wait()
+	s.Close()
+	checkRestoredDrain(t, disk, want)
+}
+
+// TestDurableSettlePointFailedSave: a failed SaveSnapshot publishes
+// nothing, so shard 0's saved frontier stays at its previous save while
+// shard 1's advances, and a clone-and-restore right after still drains
+// exactly.  The failed snapshot shares its group commit with an
+// acknowledged request, whose record the commit must still flush.  Once
+// a save succeeds again, the frontier moves.
+func TestDurableSettlePointFailedSave(t *testing.T) {
+	const horizon = 4.0
+	gs := newSettleStore()
+	s, err := serve.New(settleConfig(gs, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	x, y := settleShards(t, s)
+	names := append(append([]string(nil), x...), y...)
+	var reqs []serve.Request
+	submitAt := func(ts ...float64) {
+		for _, at := range ts {
+			for _, name := range names {
+				req := serve.Request{Object: name, T: at}
+				submitAll(t, s, []serve.Request{req})
+				reqs = append(reqs, req)
+			}
+		}
+		if _, err := s.Stats(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submitAt(0.1, 0.5)
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	prev := []float64{serve.SavedFrontier(s, 0), serve.SavedFrontier(s, 1)}
+	submitAt(0.9)
+
+	// With shard 0's flush held, the first request's commit blocks, the
+	// second request queues behind it, and the failing snapshot behind
+	// that: on release the two land in one group commit.
+	gs.hold(0)
+	defer gs.release() // a failing test must not leave Close blocked
+	var wg sync.WaitGroup
+	for k, req := range []serve.Request{{Object: x[0], T: 1.3}, {Object: x[1], T: 1.35}} {
+		reqs = append(reqs, req)
+		wg.Add(1)
+		go func(req serve.Request) {
+			defer wg.Done()
+			if _, err := s.Submit(req); err != nil {
+				t.Error(err)
+			}
+		}(req)
+		if k == 0 {
+			gs.waitBlocked(t)
+		}
+	}
+	waitDequeued(t, s, 3*len(x)+2)
+	gs.failNextSave(0)
+	snapErr := make(chan error, 1)
+	go func() { snapErr <- s.Snapshot() }()
+	gs.waitSaves(t, 1, 2)
+	// Shard 0 handled the snapshot request before this read.
+	if _, err := s.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	gs.release()
+	wg.Wait()
+	if err := <-snapErr; err == nil {
+		t.Fatal("Snapshot succeeded through an injected save failure")
+	}
+	if got := serve.SavedFrontier(s, 0); got != prev[0] {
+		t.Fatalf("shard 0's save failed, but its saved frontier moved from %v to %v", prev[0], got)
+	}
+	if got := serve.SavedFrontier(s, 1); got <= prev[1] {
+		t.Fatalf("shard 1 saved a snapshot, but its saved frontier stayed at %v (was %v)", got, prev[1])
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Stats(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkRestoredDrain(t, gs.Mem.Clone(), drainReference(t, reqs, horizon))
+
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := serve.SavedFrontier(s, 0); got <= prev[0] {
+		t.Fatalf("shard 0 saved a snapshot again, but its saved frontier stayed at %v", got)
+	}
 }
 
 // TestRestoreSurfacesCorruption: a flipped byte anywhere in a snapshot

@@ -374,8 +374,9 @@ func (r *Report) Finish() {
 	r.Latency = stats.Summarize(r.latencies)
 }
 
-// Render writes the report as aligned tables, a start-up-delay histogram,
-// and (after a drain) the server's real-time bandwidth profile chart.
+// Render writes the report as aligned tables and a start-up-delay
+// histogram, and after a drain the server's peak, average and busy time,
+// read from the drained Stats.
 func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "requests:             %d\n", r.Requests)
 	fmt.Fprintf(w, "admitted:             %d\n", r.Admitted)
@@ -411,19 +412,9 @@ func (r *Report) Render(w io.Writer) {
 		fmt.Fprintf(w, "\n%s", tbl.String())
 	}
 	if r.Drain != nil {
-		fmt.Fprintf(w, "\nserver peak:          %d channels\n", r.Drain.Usage.Peak())
+		fmt.Fprintf(w, "\nserver peak:          %d channels\n", r.Drain.Stats.Peak)
 		fmt.Fprintf(w, "server average:       %.2f channels\n", r.AverageChannels())
-		fmt.Fprintf(w, "total busy time:      %.2f time units\n", r.Drain.Usage.Total())
-		if prof := r.Drain.Usage.Profile(0, r.Drain.Horizon, 60); len(prof) > 0 {
-			xs := make([]float64, len(prof))
-			ys := make([]float64, len(prof))
-			for i, c := range prof {
-				xs[i] = r.Drain.Horizon * float64(i) / float64(len(prof))
-				ys[i] = float64(c)
-			}
-			fmt.Fprintf(w, "\nBusy channels over time:\n%s",
-				textplot.Chart(60, 12, textplot.Series{Name: "channels", X: xs, Y: ys}))
-		}
+		fmt.Fprintf(w, "total busy time:      %.2f time units\n", r.Drain.Stats.BusyTime)
 	}
 }
 

@@ -247,9 +247,10 @@ func (s *Server) commit(sh *shard, w *walCommit, mode store.SyncMode) {
 			// The snapshot covers every record before it in the batch (it
 			// was captured after those admissions on the loop), and
 			// SaveSnapshot truncates the WAL — nothing appended so far
-			// needs a flush of its own.
-			w.dirty = false
-			s.writeSnapshot(sh, m)
+			// needs a flush of its own, unless the save fails.
+			if s.writeSnapshot(sh, m) {
+				w.dirty = false
+			}
 		}
 	}
 	s.appendRun(sh, w)
@@ -294,7 +295,10 @@ func (s *Server) appendRun(sh *shard, w *walCommit) {
 // writeSnapshot runs the snapshot codec on the writer goroutine — the
 // loop only captured plain state — with a pooled Encoder, then saves the
 // blob and recycles the capture buffer back to the shard's free list.
-func (s *Server) writeSnapshot(sh *shard, m *walMsg) {
+// Only once the save succeeded does it publish the frontier captured with
+// the snapshot, which may advance the durable settle point, and wake the
+// settler.  It reports whether the save succeeded.
+func (s *Server) writeSnapshot(sh *shard, m *walMsg) bool {
 	if s.walEnc[sh.id] == nil {
 		s.walEnc[sh.id] = store.NewEncoder()
 	} else {
@@ -303,16 +307,24 @@ func (s *Server) writeSnapshot(sh *shard, m *walMsg) {
 	enc := s.walEnc[sh.id]
 	encodeSnapshotState(enc, m.snap)
 	err := s.cfg.Store.SaveSnapshot(sh.id, enc.Finish())
+	frontier := m.snap.frontier
 	sh.releaseSnapState(m.snap)
 	if err != nil {
 		s.walFailures.Add(1)
 		if m.repair {
 			s.walRepair[sh.id].Store(true)
 		}
+	} else {
+		s.saved[sh.id].Store(math.Float64bits(frontier))
+		select {
+		case s.settle <- struct{}{}:
+		default:
+		}
 	}
 	if m.errc != nil {
 		m.errc <- err
 	}
+	return err == nil
 }
 
 // walWriterPerAck is the pre-group-commit writer: one Flush per
@@ -518,7 +530,14 @@ type shardSnapshotState struct {
 	degradedL int64
 	rejectedL int64
 	ends      []endEvent
+	// durable, busy and intervals are the shard's durable settle point,
+	// busy-time sum and kept set.  frontier is not encoded: the writer
+	// publishes it once the save succeeds, and a restore recomputes it
+	// from the restored schedulers.
+	durable   settlePoint
+	busy      float64
 	intervals []bandwidth.Interval
+	frontier  float64
 	stages    []stageHist
 	objects   []objectSnapState
 }
@@ -570,9 +589,10 @@ func (sh *shard) releaseSnapState(ss *shardSnapshotState) {
 
 // captureSnapshot copies the shard's full scheduler state — identity
 // fingerprint, clock, ticket sequence, loop-owned counter mirrors, gauge
-// end-event heap, finalized bandwidth intervals, stage histograms, and
-// per-object state (delay epoch, accounting carry, and the live
-// scheduler's exported dynamic state) — into a reusable capture buffer.
+// end-event heap, durable settle point, busy-time sum and kept set,
+// stage histograms, and per-object state (delay epoch, accounting carry,
+// and the live scheduler's exported dynamic state) — and its frontier
+// into a reusable capture buffer.
 // It runs on the shard loop; encodeSnapshotState serializes the result
 // on the writer goroutine.
 func (sh *shard) captureSnapshot() *shardSnapshotState {
@@ -587,7 +607,10 @@ func (sh *shard) captureSnapshot() *shardSnapshotState {
 	// Heap-array order: restoring it verbatim reproduces the exact pop
 	// order of the original run.
 	ss.ends = append(ss.ends[:0], sh.ends...)
-	ss.intervals = sh.usage.Intervals()
+	ss.durable = sh.durable
+	ss.busy = sh.busy
+	ss.intervals = append(ss.intervals[:0], sh.kept...)
+	ss.frontier = sh.frontier()
 	// stageHist holds fixed-size value histograms, so this copies.
 	ss.stages = append(ss.stages[:0], sh.stages...)
 	ss.objects = ss.objects[:0]
@@ -635,6 +658,9 @@ func encodeSnapshotState(e *store.Encoder, ss *shardSnapshotState) {
 		e.I64(int64(ev.delta))
 	}
 
+	e.F64(ss.durable.at)
+	e.I64(int64(ss.durable.peak))
+	e.F64(ss.busy)
 	e.U32(uint32(len(ss.intervals)))
 	for _, iv := range ss.intervals {
 		e.F64(iv.Start)
@@ -766,13 +792,12 @@ func (sh *shard) decodeSnapshot(blob []byte) error {
 		gaugeDelta += int64(delta)
 	}
 
-	nIvs := d.Len(16)
-	type span struct{ start, end float64 }
-	ivs := make([]span, 0, nIvs)
-	for i := 0; i < nIvs; i++ {
-		start := d.F64()
-		end := d.F64()
-		ivs = append(ivs, span{start, end})
+	durable := settlePoint{at: d.F64(), peak: int(d.I64())}
+	busy := d.F64()
+	kept := make([]bandwidth.Interval, d.Len(16))
+	for i := range kept {
+		kept[i].Start = d.F64()
+		kept[i].End = d.F64()
 	}
 
 	nStages := d.Len(8)
@@ -850,9 +875,12 @@ func (sh *shard) decodeSnapshot(blob []byte) error {
 	// Each pending end event retires one live channel: the restored gauge
 	// contribution is minus the heap's summed deltas.
 	sh.srv.gauge.Add(-gaugeDelta)
-	for _, iv := range ivs {
-		sh.usage.Add(iv.start, iv.end)
-	}
+	// The kept set comes back unfolded: the server's first fold re-adds it
+	// to a tracker resumed at the largest durable settle point.
+	sh.durable = durable
+	sh.busy = busy
+	sh.kept = kept
+	sh.settleAt = max(settleFloor, 2*len(kept))
 	copy(sh.stages, stages)
 	return nil
 }
@@ -893,18 +921,20 @@ func (sh *shard) restoreScheduler(obj multiobject.Object, strategy string, delay
 // through the ordinary admit path.  It runs during New, before the shard
 // loop or WAL writer exist, so it owns all shard state.  Replay calls
 // handleSubmit directly — the loop's logSubmit step is deliberately
-// absent, since the records being applied are already in the log.
-func (sh *shard) restore() error {
+// absent, since the records being applied are already in the log.  It
+// returns the shard's frontier as of the snapshot, its saved frontier.
+func (sh *shard) restore() (float64, error) {
 	st := sh.srv.cfg.Store
 	blob, err := st.LoadSnapshot(sh.id)
 	if err != nil {
-		return fmt.Errorf("serve: load snapshot for shard %d: %w", sh.id, err)
+		return 0, fmt.Errorf("serve: load snapshot for shard %d: %w", sh.id, err)
 	}
 	if blob != nil {
 		if err := sh.decodeSnapshot(blob); err != nil {
-			return fmt.Errorf("serve: restore shard %d: %w", sh.id, err)
+			return 0, fmt.Errorf("serve: restore shard %d: %w", sh.id, err)
 		}
 	}
+	saved := sh.frontier()
 	err = st.ReplayWAL(sh.id, func(rec []byte) error {
 		if len(rec) != walRecSize {
 			return fmt.Errorf("%w: WAL record of %d bytes (want %d)", store.ErrCorruptSnapshot, len(rec), walRecSize)
@@ -932,9 +962,9 @@ func (sh *shard) restore() error {
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("serve: replay WAL for shard %d: %w", sh.id, err)
+		return 0, fmt.Errorf("serve: replay WAL for shard %d: %w", sh.id, err)
 	}
-	return nil
+	return saved, nil
 }
 
 // Snapshot forces an immediate snapshot of every shard and waits until

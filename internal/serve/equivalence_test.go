@@ -138,10 +138,10 @@ func compare(t *testing.T, shards int, batch *sim.WorkloadResult, live *serve.Re
 			t.Errorf("shards=%d %s: slot units=%d, want %d", shards, lo.Name, lo.SlotUnits, bo.Sim.TotalBandwidth)
 		}
 	}
-	if got, want := dr.Usage.Peak(), batch.Peak; got != want {
+	if got, want := dr.Stats.Peak, batch.Peak; got != want {
 		t.Errorf("shards=%d: server peak=%d, want %d", shards, got, want)
 	}
-	if got, want := dr.Usage.Total(), batch.TotalBusyTime; relErr(got, want) > 1e-9 {
+	if got, want := dr.Stats.BusyTime, batch.TotalBusyTime; relErr(got, want) > 1e-9 {
 		t.Errorf("shards=%d: busy time=%g, want %g", shards, got, want)
 	}
 }

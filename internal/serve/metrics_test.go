@@ -276,9 +276,9 @@ func TestMetricsEquivalence(t *testing.T) {
 			t.Errorf("object %s: metered run diverges from unmetered:\non  %+v\noff %+v", a.Name, a, b)
 		}
 	}
-	if on.Usage.Total() != off.Usage.Total() || on.Usage.Peak() != off.Usage.Peak() {
+	if on.Stats.BusyTime != off.Stats.BusyTime || on.Stats.Peak != off.Stats.Peak {
 		t.Errorf("usage diverges: on (%g, %d) off (%g, %d)",
-			on.Usage.Total(), on.Usage.Peak(), off.Usage.Total(), off.Usage.Peak())
+			on.Stats.BusyTime, on.Stats.Peak, off.Stats.BusyTime, off.Stats.Peak)
 	}
 	if on.Stats.Admitted != off.Stats.Admitted || on.Stats.Degraded != off.Stats.Degraded || on.Stats.Rejected != off.Stats.Rejected {
 		t.Errorf("admission counters diverge: on %+v off %+v", on.Stats, off.Stats)

@@ -13,27 +13,54 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bandwidth"
 	"repro/internal/multiobject"
 	"repro/internal/store"
 )
 
-// pausedOracle parks every shard loop, reads their finalized intervals
-// directly (the parked loops cannot race the read), and releases them.
-// It returns the peak of all of them, and the busy time Stats must
-// report: each shard's intervals summed in finalization order, and those
-// sums added in shard order.
-func pausedOracle(t *testing.T, s *Server) (peak int, busy float64) {
+// intervalOracle collects every interval a server's shards finalize,
+// per shard in finalization order, through the shards' onFinalize hooks.
+// A hook runs on its shard's loop, so the oracle installs it, and reads
+// what it collected, only while that shard is paused.
+type intervalOracle struct {
+	shards [][]bandwidth.Interval
+}
+
+// install hooks the oracle into every shard of s.  It must run before s
+// finalizes anything the oracle has not seen: right after New, and after
+// a restore only if the restore replayed no WAL record.
+func (o *intervalOracle) install(t *testing.T, s *Server) {
 	t.Helper()
-	all := bandwidth.New()
+	if o.shards == nil {
+		o.shards = make([][]bandwidth.Interval, len(s.shards))
+	}
 	for i, sh := range s.shards {
 		release, err := s.Pause(i)
 		if err != nil {
 			t.Fatal(err)
 		}
+		i := i
+		sh.onFinalize = func(iv bandwidth.Interval) { o.shards[i] = append(o.shards[i], iv) }
+		release()
+	}
+}
+
+// paused parks every shard loop in turn and reads what the oracle
+// collected from it.  It returns the peak of all intervals, and the busy
+// time Stats must report: each shard's intervals summed in finalization
+// order, and those sums added in shard order.
+func (o *intervalOracle) paused(t *testing.T, s *Server) (peak int, busy float64) {
+	t.Helper()
+	all := bandwidth.New()
+	for i := range s.shards {
+		release, err := s.Pause(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		own := bandwidth.New()
-		for _, iv := range sh.usage.Intervals() {
+		for _, iv := range o.shards[i] {
 			all.Add(iv.Start, iv.End)
 			own.Add(iv.Start, iv.End)
 		}
@@ -45,9 +72,9 @@ func pausedOracle(t *testing.T, s *Server) (peak int, busy float64) {
 
 // checkPeak compares Stats and Metrics with the oracle.  No submit may be
 // in flight, so both observe the same finalized history.
-func checkPeak(t *testing.T, s *Server, where string) {
+func checkPeak(t *testing.T, s *Server, o *intervalOracle, where string) {
 	t.Helper()
-	wantPeak, wantBusy := pausedOracle(t, s)
+	wantPeak, wantBusy := o.paused(t, s)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +131,8 @@ func TestStatsPeakExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				var oracle intervalOracle
+				oracle.install(t, s)
 				half := len(reqs) / 2
 				next := 0
 				run := func(to int) {
@@ -115,7 +144,7 @@ func TestStatsPeakExact(t *testing.T) {
 							}
 						}
 						next = k
-						checkPeak(t, s, fmt.Sprintf("after %d requests", next))
+						checkPeak(t, s, &oracle, fmt.Sprintf("after %d requests", next))
 					}
 				}
 				run(half)
@@ -128,7 +157,10 @@ func TestStatsPeakExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				checkPeak(t, s, "first read after restore")
+				// The snapshot truncated the WAL, so the restore replayed
+				// nothing the oracle has not seen.
+				oracle.install(t, s)
+				checkPeak(t, s, &oracle, "first read after restore")
 				run(len(reqs))
 				st, err := s.Stats()
 				if err != nil {
@@ -143,20 +175,24 @@ func TestStatsPeakExact(t *testing.T) {
 }
 
 // TestStatsConcurrentReaders runs Stats and Metrics readers alongside
-// the submitter.  Each reader must see a peak and busy time that never
-// decrease, and once the trace is in, the peak must match the oracle.
+// the submitter and the settler, which every saved snapshot wakes.  Each
+// reader must see a peak and busy time that never decrease, and once the
+// trace is in, the peak must match the oracle.
 func TestStatsConcurrentReaders(t *testing.T) {
 	for _, strategy := range []string{"online", "offline"} {
 		t.Run(strategy, func(t *testing.T) {
-			reqs, err := GenerateRequests(peakCatalog(), LoadConfig{Horizon: 6, MeanInterArrival: 0.02, Kind: PoissonArrivals, Seed: 9})
+			reqs, err := GenerateRequests(peakCatalog(), LoadConfig{Horizon: 12, MeanInterArrival: 0.02, Kind: PoissonArrivals, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := New(Config{Catalog: peakCatalog(), Shards: 3, DefaultStrategy: strategy, EpochSlots: 6, MaxChannels: 40})
+			s, err := New(Config{Catalog: peakCatalog(), Shards: 3, DefaultStrategy: strategy, EpochSlots: 6, MaxChannels: 40,
+				Store: store.NewMem()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			var oracle intervalOracle
+			oracle.install(t, s)
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			for r := 0; r < 4; r++ {
@@ -195,9 +231,17 @@ func TestStatsConcurrentReaders(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// The snapshot saves wake the settler; the readers keep reading
+			// until it has finished a run, however slowly it is scheduled.
+			for deadline := time.Now().Add(10 * time.Second); s.settles.Load() == 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
 			close(stop)
 			wg.Wait()
-			checkPeak(t, s, "after the concurrent run")
+			if s.settles.Load() == 0 {
+				t.Fatal("the settler never ran during the concurrent run")
+			}
+			checkPeak(t, s, &oracle, "after the concurrent run")
 		})
 	}
 }

@@ -50,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bandwidth"
 	"repro/internal/live"
 	"repro/internal/multiobject"
 	"repro/internal/stats"
@@ -494,8 +493,19 @@ type Server struct {
 	respond []stats.LogHistogram
 
 	// peak folds the shards' finalized intervals into the historical peak
-	// and busy time that Stats and Metrics report.
+	// that Stats and Metrics report, and decides the durable settle point
+	// behind which the shards forget them.
 	peak peakFold
+	// saved holds each shard's saved frontier as float64 bits (nil
+	// without a store): the frontier captured with its last snapshot the
+	// store saved, published by its WAL writer after the save.
+	saved []atomic.Uint64
+	// settle wakes the settler goroutine (one slot, non-blocking sends):
+	// a shard's kept set has grown past its trigger, or a WAL writer
+	// published a saved frontier.  settles counts the settler's completed
+	// runs.
+	settle  chan struct{}
+	settles atomic.Int64
 }
 
 // route is one catalog object's resolved destination: its shard and its
@@ -647,18 +657,27 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Store != nil {
 		s.walRepair = make([]atomic.Bool, len(s.shards))
 		s.walEnc = make([]*store.Encoder, len(s.shards))
+		s.saved = make([]atomic.Uint64, len(s.shards))
+		var resume settlePoint
 		for _, sh := range s.shards {
 			sh.walCh = make(chan walMsg, cfg.QueueDepth)
 			sh.snapFree = make(chan *shardSnapshotState, 2)
 			sh.snapEvery = float64(cfg.SnapshotEpochs*cfg.EpochSlots) * sh.minDelay
+			saved := sh.frontier()
 			if cfg.Restore {
-				if err := sh.restore(); err != nil {
+				var err error
+				if saved, err = sh.restore(); err != nil {
 					s.cancel()
 					return nil, err
 				}
+				if sh.durable.at > resume.at {
+					resume = sh.durable
+				}
 			}
+			s.saved[sh.id].Store(math.Float64bits(saved))
 			sh.nextSnap = sh.now + sh.snapEvery
 		}
+		s.peak.resume(resume)
 		// Writers start only after every shard restored, so a failed
 		// restore leaves no goroutines behind.
 		for _, sh := range s.shards {
@@ -670,6 +689,8 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go sh.loop()
 	}
+	s.wg.Add(1)
+	go s.settler()
 	return s, nil
 }
 
@@ -684,6 +705,7 @@ func newServerShell(cfg Config) *Server {
 		quit:     make(chan struct{}),
 		queues:   make([]shardQueue, cfg.Shards),
 		stratIdx: make(map[string]int, 2),
+		settle:   make(chan struct{}, 1),
 	}
 	s.nowNanos = cfg.NowNanos
 	if s.nowNanos == nil {
@@ -985,32 +1007,81 @@ func (s *Server) observeRespond(strategy string, ns int64) {
 }
 
 // Stats snapshots the server-wide counters and per-object accounting.  The
-// historical Peak and BusyTime cover finalized streams only.  They are
-// kept up to date across reads: a read folds in the streams finalized
-// since the previous one and settles the profile before the earliest
-// start any unfinalized stream can have.  It costs O(objects + streams
-// finalized since the last read + streams ending after that frontier),
-// not O(history); only the first read after a restore folds the whole
-// restored history.  At one shard BusyTime is bit-identical to
-// DrainResult.Usage.Total() over the same streams; with more it is the
-// shard-order sum of per-shard sums.
+// historical Peak and BusyTime cover finalized streams only, exactly, and
+// across restarts too.  Peak is kept up to date across reads: a read
+// folds in the streams finalized since the previous fold and settles the
+// profile before the earliest start any unfinalized stream can have, so
+// it costs O(objects + streams finalized since the last fold + streams
+// ending after that frontier), not O(history).  BusyTime adds each
+// shard's busy-time sum (its streams' durations in finalization order) in
+// shard order; at one shard it is bit-identical to bandwidth.Usage.Total
+// over the same streams.
 func (s *Server) Stats() (Stats, error) {
 	st, _, err := s.readStats()
 	return st, err
 }
 
-// readStats gathers every shard's snapshot with the intervals it
-// finalized since the fold cursor, assembles them, and folds the new
-// intervals into the historical peak and busy time.
+// readStats folds every shard's new intervals and assembles the shard
+// snapshots into a Stats.
 func (s *Server) readStats() (Stats, []shardSnapshot, error) {
-	from := s.peak.cursors()
-	snaps, err := s.gather(func(i int, reply chan shardSnapshot) any { return statsMsg{from: from[i], reply: reply} })
+	snaps, peak, err := s.foldShards(statsRequest)
 	if err != nil {
 		return Stats{}, nil, err
 	}
-	st := s.assemble(snaps)
-	st.Peak, st.BusyTime = s.peak.fold(snaps)
-	return st, snaps, nil
+	return s.assemble(snaps, peak), snaps, nil
+}
+
+// statsRequest builds the statsMsg of a read's fold.
+func statsRequest(from int, d settlePoint, reply chan shardSnapshot) any {
+	return statsMsg{from: from, durable: d, reply: reply}
+}
+
+// foldShards sends each shard, through the message mk builds, its fold
+// cursor and the durable settle point; it folds the answers into the
+// historical peak and returns them with it.
+func (s *Server) foldShards(mk func(from int, d settlePoint, reply chan shardSnapshot) any) ([]shardSnapshot, int, error) {
+	from, d := s.peak.request(s.savedFloor())
+	snaps, err := s.gather(func(i int, reply chan shardSnapshot) any { return mk(from[i], d, reply) })
+	if err != nil {
+		return nil, 0, err
+	}
+	return snaps, s.peak.fold(snaps, s.savedFloor()), nil
+}
+
+// savedFloor is the minimum saved frontier over shards, the bound of the
+// durable settle point: +Inf without a store, where nothing needs to
+// survive a crash.
+func (s *Server) savedFloor() float64 {
+	w := math.Inf(1)
+	for i := range s.saved {
+		w = min(w, math.Float64frombits(s.saved[i].Load()))
+	}
+	return w
+}
+
+// settler runs the fold of a read twice whenever a shard's kept set has
+// doubled since its last trim or a WAL writer has published a saved
+// frontier, so the shards can forget settled intervals even when nobody
+// reads.  A shard learns what a fold consumed, and the durable settle
+// point it logged, only from the next fold's message; the second fold
+// delivers both.
+func (s *Server) settler() {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-s.settle:
+			// An error means the server is closing.
+			var err error
+			for i := 0; i < 2 && err == nil; i++ {
+				_, _, err = s.foldShards(statsRequest)
+			}
+			if err == nil {
+				s.settles.Add(1)
+			}
+		case <-s.quit:
+			return
+		}
+	}
 }
 
 // Object returns the live accounting snapshot for one object.
@@ -1045,9 +1116,10 @@ type DrainResult struct {
 	Horizon float64
 	// Objects holds per-object stats in catalog order, fully finalized.
 	Objects []ObjectStats
-	// Usage holds every finalized stream interval in real time, across all
-	// objects; its Peak and Total match the batch plan's.
-	Usage *bandwidth.Usage
+	// Stats is the server-wide accounting after the drain.  Its Peak and
+	// BusyTime cover every stream the server finalized, and match the
+	// batch plan's; BusyTime adds per-shard sums in shard order, as Stats
+	// does.
 	Stats Stats
 }
 
@@ -1056,7 +1128,7 @@ func (r *DrainResult) AverageChannels() float64 {
 	if r.Horizon <= 0 {
 		return 0
 	}
-	return r.Usage.Total() / r.Horizon
+	return r.Stats.BusyTime / r.Horizon
 }
 
 // Drain advances every object to the horizon (in catalog time units),
@@ -1076,19 +1148,14 @@ func (s *Server) Drain(horizon float64) (*DrainResult, error) {
 	if horizon <= 0 || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
 		return nil, fmt.Errorf("%w: drain horizon must be positive and finite, got %g", ErrBadRequest, horizon)
 	}
-	snaps, err := s.gather(func(_ int, reply chan shardSnapshot) any { return drainMsg{horizon: horizon, reply: reply} })
+	snaps, peak, err := s.foldShards(func(from int, d settlePoint, reply chan shardSnapshot) any {
+		return drainMsg{horizon: horizon, from: from, durable: d, reply: reply}
+	})
 	if err != nil {
 		return nil, err
 	}
-	st := s.assemble(snaps)
-	usage := bandwidth.New()
-	for _, snap := range snaps {
-		for _, iv := range snap.intervals {
-			usage.Add(iv.Start, iv.End)
-		}
-	}
-	st.Peak, st.BusyTime = usage.Peak(), usage.Total()
-	return &DrainResult{Horizon: horizon, Objects: st.Objects, Usage: usage, Stats: st}, nil
+	st := s.assemble(snaps, peak)
+	return &DrainResult{Horizon: horizon, Objects: st.Objects, Stats: st}, nil
 }
 
 // gather sends one message per shard, built by mk from the shard index,
@@ -1113,9 +1180,11 @@ func (s *Server) gather(mk func(shard int, reply chan shardSnapshot) any) ([]sha
 }
 
 // assemble merges shard snapshots into a Stats with objects in catalog
-// order; the caller fills in Peak and BusyTime.
-func (s *Server) assemble(snaps []shardSnapshot) Stats {
+// order, the historical peak the fold returned, and BusyTime: the
+// shards' busy-time sums added in shard order.
+func (s *Server) assemble(snaps []shardSnapshot, peak int) Stats {
 	st := Stats{
+		Peak:             peak,
 		Admitted:         s.admitted.Load(),
 		Degraded:         s.degraded.Load(),
 		Rejected:         s.rejected.Load(),
@@ -1139,6 +1208,7 @@ func (s *Server) assemble(snaps []shardSnapshot) Stats {
 	}
 	st.Objects = make([]ObjectStats, len(s.cfg.Catalog))
 	for _, snap := range snaps {
+		st.BusyTime += snap.busy
 		for k, o := range snap.objects {
 			st.Objects[snap.index[k]] = o
 		}

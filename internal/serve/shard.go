@@ -47,15 +47,20 @@ type pauseMsg struct {
 
 // statsMsg asks the shard for a snapshot of its objects and of the
 // finalized intervals from index from on (the server's fold cursor for
-// the shard); a negative from asks for none.
+// the shard); a negative from asks for none.  The shard first forgets the
+// intervals before from that end by the durable settle point.
 type statsMsg struct {
-	from  int
-	reply chan shardSnapshot
+	from    int
+	durable settlePoint
+	reply   chan shardSnapshot
 }
 
-// drainMsg asks the shard to finalize every object at the horizon.
+// drainMsg asks the shard to finalize every object at the horizon, then
+// answers like a statsMsg with the same cursor and settle point.
 type drainMsg struct {
 	horizon float64
+	from    int
+	durable settlePoint
 	reply   chan shardSnapshot
 }
 
@@ -69,6 +74,8 @@ type shardSnapshot struct {
 	// in finalization order.
 	intervals []bandwidth.Interval
 	from      int
+	// busy is the shard's busy-time sum (shard.busy).
+	busy float64
 	// frontier is the minimum live.Incremental.Frontier over the shard's
 	// objects: no interval the shard finalizes later starts before it.
 	frontier float64
@@ -148,8 +155,25 @@ type shard struct {
 	byName  map[string]*objectState
 	cache   *live.Cache
 
-	// usage records every finalized stream interval in real time.
-	usage *bandwidth.Usage
+	// kept holds the finalized stream intervals the server may still
+	// need, in finalization order: first the folded ones that end after
+	// the durable settle point, then, from kept[folded] on, every one
+	// finalized since the fold cursor.  next is the index of kept[folded]
+	// in the shard's finalization order, the cursor as last reported.
+	// The shard wakes the settler once len(kept) reaches settleAt, twice
+	// its length after the last trim.  See DESIGN.md §6b.
+	kept     []bandwidth.Interval
+	folded   int
+	next     int
+	settleAt int
+	// busy sums every finalized interval's duration in finalization
+	// order, exactly as bandwidth.Usage.Total would.
+	busy float64
+	// durable is the durable settle point the shard last heard of.
+	durable settlePoint
+	// onFinalize, when a test installs it while the shard is paused, sees
+	// every finalized interval; it is nil in production.
+	onFinalize func(bandwidth.Interval)
 	// ends is a min-heap of gauge events: each started stream contributes a
 	// -1 at its (estimated) end time, and an epoch truncation contributes a
 	// corrective -1 at the true end plus a cancelling +1 at the stale
@@ -205,15 +229,19 @@ func newShard(id int, srv *Server) *shard {
 		total = 1
 	}
 	return &shard{
-		id:     id,
-		total:  total,
-		srv:    srv,
-		msgs:   make(chan any, srv.cfg.QueueDepth),
-		byName: make(map[string]*objectState),
-		cache:  live.NewCache(),
-		usage:  bandwidth.New(),
+		id:       id,
+		total:    total,
+		srv:      srv,
+		msgs:     make(chan any, srv.cfg.QueueDepth),
+		byName:   make(map[string]*objectState),
+		cache:    live.NewCache(),
+		settleAt: settleFloor,
 	}
 }
+
+// settleFloor is the smallest kept set for which a shard asks the settler
+// to fold, so small servers do not fold after every few streams.
+const settleFloor = 1 << 12
 
 // StreamStarted implements live.Sink: a new transmission raises the live
 // channel gauge, with a retirement event at its estimated end.
@@ -231,10 +259,29 @@ func (sh *shard) ProvisionalStarted(estEnd float64) {
 	sh.srv.gauge.Add(1)
 }
 
-// StreamFinalized implements live.Sink: a final-length transmission is
-// recorded in the real-time bandwidth usage.
+// StreamFinalized implements live.Sink: a final-length transmission joins
+// the kept set and the busy-time sum.  When the kept set has doubled
+// since the last trim, the settler is asked to fold, so the set can
+// shrink even when nobody reads.
+//
+//modlint:noalloc
 func (sh *shard) StreamFinalized(start, length float64) {
-	sh.usage.AddLength(start, length)
+	iv := bandwidth.Interval{Start: start, End: start + length}
+	if iv.End <= iv.Start {
+		return
+	}
+	sh.busy += iv.End - iv.Start
+	sh.kept = append(sh.kept, iv)
+	if sh.onFinalize != nil {
+		sh.onFinalize(iv)
+	}
+	if len(sh.kept) >= sh.settleAt {
+		sh.settleAt = 2 * len(sh.kept)
+		select {
+		case sh.srv.settle <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // StreamTrimmed implements live.Sink: truncation cut a stream short, so
@@ -401,10 +448,10 @@ func (sh *shard) handle(m any, q *shardQueue) bool {
 		sh.walCh <- walMsg{kind: walSnapshot, snap: sh.captureSnapshot(), errc: msg.reply}
 		sh.nextSnap = sh.now + sh.snapEvery
 	case statsMsg:
-		msg.reply <- sh.snapshot(msg.from)
+		msg.reply <- sh.snapshot(msg.from, msg.durable)
 	case drainMsg:
 		sh.drain(msg.horizon)
-		msg.reply <- sh.snapshot(0)
+		msg.reply <- sh.snapshot(msg.from, msg.durable)
 	case pauseMsg:
 		close(msg.ack)
 		select {
@@ -593,21 +640,23 @@ func (sh *shard) drain(horizon float64) {
 	sh.popEnds(sh.now)
 }
 
-// snapshot reports the shard's per-object stats, its finalized intervals
-// from index from on (none when from is negative), and its frontier.
-func (sh *shard) snapshot(from int) shardSnapshot {
+// snapshot reports the shard's per-object stats, its busy-time sum, its
+// frontier, and, unless from is negative, its finalized intervals from
+// index from on, after trimming the kept set with from and d.
+func (sh *shard) snapshot(from int, d settlePoint) shardSnapshot {
 	snap := shardSnapshot{
 		objects:  make([]ObjectStats, 0, len(sh.objects)),
 		index:    make([]int, 0, len(sh.objects)),
-		from:     from,
-		frontier: math.Inf(1),
+		busy:     sh.busy,
+		frontier: sh.frontier(),
 		stages:   append([]stageHist(nil), sh.stages...),
 	}
 	if from >= 0 {
-		snap.intervals = sh.usage.IntervalsSince(from)
+		sh.trim(from, d)
+		snap.from = sh.next
+		snap.intervals = append([]bandwidth.Interval(nil), sh.kept[sh.folded:]...)
 	}
 	for _, st := range sh.objects {
-		snap.frontier = min(snap.frontier, st.sched.Frontier())
 		snap.index = append(snap.index, st.index)
 		tot := st.totals()
 		snap.objects = append(snap.objects, ObjectStats{
@@ -631,6 +680,48 @@ func (sh *shard) snapshot(from int) shardSnapshot {
 		})
 	}
 	return snap
+}
+
+// frontier is the minimum live.Incremental.Frontier over the shard's
+// objects (+Inf without objects): no interval the shard finalizes later
+// starts before it.
+func (sh *shard) frontier() float64 {
+	w := math.Inf(1)
+	for _, st := range sh.objects {
+		w = min(w, st.sched.Frontier())
+	}
+	return w
+}
+
+// trim forgets what the server no longer needs.  The fold has consumed
+// every interval before index from; of those, the ones ending by the
+// durable settle point d go, and the rest stay for the snapshots.  The
+// whole folded part is rescanned only when d has advanced.  A trim also
+// resets the settler trigger to twice the kept set (at least
+// settleFloor).
+func (sh *shard) trim(from int, d settlePoint) {
+	n := min(max(from-sh.next, 0), len(sh.kept)-sh.folded)
+	r := sh.folded
+	if d.at > sh.durable.at {
+		sh.durable = d
+		r = 0
+	}
+	w := r
+	for ; r < sh.folded+n; r++ {
+		if sh.kept[r].End > sh.durable.at {
+			sh.kept[w] = sh.kept[r]
+			w++
+		}
+	}
+	sh.kept = sh.kept[:w+copy(sh.kept[w:], sh.kept[sh.folded+n:])]
+	sh.folded = w
+	sh.next += n
+	if cap(sh.kept) > 4*settleFloor && cap(sh.kept) > 4*len(sh.kept) {
+		// Do not keep alive the backing array of a large kept set, such as
+		// one restored or held back by an idle shard.
+		sh.kept = append([]bandwidth.Interval(nil), sh.kept...)
+	}
+	sh.settleAt = max(settleFloor, 2*len(sh.kept))
 }
 
 // endEvent is one deferred gauge adjustment: apply delta once time passes t.

@@ -26,7 +26,10 @@ const codecMagic = 0x4d4f4453
 
 // codecVersion is the current snapshot format version.  Bump it on any
 // incompatible payload change; old blobs then fail decoding cleanly.
-const codecVersion = 1
+// Version 2 replaced the serve layer's full finalized-interval history
+// with a durable settle point, a busy-time sum and the kept intervals;
+// version 1 blobs are refused.
+const codecVersion = 2
 
 var codecTable = crc32.MakeTable(crc32.Castagnoli)
 

@@ -596,6 +596,10 @@ func TestDecoderRejectsWrongMagicAndVersion(t *testing.T) {
 	if _, err := NewDecoder(mk(codecMagic, codecVersion+1)); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("future version: %v", err)
 	}
+	// Version 1 carried the full interval history; no migration reads it.
+	if _, err := NewDecoder(mk(codecMagic, 1)); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("version 1: %v", err)
+	}
 	if _, err := NewDecoder(mk(codecMagic, codecVersion)); err != nil {
 		t.Fatalf("valid empty payload: %v", err)
 	}
