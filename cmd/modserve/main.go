@@ -5,11 +5,10 @@
 // mod facade) over a Zipf catalog and exposes the versioned HTTP JSON API
 // — POST /v1/request, POST /v1/requests (batch), GET /v1/stats,
 // GET /v1/objects/{name}, GET /v1/healthz, and GET /v1/metrics in the
-// Prometheus text exposition format (the unversioned routes remain as
-// deprecated aliases; legacy /metrics keeps the JSON counter map) —
-// shutting down gracefully on SIGINT/SIGTERM.  Stage metering is on by
-// default (-meter=false disables it): every admission records queue wait,
-// planning, epoch-replanning, and respond durations into the /v1/metrics
+// Prometheus text exposition format — shutting down gracefully on
+// SIGINT/SIGTERM.  Stage metering is on by default (-meter=false
+// disables it): every admission records queue wait, planning,
+// epoch-replanning, and respond durations into the /v1/metrics
 // histograms.  -pressure N turns on queue-depth backpressure: submits
 // routed to a shard holding more than N queued requests answer 429 with a
 // Retry-After derived from the shard's drain rate.  Every object is served live by the planner family
@@ -40,7 +39,7 @@
 // plus the per-stage latency decomposition (queue/plan/replan p50 and p99
 // from the server's histograms).  For the "online" strategy each cell
 // additionally measures durable throughput on a file-backed store with 8
-// concurrent submitters — group-commit versus flush-per-ack, plus the
+// concurrent submitters through the group-commit WAL, plus the
 // flushes-per-request coalescing factor — and the grid is written to
 // -out (BENCH_serve.json by default, version 4) so the repository's
 // serving performance is tracked across changes; -csv FILE additionally
@@ -294,10 +293,9 @@ func parseInts(s string, fallback int) ([]int, error) {
 // epoch-replan share, as p50/p99 of the merged stage histograms.
 // The durable columns (version 4, "online" rows only) replay the trace on
 // a file-backed store with 16 concurrent submitters: durable_reqs_per_sec
-// is the group-commit pipeline at the default "os" sync level,
-// durable_per_ack_reqs_per_sec the flush-per-acknowledgement baseline on
-// the same store, and wal_flushes_per_req the group-commit coalescing
-// factor (store flushes divided by acknowledged requests).
+// is the group-commit pipeline at the default "os" sync level, and
+// wal_flushes_per_req the group-commit coalescing factor (store flushes
+// divided by acknowledged requests).
 type benchResult struct {
 	Strategy         string  `json:"strategy"`
 	Requests         int     `json:"requests"`
@@ -325,9 +323,8 @@ type benchResult struct {
 	BusyTime         float64 `json:"busy_time"`
 	Peak             int     `json:"peak"`
 
-	DurableReqsPerSec       float64 `json:"durable_reqs_per_sec,omitempty"`
-	DurablePerAckReqsPerSec float64 `json:"durable_per_ack_reqs_per_sec,omitempty"`
-	WALFlushesPerReq        float64 `json:"wal_flushes_per_req,omitempty"`
+	DurableReqsPerSec float64 `json:"durable_reqs_per_sec,omitempty"`
+	WALFlushesPerReq  float64 `json:"wal_flushes_per_req,omitempty"`
 }
 
 // benchCell is one grid cell: a workload x catalog size x shard count
@@ -444,8 +441,8 @@ func bench(cfg mod.ServeConfig, load mod.LoadConfig, grid benchGrid, strategies 
 					fmt.Printf("\nthroughput:           %.0f reqs/s single, %.0f reqs/s batched (p50 %.1f us, p99 %.1f us per admission)\n",
 						res.ReqsPerSec, res.BatchReqsPerSec, res.P50LatencyUS, res.P99LatencyUS)
 					if res.DurableReqsPerSec > 0 {
-						fmt.Printf("durable (file store): %.0f reqs/s group commit, %.0f reqs/s flush-per-ack (%.3f flushes/req)\n",
-							res.DurableReqsPerSec, res.DurablePerAckReqsPerSec, res.WALFlushesPerReq)
+						fmt.Printf("durable (file store): %.0f reqs/s group commit (%.3f flushes/req)\n",
+							res.DurableReqsPerSec, res.WALFlushesPerReq)
 					}
 					fmt.Printf("replans:              %d (%d warm; %d cells reused, %d recomputed; total %.0f us, max %.0f us)\n\n",
 						res.Replans, res.WarmReplans, res.CellsReused, res.CellsRecomputed, res.ReplanTotalUS, res.MaxReplanUS)
@@ -626,12 +623,9 @@ func benchBatch(cfg mod.ServeConfig, reqs []mod.Request, horizon float64) (float
 // of a cell: the same trace on a file-backed store under a throwaway
 // directory, submitted by 16 concurrent striped workers per shard
 // (worker w replays requests w, w+N, w+2N, ... — the shard clock clamps
-// timestamps monotone, so interleaving is safe).  It runs twice at the
-// default "os" sync level: once through the group-commit pipeline
-// (recording durable_reqs_per_sec and the flushes-per-request
-// coalescing factor) and once with Config.FlushPerAck — one store flush
-// per acknowledgement, the pre-group-commit behavior — as the baseline
-// (durable_per_ack_reqs_per_sec).
+// timestamps monotone, so interleaving is safe) at the default "os" sync
+// level, recording durable_reqs_per_sec and the flushes-per-request
+// coalescing factor.
 func benchDurable(cfg mod.ServeConfig, reqs []mod.Request, horizon float64, res *benchResult) error {
 	if len(reqs) == 0 {
 		return nil
@@ -641,18 +635,15 @@ func benchDurable(cfg mod.ServeConfig, reqs []mod.Request, horizon float64, res 
 	// so every measurement replays the trace in rounds until it has
 	// submitted at least minSubmits requests (resubmitted timestamps
 	// clamp to the shard clock, which is fine for a throughput run).
-	// Group and per-ack runs alternate back to back as pairs so machine
-	// drift hits both modes alike, and the recorded columns come from
-	// the pair whose group/per-ack ratio is the median — a paired
-	// measurement, not independent medians that could mix a fast group
-	// window with a slow per-ack one.
+	// The recorded columns come from the run with the median
+	// throughput.
 	// The submitter cohort scales with the cell's shard count so every
 	// shard sees the same 16-worker concurrency (and so the same
 	// group-commit coalescing opportunity) regardless of grid position.
 	const (
 		submittersPerShard = 16
 		minSubmits         = 40000
-		pairs              = 5
+		runs               = 5
 	)
 	submitters := submittersPerShard
 	if cfg.Shards > 1 {
@@ -660,7 +651,7 @@ func benchDurable(cfg mod.ServeConfig, reqs []mod.Request, horizon float64, res 
 	}
 	rounds := (minSubmits + len(reqs) - 1) / len(reqs)
 	n := rounds * len(reqs)
-	run := func(perAck bool) (rps, flushesPerReq float64, err error) {
+	run := func() (rps, flushesPerReq float64, err error) {
 		dir, err := os.MkdirTemp("", "modserve-bench-wal-")
 		if err != nil {
 			return 0, 0, err
@@ -673,10 +664,9 @@ func benchDurable(cfg mod.ServeConfig, reqs []mod.Request, horizon float64, res 
 		dcfg := cfg
 		dcfg.Store = fs
 		dcfg.OwnStore = true
-		dcfg.FlushPerAck = perAck
-		// Both durable runs measure the durable pipeline itself; stage
+		// The durable runs measure the durable pipeline itself; stage
 		// metering (forced on for the grid's latency columns) stays off
-		// here so its per-request cost does not dilute the comparison.
+		// here so its per-request cost does not dilute the figure.
 		dcfg.MeterStages = false
 		s, err := mod.NewServer(dcfg)
 		if err != nil {
@@ -721,27 +711,17 @@ func benchDurable(cfg mod.ServeConfig, reqs []mod.Request, horizon float64, res 
 		flushesPerReq = float64(st.WALFlushes) / float64(n)
 		return rps, flushesPerReq, nil
 	}
-	type pair struct {
-		group, perAck, flushes float64
-	}
-	var runs []pair
-	for p := 0; p < pairs; p++ {
-		g, f, err := run(false)
-		if err != nil {
+	type sample struct{ rps, flushes float64 }
+	samples := make([]sample, runs)
+	for i := range samples {
+		var err error
+		if samples[i].rps, samples[i].flushes, err = run(); err != nil {
 			return err
 		}
-		a, _, err := run(true)
-		if err != nil {
-			return err
-		}
-		runs = append(runs, pair{group: g, perAck: a, flushes: f})
 	}
-	sort.Slice(runs, func(i, j int) bool {
-		return runs[i].group*runs[j].perAck < runs[j].group*runs[i].perAck
-	})
-	mid := runs[len(runs)/2]
-	res.DurableReqsPerSec = mid.group
-	res.DurablePerAckReqsPerSec = mid.perAck
+	sort.Slice(samples, func(i, j int) bool { return samples[i].rps < samples[j].rps })
+	mid := samples[runs/2]
+	res.DurableReqsPerSec = mid.rps
 	res.WALFlushesPerReq = mid.flushes
 	return nil
 }
@@ -756,7 +736,7 @@ func percentile(sorted []float64, p float64) float64 {
 }
 
 // smoke starts the server on a random local port, replays a small load
-// over HTTP, checks /healthz, and shuts everything down cleanly — the CI
+// over HTTP, checks /v1/healthz, and shuts everything down cleanly — the CI
 // end-to-end check for the live serving path.
 func smoke(cfg mod.ServeConfig, load mod.LoadConfig, conc int) error {
 	s, err := mod.NewServer(cfg)

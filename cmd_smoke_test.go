@@ -146,11 +146,11 @@ func TestCommandSmoke(t *testing.T) {
 							}
 						} else {
 							// Version 4: online rows carry the durable
-							// group-commit columns.  Throughputs must be
+							// group-commit columns.  Throughput must be
 							// positive, and group commit must coalesce —
 							// strictly fewer than one store flush per
 							// acknowledged request.
-							if r.DurableReqsPerSec <= 0 || r.DurablePerAckReqsPerSec <= 0 {
+							if r.DurableReqsPerSec <= 0 {
 								t.Errorf("%s row %+v: non-positive durable throughput", cell.Workload, r)
 							}
 							if r.WALFlushesPerReq <= 0 || r.WALFlushesPerReq >= 1 {
@@ -196,9 +196,8 @@ type benchGridFile struct {
 			CostStreams      float64 `json:"cost_streams"`
 			Peak             int     `json:"peak"`
 
-			DurableReqsPerSec       float64 `json:"durable_reqs_per_sec"`
-			DurablePerAckReqsPerSec float64 `json:"durable_per_ack_reqs_per_sec"`
-			WALFlushesPerReq        float64 `json:"wal_flushes_per_req"`
+			DurableReqsPerSec float64 `json:"durable_reqs_per_sec"`
+			WALFlushesPerReq  float64 `json:"wal_flushes_per_req"`
 		} `json:"results"`
 	} `json:"grid"`
 }
@@ -236,7 +235,7 @@ func TestBenchGridDeterminism(t *testing.T) {
 				r.QueueP50US, r.QueueP99US = 0, 0
 				r.PlanP50US, r.PlanP99US = 0, 0
 				r.ReplanP50US, r.ReplanP99US = 0, 0
-				r.DurableReqsPerSec, r.DurablePerAckReqsPerSec, r.WALFlushesPerReq = 0, 0, 0
+				r.DurableReqsPerSec, r.WALFlushesPerReq = 0, 0
 			}
 		}
 		return parsed

@@ -47,11 +47,10 @@ func crashConfig(strategy string, shards int, st store.Store, restore bool) serv
 }
 
 // crashVariant is one durability configuration of the equivalence matrix:
-// a sync level, optionally the per-ack (pre-group-commit) writer.
+// a sync level of the group-commit writer.
 type crashVariant struct {
-	name        string
-	mode        store.SyncMode
-	flushPerAck bool
+	name string
+	mode store.SyncMode
 }
 
 func crashVariants() []crashVariant {
@@ -59,7 +58,6 @@ func crashVariants() []crashVariant {
 		{name: "sync-none", mode: store.SyncNone},
 		{name: "sync-os", mode: store.SyncOS},
 		{name: "sync-full", mode: store.SyncFull},
-		{name: "per-ack", mode: store.SyncOS, flushPerAck: true},
 	}
 }
 
@@ -124,7 +122,6 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 						mem := store.NewMem()
 						cfg := crashConfig(strategy, shards, mem, false)
 						cfg.SyncMode = v.mode
-						cfg.FlushPerAck = v.flushPerAck
 						doomed, err := serve.New(cfg)
 						if err != nil {
 							t.Fatalf("shards=%d %s cut=%d: New(doomed): %v", shards, v.name, cut, err)
@@ -146,7 +143,6 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 
 						rcfg := crashConfig(strategy, shards, disk, true)
 						rcfg.SyncMode = v.mode
-						rcfg.FlushPerAck = v.flushPerAck
 						restored, err := serve.New(rcfg)
 						if err != nil {
 							t.Fatalf("shards=%d %s cut=%d: New(restored): %v", shards, v.name, cut, err)
@@ -362,20 +358,12 @@ func TestAdminSnapshotRoute(t *testing.T) {
 
 // flakyStore wraps a Mem store and fails the append of exactly one
 // record — the model of a transient disk hiccup on an otherwise healthy
-// store.  Both append entry points count records, so the injection works
-// whether the writer appends singly (FlushPerAck) or in batches (group
-// commit); a failing batch appends its prefix like the file backend.
+// store.  It counts records across the writer's batch appends; a failing
+// batch appends its prefix like the file backend.
 type flakyStore struct {
 	*store.Mem
 	failAt int64 // 1-based index of the record append to fail
 	n      atomic.Int64
-}
-
-func (f *flakyStore) AppendWAL(shard int, rec []byte) error {
-	if f.n.Add(1) == f.failAt {
-		return errors.New("injected disk hiccup")
-	}
-	return f.Mem.AppendWAL(shard, rec)
 }
 
 func (f *flakyStore) AppendWALBatch(shard int, recs [][]byte) error {
@@ -390,7 +378,7 @@ func (f *flakyStore) AppendWALBatch(shard int, recs [][]byte) error {
 	return nil
 }
 
-// TestWALFailureRepairSnapshot: a transient AppendWAL failure leaves a
+// TestWALFailureRepairSnapshot: a transient WAL append failure leaves a
 // sequence gap in the WAL (the request is still acked).  The writer
 // flags the shard and the next admission forces a repair snapshot that
 // truncates the gapped log, so a later restore succeeds — instead of

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"repro/internal/bandwidth"
 	"repro/internal/live"
@@ -25,11 +24,10 @@ import (
 //     writer channel as ONE walSubmit message.  Batch submits send one
 //     record-only walSubmit per entry followed by a single walBatchAck.
 //  2. The writer drains the channel greedily — a blocking receive, then
-//     non-blocking receives until the channel is empty (optionally
-//     lingering Config.GroupCommitMaxDelay for stragglers) — appends
-//     every pending record with one AppendWALBatch, performs ONE Flush
-//     for the whole batch at Config.SyncMode, and only then releases the
-//     batch's acknowledgements in FIFO order.
+//     non-blocking receives until the channel is empty — appends every
+//     pending record with one AppendWALBatch, performs ONE Flush for the
+//     whole batch at Config.SyncMode, and only then releases the batch's
+//     acknowledgements in FIFO order.
 //
 // The channel is FIFO and acks release only after the records ahead of
 // them are committed, so the durable log is always a gap-free prefix of
@@ -38,10 +36,9 @@ import (
 // but never an acknowledged one.  Under load, N acknowledgements share
 // one flush (Stats.WALFlushes counts them; TestGroupCommitCoalesces pins
 // flushes < acks) — which is also what makes store.SyncFull affordable:
-// one fsync amortized over the batch.  Config.FlushPerAck restores the
-// pre-group-commit flush-per-acknowledgement writer for benchmarking and
-// bisection.  The admit hot path itself allocates nothing extra — the
-// record is a fixed-size array inside the channel message
+// one fsync amortized over the batch.  The admit hot path itself
+// allocates nothing extra — the record is a fixed-size array inside the
+// channel message
 // (BenchmarkShardAdmitDurable, BenchmarkShardAdmitDurableBatch, and the
 // CI allocation guard pin 0 allocs/op with durability on).
 //
@@ -70,6 +67,25 @@ import (
 // walRecSize is the fixed WAL record layout: sequence number (8),
 // catalog object index (4), raw request timestamp as float bits (8).
 const walRecSize = 8 + 4 + 8
+
+// encodeWALRecord lays out one WAL record: the request's shard-local
+// sequence number, its object's catalog index, and its raw timestamp.
+//
+//modlint:noalloc
+func encodeWALRecord(seq int64, objIdx int, t float64) (rec [walRecSize]byte) {
+	binary.LittleEndian.PutUint64(rec[0:8], uint64(seq))
+	binary.LittleEndian.PutUint32(rec[8:12], uint32(objIdx))
+	binary.LittleEndian.PutUint64(rec[12:20], math.Float64bits(t))
+	return rec
+}
+
+// decodeWALRecord reads back a record encodeWALRecord wrote; rec must be
+// walRecSize bytes long.
+func decodeWALRecord(rec []byte) (seq int64, objIdx int, t float64) {
+	return int64(binary.LittleEndian.Uint64(rec[0:8])),
+		int(binary.LittleEndian.Uint32(rec[8:12])),
+		math.Float64frombits(binary.LittleEndian.Uint64(rec[12:20]))
+}
 
 // walMaxBatch caps one group commit's batch so accretion under sustained
 // overload cannot defer the flush (and the acknowledgements behind it)
@@ -136,20 +152,11 @@ type walCommit struct {
 // shutdown, after which the writer commits what it holds and exits.
 //
 // This is the group-commit loop: one blocking receive starts a batch,
-// greedy non-blocking receives extend it with everything already queued
-// (plus, when Config.GroupCommitMaxDelay is set, one bounded linger for
-// stragglers), and commit lands the whole batch with a single append run
-// and at most one Flush before releasing its acknowledgements in FIFO
-// order.
+// greedy non-blocking receives extend it with everything already queued,
+// and commit lands the whole batch with a single append run and at most
+// one Flush before releasing its acknowledgements in FIFO order.
 func (s *Server) walWriter(sh *shard) {
 	defer s.walWG.Done()
-	if s.cfg.FlushPerAck {
-		s.walWriterPerAck(sh)
-		return
-	}
-	mode := s.cfg.SyncMode
-	linger := s.cfg.GroupCommitMaxDelay
-	var timer *time.Timer
 	w := &walCommit{}
 	for {
 		m, ok := <-sh.walCh
@@ -170,49 +177,22 @@ func (s *Server) walWriter(sh *shard) {
 				w.pend = append(w.pend, m2)
 				grew = true
 			default:
-				if linger <= 0 {
-					// The channel is empty.  Yield the processor once per
-					// growth spurt before committing: submitters woken by
-					// the previous batch's acks get to enqueue their next
-					// requests, so the batch accretes toward the in-flight
-					// cohort instead of committing one record at a time
-					// when the scheduler alternates producer and writer.
-					// An unproductive yield (no new message) commits, so
-					// an idle writer adds one yield of latency, not a
-					// timer wait.
-					if grew {
-						grew = false
-						runtime.Gosched()
-						continue
-					}
+				// The channel is empty.  Yield the processor once per
+				// growth spurt before committing: submitters woken by the
+				// previous batch's acks get to enqueue their next requests,
+				// so the batch accretes toward the in-flight cohort instead
+				// of committing one record at a time when the scheduler
+				// alternates producer and writer.  An unproductive yield
+				// (no new message) commits, so an idle writer adds one
+				// yield of latency.
+				if !grew {
 					break gather
 				}
-				// The channel is empty; hold the batch open for up to
-				// linger from this moment (arrivals during the window
-				// join the batch but do not extend it).
-				if timer == nil {
-					timer = time.NewTimer(linger)
-				} else {
-					timer.Reset(linger)
-				}
-				for {
-					select {
-					case m2, ok2 := <-sh.walCh:
-						if !ok2 {
-							if !timer.Stop() {
-								<-timer.C
-							}
-							open = false
-							break gather
-						}
-						w.pend = append(w.pend, m2)
-					case <-timer.C:
-						break gather
-					}
-				}
+				grew = false
+				runtime.Gosched()
 			}
 		}
-		s.commit(sh, w, mode)
+		s.commit(sh, w)
 		if !open {
 			return
 		}
@@ -227,7 +207,7 @@ func (s *Server) walWriter(sh *shard) {
 // durability contract: by the time any submitter in the batch holds a
 // ticket, every record up to and including its own is committed at the
 // configured sync level.
-func (s *Server) commit(sh *shard, w *walCommit, mode store.SyncMode) {
+func (s *Server) commit(sh *shard, w *walCommit) {
 	w.recs = w.recs[:0]
 	acks := false
 	for i := range w.pend {
@@ -255,7 +235,7 @@ func (s *Server) commit(sh *shard, w *walCommit, mode store.SyncMode) {
 	}
 	s.appendRun(sh, w)
 	if acks && w.dirty {
-		if err := s.cfg.Store.Flush(sh.id, mode); err != nil {
+		if err := s.cfg.Store.Flush(sh.id, s.cfg.SyncMode); err != nil {
 			s.walFailures.Add(1)
 		}
 		s.walFlushes.Add(1)
@@ -327,47 +307,6 @@ func (s *Server) writeSnapshot(sh *shard, m *walMsg) bool {
 	return err == nil
 }
 
-// walWriterPerAck is the pre-group-commit writer: one Flush per
-// acknowledgement, records appended as they arrive, fed by the original
-// two-messages-per-admission protocol (submitDurable sends the record
-// and the acknowledgement separately in this mode).  Kept behind
-// Config.FlushPerAck for benchmarking and bisection — it is the baseline
-// the durability table in README.md compares against.
-func (s *Server) walWriterPerAck(sh *shard) {
-	st := s.cfg.Store
-	mode := s.cfg.SyncMode
-	// buf lives for the writer's whole life so the per-record append
-	// passes a stable slice into the store without per-message escapes.
-	var buf [walRecSize]byte
-	for m := range sh.walCh {
-		switch m.kind {
-		case walSubmit:
-			if m.hasRec {
-				buf = m.rec
-				if err := st.AppendWAL(sh.id, buf[:]); err != nil {
-					s.walFailures.Add(1)
-					s.walRepair[sh.id].Store(true)
-				}
-			}
-			if m.reply != nil {
-				if err := st.Flush(sh.id, mode); err != nil {
-					s.walFailures.Add(1)
-				}
-				s.walFlushes.Add(1)
-				m.reply <- m.tk
-			}
-		case walBatchAck:
-			if err := st.Flush(sh.id, mode); err != nil {
-				s.walFailures.Add(1)
-			}
-			s.walFlushes.Add(1)
-			m.done <- struct{}{}
-		case walSnapshot:
-			s.writeSnapshot(sh, &m)
-		}
-	}
-}
-
 // logSubmit sends the record-only walSubmit for a request the admit path
 // is about to consume a sequence number for.  Unknown objects consume no
 // sequence number and are not logged (handleSubmit answers them without
@@ -377,59 +316,32 @@ func (s *Server) walWriterPerAck(sh *shard) {
 //
 //modlint:noalloc
 func (sh *shard) logSubmit(req Request) {
-	if sh.byName[req.Object] == nil {
+	st := sh.byName[req.Object]
+	if st == nil {
 		return
 	}
-	var m walMsg
-	m.kind = walSubmit
-	m.hasRec = true
-	binary.LittleEndian.PutUint64(m.rec[0:8], uint64(sh.ticketSeq))
-	binary.LittleEndian.PutUint32(m.rec[8:12], uint32(sh.byName[req.Object].index))
-	binary.LittleEndian.PutUint64(m.rec[12:20], math.Float64bits(req.T))
-	sh.walCh <- m
+	sh.walCh <- walMsg{kind: walSubmit, hasRec: true, rec: encodeWALRecord(sh.ticketSeq, st.index, req.T)}
 }
 
 // submitDurable is the shard loop's durable single-submit path: capture
 // the WAL record at the current sequence number, admit, account the
 // queue, then hand record, ticket, and reply channel to the writer as
-// ONE walSubmit message — the merged form of the old walRecord+walAck
-// pair, halving the channel traffic per request.  The record must be
-// captured before the admit (which consumes the sequence number) and
-// sent after it (the message carries the ticket); the loop is the
-// channel's only sender, so the interleaving stays admission-ordered.
-// st is the pre-resolved object state from the router (nil falls back
-// to the shard's own lookup).
+// ONE walSubmit message.  The record must be captured before the admit
+// (which consumes the sequence number) and sent after it (the message
+// carries the ticket); the loop is the channel's only sender, so the
+// interleaving stays admission-ordered.  st is the pre-resolved object
+// state from the router; a nil st is answered without a record, like an
+// unknown object in logSubmit.
 //
 //modlint:noalloc
 func (sh *shard) submitDurable(st *objectState, req Request, queueNS int64, reply chan Ticket, q *shardQueue) {
-	if sh.srv.cfg.FlushPerAck {
-		// The pre-group-commit baseline kept record and acknowledgement as
-		// separate channel messages; reproduce that two-message protocol
-		// faithfully so the FlushPerAck benchmark measures what PR 9
-		// actually shipped, channel traffic included.
-		sh.logSubmit(req)
-		var a walMsg
-		a.kind = walSubmit
-		a.tk = sh.handleSubmit(req, queueNS)
-		q.dequeued.Add(1)
-		a.reply = reply
-		sh.walCh <- a
-		return
-	}
-	var m walMsg
-	m.kind = walSubmit
-	if st == nil {
-		st = sh.byName[req.Object]
-	}
+	m := walMsg{kind: walSubmit, reply: reply}
 	if st != nil {
 		m.hasRec = true
-		binary.LittleEndian.PutUint64(m.rec[0:8], uint64(sh.ticketSeq))
-		binary.LittleEndian.PutUint32(m.rec[8:12], uint32(st.index))
-		binary.LittleEndian.PutUint64(m.rec[12:20], math.Float64bits(req.T))
+		m.rec = encodeWALRecord(sh.ticketSeq, st.index, req.T)
 	}
 	m.tk = sh.handleSubmitFor(st, req, queueNS)
 	q.dequeued.Add(1)
-	m.reply = reply
 	sh.walCh <- m
 }
 
@@ -896,25 +808,10 @@ func mismatch(d *store.Decoder, format string, args ...any) error {
 }
 
 // restoreScheduler rebuilds an object's live scheduler from exported
-// state, with the exact configuration newScheduler would use at the
-// restored effective delay.
+// state, with the configuration newScheduler uses at the restored
+// effective delay.
 func (sh *shard) restoreScheduler(obj multiobject.Object, strategy string, delay float64, ls live.State) (live.Incremental, error) {
-	obj.Delay = delay
-	var nowNanos func() int64
-	if sh.srv.cfg.MeterReplanNanos || sh.srv.cfg.MeterStages {
-		nowNanos = sh.srv.nowNanos
-	}
-	return live.Restore(strategy, live.Config{
-		Object:       obj,
-		EpochSlots:   sh.srv.cfg.EpochSlots,
-		ConstantRate: sh.srv.cfg.ConstantRateTuning,
-		PlanWorkers:  sh.srv.cfg.PlanWorkers,
-		Cache:        sh.cache,
-		Sink:         sh,
-		Ctx:          sh.srv.ctx,
-		ColdReplan:   sh.srv.cfg.ColdReplanning,
-		NowNanos:     nowNanos,
-	}, ls)
+	return live.Restore(strategy, sh.liveConfig(obj, delay), ls)
 }
 
 // restore loads the shard's latest snapshot and replays the WAL tail
@@ -939,9 +836,7 @@ func (sh *shard) restore() (float64, error) {
 		if len(rec) != walRecSize {
 			return fmt.Errorf("%w: WAL record of %d bytes (want %d)", store.ErrCorruptSnapshot, len(rec), walRecSize)
 		}
-		seq := int64(binary.LittleEndian.Uint64(rec[0:8]))
-		objIdx := int(binary.LittleEndian.Uint32(rec[8:12]))
-		t := math.Float64frombits(binary.LittleEndian.Uint64(rec[12:20]))
+		seq, objIdx, t := decodeWALRecord(rec)
 		if seq < sh.ticketSeq {
 			// Superseded by the snapshot: the file backend's crash window
 			// between snapshot rename and WAL truncation leaves these

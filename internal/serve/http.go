@@ -35,8 +35,8 @@ type BatchResult struct {
 	Error  string  `json:"error,omitempty"`
 }
 
-// Handler returns the HTTP JSON API for the server.  The canonical routes
-// are versioned:
+// Handler returns the HTTP JSON API for the server.  Every route is
+// versioned under APIVersion:
 //
 //	POST /v1/request         {"object":"name","t":12.5}    -> Ticket
 //	POST /v1/requests        [{"object":"a"},{...}, ...]   -> []BatchResult
@@ -48,21 +48,12 @@ type BatchResult struct {
 //	                            (409 when the server has no store)
 //
 // Every error response, on every route and shard, is a uniform JSON body
-// {"error": "..."} with the appropriate status (unknown objects are
-// always 404) — clients never have to parse plain-text error bodies.
-// With Config.PressureHighWater set, a shard over its queue high-water
-// mark answers 429 with a Retry-After header (seconds, derived from the
-// shard's observed drain rate) instead of blocking the submit.
-//
-// The original unversioned routes (/request, /stats, /objects/{name},
-// /healthz, /metrics) are kept as deprecated aliases: they run the exact
-// same handlers and return byte-identical bodies, but mark themselves with
-// a "Deprecation: true" header and a Link header pointing at the /v1
-// successor.  New clients should use /v1 only; the aliases exist so
-// pre-/v1 deployments keep working.  The one exception is /metrics,
-// whose /v1 route switched to the Prometheus text format: the legacy
-// alias keeps serving the original flat JSON counter map (so pre-/v1
-// pollers keep parsing), still marked deprecated.
+// {"error": "..."} with the appropriate status (unknown objects and
+// unknown paths are always 404) — clients never have to parse plain-text
+// error bodies.  With Config.PressureHighWater set, a shard over its
+// queue high-water mark answers 429 with a Retry-After header (seconds,
+// derived from the shard's observed drain rate) instead of blocking the
+// submit.
 //
 // A request body without "t" (or with a negative one) is stamped with the
 // wall clock in Config.TimeUnit units since the server started, which is
@@ -70,24 +61,21 @@ type BatchResult struct {
 // timestamps instead for deterministic replay.
 func Handler(s *Server) http.Handler {
 	mux := http.NewServeMux()
-	route := func(path string, h http.HandlerFunc) {
-		mux.HandleFunc(APIVersion+path, h)
-		mux.HandleFunc(path, deprecated(APIVersion+path, h))
-	}
-	route("/request", s.handleRequest)
-	route("/stats", s.handleStats)
-	route("/objects/", s.handleObject)
-	route("/healthz", handleHealthz)
-	// /metrics is the one route whose /v1 handler differs from its legacy
-	// alias: Prometheus text under /v1, the original JSON map (deprecated)
-	// on the unversioned path.
-	mux.HandleFunc(APIVersion+"/metrics", s.handleMetricsProm)
-	mux.HandleFunc("/metrics", deprecated(APIVersion+"/metrics", s.handleMetricsJSON))
-	// The batch-admission endpoint is new in /v1; it has no legacy alias.
+	mux.HandleFunc(APIVersion+"/request", s.handleRequest)
 	mux.HandleFunc(APIVersion+"/requests", s.handleBatch)
-	// Admin: force a durable snapshot of every shard (no legacy alias).
+	mux.HandleFunc(APIVersion+"/stats", s.handleStats)
+	mux.HandleFunc(APIVersion+"/objects/", s.handleObject)
+	mux.HandleFunc(APIVersion+"/healthz", handleHealthz)
+	mux.HandleFunc(APIVersion+"/metrics", s.handleMetricsProm)
 	mux.HandleFunc(APIVersion+"/admin/snapshot", s.handleSnapshot)
+	mux.HandleFunc("/", handleNotFound)
 	return mux
+}
+
+// handleNotFound answers every path no route matches, keeping 404s in the
+// uniform JSON error format.
+func handleNotFound(w http.ResponseWriter, r *http.Request) {
+	writeJSONError(w, http.StatusNotFound, fmt.Sprintf("no route for %s; the API is served under %s", r.URL.Path, APIVersion))
 }
 
 // handleSnapshot answers POST /v1/admin/snapshot by forcing an immediate
@@ -112,16 +100,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// deprecated wraps a legacy route handler so responses advertise the /v1
-// successor (RFC 8594 style) while keeping the body identical.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
@@ -254,9 +232,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // uniform 404 JSON error ({"error": ...}) on every shard — never an empty
 // 200 body — pinned by TestV1ObjectNotFoundJSON.
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Path
-	name = strings.TrimPrefix(name, APIVersion)
-	name = strings.TrimPrefix(name, "/objects/")
+	name := strings.TrimPrefix(r.URL.Path, APIVersion+"/objects/")
 	if name == "" {
 		writeJSONError(w, http.StatusBadRequest, "missing object name")
 		return
@@ -276,20 +252,6 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-// handleMetricsJSON is the legacy (pre-Prometheus) /metrics body, kept
-// as the deprecated unversioned alias so existing pollers keep parsing.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	// Flat expvar-style counter map, cheap enough to poll: counters are
-	// atomics and the gauge is a single load (no shard round-trips).
-	writeJSON(w, http.StatusOK, map[string]int64{
-		"serve.admitted":      s.admitted.Load(),
-		"serve.degraded":      s.degraded.Load(),
-		"serve.rejected":      s.rejected.Load(),
-		"serve.unknown":       s.unknown.Load(),
-		"serve.live_channels": s.gauge.Load(),
-	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -27,14 +27,14 @@ func newHTTPServer(t *testing.T) (*serve.Server, *httptest.Server) {
 func TestHTTPRequestStatsObjects(t *testing.T) {
 	_, hs := newHTTPServer(t)
 
-	resp, err := http.Post(hs.URL+"/request", "application/json",
+	resp, err := http.Post(hs.URL+serve.APIVersion+"/request", "application/json",
 		strings.NewReader(`{"object":"object-01","t":0.42}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /request = %d, want 200", resp.StatusCode)
+		t.Fatalf("POST /v1/request = %d, want 200", resp.StatusCode)
 	}
 	var tk serve.Ticket
 	if err := json.NewDecoder(resp.Body).Decode(&tk); err != nil {
@@ -44,7 +44,7 @@ func TestHTTPRequestStatsObjects(t *testing.T) {
 		t.Fatalf("ticket = %+v, want admitted slot 4", tk)
 	}
 
-	resp, err = http.Get(hs.URL + "/stats")
+	resp, err = http.Get(hs.URL + serve.APIVersion + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestHTTPRequestStatsObjects(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 admitted over 4 objects", st)
 	}
 
-	resp, err = http.Get(hs.URL + "/objects/object-01")
+	resp, err = http.Get(hs.URL + serve.APIVersion + "/objects/object-01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,49 +78,27 @@ func TestHTTPErrorsAndHealth(t *testing.T) {
 		method, path, body string
 		want               int
 	}{
-		{"POST", "/request", `{"object":"missing"}`, http.StatusNotFound},
-		{"POST", "/request", `{bad json`, http.StatusBadRequest},
-		{"GET", "/request", "", http.StatusMethodNotAllowed},
-		{"GET", "/objects/none", "", http.StatusNotFound},
-		{"GET", "/healthz", "", http.StatusOK},
-		{"GET", "/metrics", "", http.StatusOK},
+		{"POST", "/v1/request", `{"object":"missing"}`, http.StatusNotFound},
+		{"POST", "/v1/request", `{bad json`, http.StatusBadRequest},
+		{"GET", "/v1/request", "", http.StatusMethodNotAllowed},
+		{"GET", "/v1/objects/none", "", http.StatusNotFound},
+		{"GET", "/v1/healthz", "", http.StatusOK},
+		{"GET", "/v1/metrics", "", http.StatusOK},
+		// Unregistered paths, the pre-/v1 spellings included, answer the
+		// same JSON 404 as every other error.
+		{"GET", "/stats", "", http.StatusNotFound},
+		{"POST", "/request", `{"object":"object-01"}`, http.StatusNotFound},
+		{"GET", "/nope", "", http.StatusNotFound},
 	} {
-		req, err := http.NewRequest(tc.method, hs.URL+tc.path, strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
+		status, _, body := fetch(t, tc.method, hs.URL+tc.path, tc.body)
+		if status != tc.want {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, status, tc.want)
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		var errBody struct {
+			Error string `json:"error"`
 		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
-		}
-	}
-}
-
-func TestHTTPMetricsShape(t *testing.T) {
-	_, hs := newHTTPServer(t)
-	if _, err := http.Post(hs.URL+"/request", "application/json",
-		strings.NewReader(`{"object":"object-02","t":0.1}`)); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m map[string]int64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m["serve.admitted"] != 1 {
-		t.Errorf("metrics = %v, want serve.admitted=1", m)
-	}
-	for _, key := range []string{"serve.degraded", "serve.rejected", "serve.unknown", "serve.live_channels"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("metrics missing %q", key)
+		if tc.want == http.StatusNotFound && (json.Unmarshal([]byte(body), &errBody) != nil || errBody.Error == "") {
+			t.Errorf("%s %s: 404 body is not a JSON error object: %q", tc.method, tc.path, body)
 		}
 	}
 }

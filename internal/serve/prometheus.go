@@ -15,9 +15,7 @@ import (
 // involved: the metric families are few and fixed, and the histograms
 // are already fixed-bucket log-scale values, so the renderer is a direct
 // fmt.Fprintf of the format — counters and gauges first, then one
-// cumulative _bucket/_sum/_count series per stage × strategy.  The
-// legacy unversioned /metrics keeps the original flat JSON counter map
-// as a deprecated alias.
+// cumulative _bucket/_sum/_count series per stage × strategy.
 
 // promContentType is the Prometheus text exposition content type.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"

@@ -104,10 +104,6 @@ type Config struct {
 	// (the batch-equivalent configuration the equivalence tests pin).  The
 	// native "online" strategy ignores it.
 	EpochSlots int
-	// PlanWorkers sizes the off-line DP worker pool of each epoch replan
-	// (default 1, serial — shards already run in parallel); results are
-	// bit-identical for any count.
-	PlanWorkers int
 	// ConstantRateTuning selects the Section 4.2 constant-rate dyadic
 	// parameters for the dyadic/hybrid strategies; the default (false) is
 	// the Poisson golden-ratio tuning, matching the facade's WithPoisson
@@ -173,23 +169,6 @@ type Config struct {
 	// still always a gap-free prefix of admission order.  Only meaningful
 	// with Store set.
 	SyncMode store.SyncMode
-	// GroupCommitMaxDelay holds a group commit open for stragglers after
-	// the WAL channel drains, bounding the extra latency a submitter can
-	// pay to share a flush.  The default 0 commits as soon as the channel
-	// is empty — coalescing then comes only from natural queueing, which
-	// already collapses N concurrent submitters into ~1 flush under
-	// load.  Set a small delay (tens of microseconds) to trade ack
-	// latency for fewer fsyncs at SyncFull.
-	GroupCommitMaxDelay time.Duration
-	// FlushPerAck restores the pre-group-commit durable pipeline end to
-	// end: one store Flush per acknowledgement, record and
-	// acknowledgement as separate WAL messages, a freshly allocated
-	// submit message and reply channel per request, and a shard loop that
-	// takes one select per message instead of burst-draining its queue.
-	// The durability guarantee is identical; the flag exists for
-	// benchmarking and bisection (it is the baseline the durability table
-	// in README.md compares against).
-	FlushPerAck bool
 	// Restore makes New load each shard's latest snapshot from Store and
 	// replay its WAL tail through the ordinary admit path before serving,
 	// recovering the pre-crash state exactly (ticket IDs continue past
@@ -238,9 +217,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.EpochSlots <= 0 {
 		out.EpochSlots = 512
-	}
-	if out.PlanWorkers <= 0 {
-		out.PlanWorkers = 1
 	}
 	if out.SnapshotEpochs <= 0 {
 		out.SnapshotEpochs = 1
@@ -773,28 +749,6 @@ func (s *Server) Submit(req Request) (Ticket, error) {
 	sh := r.sh
 	if err := s.reserve(sh.id, 1); err != nil {
 		return Ticket{}, err
-	}
-	if s.cfg.FlushPerAck {
-		// The legacy pipeline allocated message and reply channel per
-		// request and paid the full select both ways; reproduce it so the
-		// FlushPerAck baseline measures what actually shipped before group
-		// commit.
-		msg := submitMsg{req: req, reply: make(chan Ticket, 1)}
-		if s.cfg.MeterStages {
-			msg.enqueueNS = s.nowNanos()
-		}
-		select {
-		case sh.msgs <- msg:
-		case <-s.quit:
-			s.unreserve(sh.id, 1)
-			return Ticket{}, ErrClosed
-		}
-		select {
-		case t := <-msg.reply:
-			return t, nil
-		case <-s.quit:
-			return Ticket{}, ErrClosed
-		}
 	}
 	msg, _ := s.submitPool.Get().(*submitMsg)
 	if msg == nil {

@@ -17,10 +17,9 @@ import (
 type submitMsg struct {
 	req   Request
 	reply chan Ticket
-	// st is the request's pre-resolved object state (set by the pooled
-	// Submit path from the router's route entry), saving the loop a
-	// second name lookup; only the shard loop dereferences it.  The
-	// legacy value-boxed form leaves it nil and the loop looks up.
+	// st is the request's pre-resolved object state (set by Submit from
+	// the router's route entry), saving the loop a second name lookup;
+	// only the shard loop dereferences it.
 	st        *objectState
 	enqueueNS int64
 }
@@ -294,23 +293,31 @@ func (sh *shard) StreamTrimmed(end, staleEnd float64) {
 // newScheduler builds the live scheduler for a strategy over obj with the
 // given effective delay, based at absolute time base.
 func (sh *shard) newScheduler(obj multiobject.Object, strategy string, delay, base float64) (live.Incremental, error) {
+	cfg := sh.liveConfig(obj, delay)
+	cfg.Base = base
+	return live.New(strategy, cfg)
+}
+
+// liveConfig is the scheduler configuration of obj at the given
+// effective delay.  Epoch replans run the serial off-line DP
+// (PlanWorkers 1): the shards already run in parallel.
+func (sh *shard) liveConfig(obj multiobject.Object, delay float64) live.Config {
 	obj.Delay = delay
 	var nowNanos func() int64
 	if sh.srv.cfg.MeterReplanNanos || sh.srv.cfg.MeterStages {
 		nowNanos = sh.srv.nowNanos
 	}
-	return live.New(strategy, live.Config{
+	return live.Config{
 		Object:       obj,
-		Base:         base,
 		EpochSlots:   sh.srv.cfg.EpochSlots,
 		ConstantRate: sh.srv.cfg.ConstantRateTuning,
-		PlanWorkers:  sh.srv.cfg.PlanWorkers,
+		PlanWorkers:  1,
 		Cache:        sh.cache,
 		Sink:         sh,
 		Ctx:          sh.srv.ctx,
 		ColdReplan:   sh.srv.cfg.ColdReplanning,
 		NowNanos:     nowNanos,
-	})
+	}
 }
 
 // addObject registers a catalog object with the shard (before loop start).
@@ -345,9 +352,6 @@ func (sh *shard) addObject(o multiobject.Object, index int, strategy string) err
 func (sh *shard) loop() {
 	defer sh.srv.wg.Done()
 	q := &sh.srv.queues[sh.id]
-	// Config.FlushPerAck opts the loop out of burst draining too — the
-	// legacy pipeline took one select per message.
-	burst := !sh.srv.cfg.FlushPerAck
 	for {
 		var m any
 		select {
@@ -358,9 +362,6 @@ func (sh *shard) loop() {
 		for {
 			if !sh.handle(m, q) {
 				return
-			}
-			if !burst {
-				break
 			}
 			m = nil
 			yielded := false
@@ -410,21 +411,6 @@ func (sh *shard) handle(m any, q *shardQueue) bool {
 			tk := sh.handleSubmitFor(st, req, queueNS)
 			q.dequeued.Add(1)
 			reply <- tk
-		}
-	case submitMsg:
-		// Value-boxed form: sent by Submit's legacy FlushPerAck path,
-		// which resolves the object on the loop like the old pipeline.
-		queueNS := int64(-1)
-		if msg.enqueueNS != 0 {
-			queueNS = sh.srv.nowNanos() - msg.enqueueNS
-		}
-		if sh.walCh != nil {
-			sh.submitDurable(msg.st, msg.req, queueNS, msg.reply, q)
-			sh.maybeSnapshot()
-		} else {
-			tk := sh.handleSubmit(msg.req, queueNS)
-			q.dequeued.Add(1)
-			msg.reply <- tk
 		}
 	case submitBatchMsg:
 		queueNS := int64(-1)

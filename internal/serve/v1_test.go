@@ -31,69 +31,8 @@ func fetch(t *testing.T, method, url, body string) (int, http.Header, string) {
 	return resp.StatusCode, resp.Header, string(b)
 }
 
-// TestV1LegacyRouteParity pins the satellite requirement: every legacy
-// unversioned route is a thin alias of its /v1 successor — same status,
-// byte-identical body — and the legacy variant (and only it) advertises its
-// deprecation and successor.
-func TestV1LegacyRouteParity(t *testing.T) {
-	// Mutating routes are compared across two identically-configured
-	// servers replaying the same virtual-time request, which is
-	// deterministic; read-only routes are compared on one server.
-	newServer := func() *httptest.Server {
-		s, err := serve.New(serve.Config{Catalog: multiobject.ZipfCatalog(4, 1.0, 0.1, 1.0), Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewServer(serve.Handler(s))
-		t.Cleanup(func() { hs.Close(); s.Close() })
-		return hs
-	}
-	hsV1, hsLegacy := newServer(), newServer()
-	const reqBody = `{"object":"object-01","t":0.42}`
-
-	cases := []struct {
-		method, path, body string
-		splitServers       bool // POST mutates: replay against separate servers
-	}{
-		{"POST", "/request", reqBody, true},
-		{"GET", "/stats", "", false},
-		{"GET", "/objects/object-01", "", false},
-		{"GET", "/objects/none", "", false},
-		{"GET", "/healthz", "", false},
-		// /metrics is intentionally absent: its /v1 route serves the
-		// Prometheus text format while the legacy alias keeps the
-		// original JSON map — TestMetricsRouteSplit pins both.
-	}
-	for _, tc := range cases {
-		legacyHost := hsV1
-		if tc.splitServers {
-			legacyHost = hsLegacy
-		}
-		v1Status, v1Hdr, v1Body := fetch(t, tc.method, hsV1.URL+serve.APIVersion+tc.path, tc.body)
-		lgStatus, lgHdr, lgBody := fetch(t, tc.method, legacyHost.URL+tc.path, tc.body)
-		if v1Status != lgStatus {
-			t.Errorf("%s %s: status v1=%d legacy=%d", tc.method, tc.path, v1Status, lgStatus)
-		}
-		if v1Body != lgBody {
-			t.Errorf("%s %s: bodies differ\nv1:     %s\nlegacy: %s", tc.method, tc.path, v1Body, lgBody)
-		}
-		if got := lgHdr.Get("Deprecation"); got != "true" {
-			t.Errorf("%s %s: legacy Deprecation header = %q, want \"true\"", tc.method, tc.path, got)
-		}
-		if link := lgHdr.Get("Link"); !strings.Contains(link, serve.APIVersion) || !strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("%s %s: legacy Link header = %q, want /v1 successor-version", tc.method, tc.path, link)
-		}
-		if got := v1Hdr.Get("Deprecation"); got != "" {
-			t.Errorf("%s %s: /v1 route carries Deprecation header %q", tc.method, tc.path, got)
-		}
-	}
-}
-
-// TestMetricsRouteSplit pins the one legacy route that is not a
-// byte-identical alias: GET /v1/metrics serves the Prometheus text
-// exposition, while the unversioned /metrics keeps the original flat
-// JSON counter map for pre-/v1 pollers — still marked deprecated with a
-// successor Link to /v1/metrics.
+// TestMetricsRouteSplit pins GET /v1/metrics as the Prometheus text
+// exposition.
 func TestMetricsRouteSplit(t *testing.T) {
 	s, err := serve.New(serve.Config{Catalog: multiobject.ZipfCatalog(4, 1.0, 0.1, 1.0), Shards: 2})
 	if err != nil {
@@ -119,34 +58,12 @@ func TestMetricsRouteSplit(t *testing.T) {
 		!strings.Contains(body, `mod_requests_total{outcome="admitted"} 1`) {
 		t.Errorf("/v1/metrics is not Prometheus text:\n%s", body)
 	}
-
-	lgStatus, lgHdr, lgBody := fetch(t, "GET", hs.URL+"/metrics", "")
-	if lgStatus != http.StatusOK {
-		t.Fatalf("GET /metrics status = %d, want 200", lgStatus)
-	}
-	if ct := lgHdr.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("legacy /metrics Content-Type = %q, want application/json", ct)
-	}
-	if lgHdr.Get("Deprecation") != "true" {
-		t.Errorf("legacy /metrics Deprecation header = %q, want \"true\"", lgHdr.Get("Deprecation"))
-	}
-	if link := lgHdr.Get("Link"); !strings.Contains(link, serve.APIVersion+"/metrics") || !strings.Contains(link, `rel="successor-version"`) {
-		t.Errorf("legacy /metrics Link header = %q, want /v1/metrics successor-version", link)
-	}
-	var m map[string]int64
-	if err := json.Unmarshal([]byte(lgBody), &m); err != nil {
-		t.Fatalf("legacy /metrics body is not the JSON counter map: %v\n%s", err, lgBody)
-	}
-	if m["serve.admitted"] != 1 {
-		t.Errorf("legacy serve.admitted = %d, want 1", m["serve.admitted"])
-	}
 }
 
 // TestV1ObjectNotFoundJSON pins the unknown-object contract of
 // /v1/objects/{name}: a uniform 404 with a JSON {"error": ...} body on
 // every shard layout and for every unknown name — never a 200 with an
-// empty body, and never a plain-text error.  The legacy alias must return
-// the byte-identical body.
+// empty body, and never a plain-text error.
 func TestV1ObjectNotFoundJSON(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		s, err := serve.New(serve.Config{Catalog: multiobject.ZipfCatalog(5, 1.0, 0.1, 1.0), Shards: shards})
@@ -169,11 +86,6 @@ func TestV1ObjectNotFoundJSON(t *testing.T) {
 				t.Errorf("shards=%d /v1/objects/%s body is not a JSON error object: %v\n%s", shards, name, err, body)
 			} else if errBody.Error == "" {
 				t.Errorf("shards=%d /v1/objects/%s: empty error message in %s", shards, name, body)
-			}
-			// The legacy alias answers byte-identically.
-			lgStatus, _, lgBody := fetch(t, "GET", hs.URL+"/objects/"+name, "")
-			if lgStatus != status || lgBody != body {
-				t.Errorf("shards=%d legacy /objects/%s differs: status %d body %q", shards, name, lgStatus, lgBody)
 			}
 		}
 		// Known objects still answer 200 with their stats on every shard.
@@ -257,9 +169,9 @@ func TestV1BatchAdmission(t *testing.T) {
 	if st, _, _ := fetch(t, "GET", batchHost.URL+serve.APIVersion+"/requests", ""); st != http.StatusMethodNotAllowed {
 		t.Errorf("GET batch status = %d, want 405", st)
 	}
-	// The batch endpoint is /v1-only: no deprecated alias exists.
+	// The batch endpoint is /v1-only, like every route.
 	if st, _, _ := fetch(t, "POST", batchHost.URL+"/requests", string(body)); st != http.StatusNotFound {
-		t.Errorf("legacy /requests status = %d, want 404 (new endpoints are versioned only)", st)
+		t.Errorf("unversioned /requests status = %d, want 404 (every route is versioned)", st)
 	}
 	// Oversized batches are refused before any request is admitted.
 	huge := make([]serve.Request, 10001)

@@ -16,7 +16,7 @@ import "sync"
 // file backend.
 //
 // Each shard's WAL is kept as contiguous framed byte slices, so a
-// steady stream of AppendWAL calls costs only amortized slice growth:
+// steady stream of appends costs only amortized slice growth:
 // the durable admit path stays 0 allocs/op under -benchmem
 // (BenchmarkShardAdmitDurable and the CI allocation guard pin this).
 type Mem struct {

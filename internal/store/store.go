@@ -106,13 +106,16 @@ type Store interface {
 	LoadSnapshot(shard int) ([]byte, error)
 	// AppendWAL appends one record to shard's write-ahead log.  The store
 	// frames and copies the bytes; the caller may reuse rec immediately.
-	// Appended records may be buffered until Flush.
+	// Appended records may be buffered until Flush.  The serve layer
+	// never calls it — it writes only through AppendWALBatch — but it
+	// stays in the interface for stores that wrap another and forward
+	// every entry point, such as the benchmark module's tracedStore.
 	AppendWAL(shard int, rec []byte) error
 	// AppendWALBatch appends a run of records to shard's write-ahead log
-	// in order, equivalent to one AppendWAL call per record.  The serve
-	// layer's group-commit writer uses it to land a whole batch before a
-	// single Flush.  On error, a prefix of the records may have been
-	// appended.
+	// in order, equivalent to one AppendWAL call per record.  It is the
+	// serve layer's only write path: its group-commit writer lands a
+	// whole batch with one call before a single Flush.  On error, a
+	// prefix of the records may have been appended.
 	AppendWALBatch(shard int, recs [][]byte) error
 	// Flush commits every record appended to shard's WAL at the given
 	// sync level — the group-commit barrier the serve layer issues once

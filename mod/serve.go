@@ -91,10 +91,10 @@ const (
 // LoadReport is the closed-loop load generator's outcome.
 type LoadReport = serve.Report
 
-// APIVersion is the live server's HTTP API version prefix ("/v1").  The
-// canonical routes are POST /v1/request, POST /v1/requests (batch),
-// GET /v1/stats, GET /v1/objects/{name}, GET /v1/healthz, and
-// GET /v1/metrics; the unversioned spellings remain as deprecated aliases.
+// APIVersion is the live server's HTTP API version prefix ("/v1").  Every
+// route lives under it: POST /v1/request, POST /v1/requests (batch),
+// GET /v1/stats, GET /v1/objects/{name}, GET /v1/healthz, GET /v1/metrics,
+// and POST /v1/admin/snapshot; any other path answers a JSON 404.
 const APIVersion = serve.APIVersion
 
 // NewServer builds a live admission server over the catalog and starts its
