@@ -391,17 +391,16 @@ func offlineBenchTimes(n int) []float64 {
 	return times
 }
 
-// BenchmarkOfflineDP pits the flattened (triangular, int32-split, optionally
-// parallel) interval DP against the [][]-based Knuth-accelerated reference
-// at n=10000; both produce bit-identical tables (see internal/offline
-// tests).  B/op shows the memory halving; on multi-core hosts the flat
-// variant additionally shards each DP diagonal across GOMAXPROCS workers.
+// BenchmarkOfflineDP pits the flattened (triangular, int32-split) interval
+// DP against the [][]-based Knuth-accelerated reference at n=10000; both
+// produce bit-identical tables (see internal/offline tests).  B/op shows the
+// memory halving.
 func BenchmarkOfflineDP(b *testing.B) {
 	times := offlineBenchTimes(10000)
-	b.Run("flat-parallel", func(b *testing.B) {
+	b.Run("flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := offline.ComputeTables(context.Background(), times, offline.ReceiveTwo, 0, 0); err != nil {
+			if _, err := offline.ComputeTables(context.Background(), times, offline.ReceiveTwo, 0, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -428,7 +427,7 @@ func BenchmarkOfflineForest(b *testing.B) {
 	b.ReportAllocs()
 	b.ReportMetric(float64(offline.BandBytes(times, window))/(1<<20), "table-MB")
 	for i := 0; i < b.N; i++ {
-		if _, err := offline.OptimalForestWorkers(context.Background(), times, window, offline.ReceiveTwo, 0); err != nil {
+		if _, err := offline.OptimalForest(context.Background(), times, window, offline.ReceiveTwo); err != nil {
 			b.Fatal(err)
 		}
 	}

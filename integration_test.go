@@ -130,7 +130,7 @@ func TestIntegrationGeneralArrivalsLowerBound(t *testing.T) {
 	trace := arrivals.Poisson(0.02, 3, 5)
 	const mediaLen, delay = 1.0, 0.02
 	batched := trace.BatchTimes(delay)
-	res, err := offline.OptimalForest(batched, mediaLen, offline.ReceiveTwo)
+	res, err := offline.OptimalForest(context.Background(), batched, mediaLen, offline.ReceiveTwo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,15 +213,8 @@ func DyadicVsOptimal(ctx context.Context, cfg DyadicVsOptimalConfig) (Result, er
 	for li := range grid {
 		grid[li] = make([]cell, reps)
 	}
-	// When the grid itself fans out, keep each cell's offline DP serial so
-	// the two pools don't nest into workers^2 CPU-bound goroutines; a serial
-	// grid (Workers == 1) lets the DP use every core instead.
-	dpWorkers := 1
-	if cfg.Workers == 1 {
-		dpWorkers = 0
-	}
 	dyadicPlanner := mod.MustNew("dyadic", mod.WithMediaLength(1), mod.WithPoisson(true))
-	optimalPlanner := mod.MustNew("offline", mod.WithMediaLength(1), mod.WithWorkers(dpWorkers))
+	optimalPlanner := mod.MustNew("offline", mod.WithMediaLength(1))
 	forEachGridCell(ctx, len(cfg.LambdaPcts), reps, cfg.Workers, func(li, r int) {
 		lp := cfg.LambdaPcts[li]
 		lambda := lp / 100

@@ -35,8 +35,6 @@ type PlanParams struct {
 	// ConstantRate selects the constant-rate dyadic tuning (default:
 	// Poisson golden ratio, like the facade's WithPoisson default).
 	ConstantRate bool
-	// Workers sizes the off-line DP pool (<= 0: serial).
-	Workers int
 	// Cache supplies the on-line template state the hybrid's
 	// delay-guaranteed segments replay.
 	Cache *Cache
@@ -52,7 +50,6 @@ func paramsFor(cfg Config) PlanParams {
 		Delay:         cfg.Object.Delay,
 		SlotsPerMedia: cfg.Object.Slots(),
 		ConstantRate:  cfg.ConstantRate,
-		Workers:       cfg.PlanWorkers,
 		Cache:         cfg.Cache,
 		Ctx:           cfg.Ctx,
 	}
@@ -479,7 +476,7 @@ func offlineOutcome(times []float64, p PlanParams) (PlanOutcome, error) {
 		//modlint:ignore ctxflow BatchReference builds PlanParams directly without withDefaults; root the never-cancelled default here
 		ctx = context.Background()
 	}
-	res, err := offline.OptimalForestWorkers(ctx, deduped, p.MediaLength, offline.ReceiveTwo, p.Workers)
+	res, err := offline.OptimalForest(ctx, deduped, p.MediaLength, offline.ReceiveTwo)
 	if err != nil {
 		return PlanOutcome{}, err
 	}
@@ -595,13 +592,12 @@ func replanHybrid(times []float64, horizon float64, p PlanParams) (PlanOutcome, 
 // over the horizon — the numbers a drained live run with EpochSlots >=
 // horizon must reproduce bit for bit.  For the oblivious on-line strategy
 // the horizon is rounded to slots exactly like policy.DelayGuaranteed.
-func BatchReference(strategy string, times []float64, horizon float64, obj multiobject.Object, constantRate bool, workers int) (streams int64, cost float64, err error) {
+func BatchReference(strategy string, times []float64, horizon float64, obj multiobject.Object, constantRate bool) (streams int64, cost float64, err error) {
 	p := PlanParams{
 		MediaLength:   obj.Length,
 		Delay:         obj.Delay,
 		SlotsPerMedia: obj.Slots(),
 		ConstantRate:  constantRate,
-		Workers:       workers,
 		Cache:         NewCache(),
 	}
 	if strategy == "online" {

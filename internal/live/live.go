@@ -220,8 +220,9 @@ type Config struct {
 	// ConstantRate selects the Section 4.2 constant-rate dyadic tuning
 	// instead of the Poisson golden-ratio parameters (the default).
 	ConstantRate bool
-	// PlanWorkers sizes the off-line DP worker pool of epoch replans
-	// (<= 0 means serial); results are bit-identical for any count.
+	// PlanWorkers is ignored: epoch replans always run the serial
+	// off-line DP.  It remains only because the benchmark module sets it
+	// (benchmark/layers.go:249).
 	PlanWorkers int
 	// Cache shares per-media-length static state (the on-line template and
 	// its group lengths) across the schedulers of one shard; nil gives the

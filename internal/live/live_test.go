@@ -80,7 +80,7 @@ func TestEpochSplicing(t *testing.T) {
 						epochTimes = append(epochTimes, at-k)
 					}
 				}
-				streams, cost, err := BatchReference(st.name, epochTimes, 1.0, obj, false, 1)
+				streams, cost, err := BatchReference(st.name, epochTimes, 1.0, obj, false)
 				if err != nil {
 					t.Fatal(err)
 				}

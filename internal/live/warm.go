@@ -146,14 +146,14 @@ func (w *tablesWarm) absorb() {
 		ctx = context.Background()
 	}
 	if w.tab == nil {
-		tab, err := offline.ComputeTables(ctx, nil, offline.ReceiveTwo, w.p.MediaLength, w.p.Workers)
+		tab, err := offline.ComputeTables(ctx, nil, offline.ReceiveTwo, w.p.MediaLength, 1)
 		if err != nil {
 			w.kill()
 			return
 		}
 		w.tab = tab
 	}
-	if err := w.tab.Extend(ctx, w.in.times[w.absorbed:], w.p.Workers); err != nil {
+	if err := w.tab.Extend(ctx, w.in.times[w.absorbed:], 1); err != nil {
 		w.kill()
 		return
 	}

@@ -76,16 +76,16 @@ func (o Object) Slots() int64 {
 
 // Validate checks the object's parameters.
 func (o Object) Validate() error {
-	if o.Length <= 0 {
-		return fmt.Errorf("%w: multiobject: object %q has non-positive length %g", moderr.ErrBadInstance, o.Name, o.Length)
+	if o.Length <= 0 || math.IsNaN(o.Length) || math.IsInf(o.Length, 1) {
+		return fmt.Errorf("%w: multiobject: object %q has invalid length %g (want positive and finite)", moderr.ErrBadInstance, o.Name, o.Length)
 	}
-	if o.Delay <= 0 {
-		return fmt.Errorf("%w: multiobject: object %q has non-positive delay %g", moderr.ErrBadInstance, o.Name, o.Delay)
+	if o.Delay <= 0 || math.IsNaN(o.Delay) || math.IsInf(o.Delay, 1) {
+		return fmt.Errorf("%w: multiobject: object %q has invalid delay %g (want positive and finite)", moderr.ErrBadInstance, o.Name, o.Delay)
 	}
 	if o.Delay > o.Length {
 		return fmt.Errorf("%w: multiobject: object %q has delay %g larger than its length %g", moderr.ErrBadInstance, o.Name, o.Delay, o.Length)
 	}
-	if o.Popularity < 0 || math.IsNaN(o.Popularity) {
+	if o.Popularity < 0 || math.IsNaN(o.Popularity) || math.IsInf(o.Popularity, 1) {
 		return fmt.Errorf("%w: multiobject: object %q has invalid popularity %g", moderr.ErrBadInstance, o.Name, o.Popularity)
 	}
 	return nil

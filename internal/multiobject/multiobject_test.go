@@ -29,6 +29,10 @@ func TestObjectValidate(t *testing.T) {
 		{Name: "c", Length: 1, Delay: 2},
 		{Name: "d", Length: 1, Delay: 0.1, Popularity: -1},
 		{Name: "e", Length: 1, Delay: 0.1, Popularity: math.NaN()},
+		{Name: "f", Length: math.NaN(), Delay: 0.1},
+		{Name: "g", Length: math.Inf(1), Delay: 0.1},
+		{Name: "h", Length: 1, Delay: math.NaN()},
+		{Name: "i", Length: 1, Delay: 0.1, Popularity: math.Inf(1)},
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {

@@ -39,7 +39,7 @@ func sameCells(t *testing.T, warm, cold *Tables, label string) {
 // TestExtendMatchesColdExactly is the warm-start correctness property: a
 // table grown by K Extend calls over epoch suffixes must equal one cold
 // ComputeTables run on the concatenated arrivals, cell for cell and cost
-// for cost, across band widths, worker counts, and receive models.
+// for cost, across band widths and receive models.
 func TestExtendMatchesColdExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	ctx := context.Background()
@@ -54,42 +54,40 @@ func TestExtendMatchesColdExactly(t *testing.T) {
 		if trial%3 == 2 {
 			model = ReceiveAll
 		}
-		for _, workers := range []int{1, 4} {
-			cold, err := ComputeTables(ctx, times, model, window, workers)
-			if err != nil {
-				t.Fatal(err)
+		cold, err := ComputeTables(ctx, times, model, window, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Grow the same table in K random chunks (some possibly empty).
+		chunks := 1 + rng.Intn(6)
+		warm := &Tables{model: model, window: window}
+		at := 0
+		for c := 0; c < chunks; c++ {
+			end := at + rng.Intn(n-at+1)
+			if c == chunks-1 {
+				end = n
 			}
-			// Grow the same table in K random chunks (some possibly empty).
-			chunks := 1 + rng.Intn(6)
-			warm := &Tables{model: model, window: window}
-			at := 0
-			for c := 0; c < chunks; c++ {
-				end := at + rng.Intn(n-at+1)
-				if c == chunks-1 {
-					end = n
-				}
-				if err := warm.Extend(ctx, times[at:end], workers); err != nil {
-					t.Fatalf("Extend[%d:%d]: %v", at, end, err)
-				}
-				at = end
+			if err := warm.Extend(ctx, times[at:end], 1); err != nil {
+				t.Fatalf("Extend[%d:%d]: %v", at, end, err)
 			}
-			sameCells(t, warm, cold, "chunked")
-			// One-by-one extends stress the one-column-per-chunk path.
-			if n <= 60 {
-				one := &Tables{model: model, window: window}
-				for i := 0; i < n; i++ {
-					if err := one.Extend(ctx, times[i:i+1], workers); err != nil {
-						t.Fatalf("Extend one-by-one at %d: %v", i, err)
-					}
+			at = end
+		}
+		sameCells(t, warm, cold, "chunked")
+		// One-by-one extends stress the one-column-per-chunk path.
+		if n <= 60 {
+			one := &Tables{model: model, window: window}
+			for i := 0; i < n; i++ {
+				if err := one.Extend(ctx, times[i:i+1], 1); err != nil {
+					t.Fatalf("Extend one-by-one at %d: %v", i, err)
 				}
-				sameCells(t, one, cold, "one-by-one")
 			}
+			sameCells(t, one, cold, "one-by-one")
 		}
 	}
 }
 
 // TestSolveForestResumable interleaves Extend with SolveForest and checks
-// each intermediate forest is bit-identical to a cold OptimalForestWorkers
+// each intermediate forest is bit-identical to a cold OptimalForest
 // run over the same prefix — the exact shape of warm epoch replanning.
 func TestSolveForestResumable(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -113,7 +111,7 @@ func TestSolveForestResumable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := OptimalForestWorkers(ctx, times[:at], L, ReceiveTwo, 1)
+			want, err := OptimalForest(ctx, times[:at], L, ReceiveTwo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,10 +205,10 @@ func liveCadence(n int) []int {
 
 // absorbLive grows tab over times the way warm epoch replanning does: an
 // Extend plus an AdvancePartition(L) at each liveCadence chunk end.
-func absorbLive(ctx context.Context, tab *Tables, times []float64, L float64, workers int) error {
+func absorbLive(ctx context.Context, tab *Tables, times []float64, L float64) error {
 	at := 0
 	for _, end := range liveCadence(len(times)) {
-		if err := tab.Extend(ctx, times[at:end], workers); err != nil {
+		if err := tab.Extend(ctx, times[at:end], 1); err != nil {
 			return err
 		}
 		if err := tab.AdvancePartition(L); err != nil {
@@ -221,13 +219,11 @@ func absorbLive(ctx context.Context, tab *Tables, times []float64, L float64, wo
 	return nil
 }
 
-// TestExtendParallelMatchesCold drives the sharded diagonal driver on warm
-// tables: a table grown at the live absorption cadence with 4 workers must
-// equal a cold serial build cell for cell, unbanded and banded.  The
-// instances are big enough (n - 2 >= minParallelRows) for Extend to take
-// the parallel driver, and the banded one's late chunks have more than
-// minParallelRows rows per diagonal, so the pool itself fans out.
-func TestExtendParallelMatchesCold(t *testing.T) {
+// TestExtendLiveCadenceMatchesCold grows tables at the live absorption
+// cadence and checks they equal a cold build cell for cell, unbanded and
+// banded, on instances large enough that the banded one's late chunks
+// carry several hundred arrivals each.
+func TestExtendLiveCadenceMatchesCold(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name      string
@@ -239,23 +235,13 @@ func TestExtendParallelMatchesCold(t *testing.T) {
 		{"banded", 4800, 40, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.window > 0 {
-				widest, at := 0, 0
-				for _, end := range liveCadence(tc.n) {
-					widest = max(widest, end-at)
-					at = end
-				}
-				if widest < minParallelRows {
-					t.Fatalf("largest chunk %d < %d rows: the pool never fans out", widest, minParallelRows)
-				}
-			}
 			times := replanArrivals(tc.n, 1/tc.perWindow)
 			cold, err := ComputeTables(ctx, times, ReceiveTwo, tc.window, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			warm := &Tables{model: ReceiveTwo, window: tc.window}
-			if err := absorbLive(ctx, warm, times, 1, 4); err != nil {
+			if err := absorbLive(ctx, warm, times, 1); err != nil {
 				t.Fatal(err)
 			}
 			sameCells(t, warm, cold, tc.name)
@@ -282,7 +268,7 @@ func TestExtendAllocatesOnlyNewCells(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := absorbLive(ctx, tab, times, L, 1); err != nil {
+	if err := absorbLive(ctx, tab, times, L); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

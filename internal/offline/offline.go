@@ -19,9 +19,10 @@
 // reference (MergeCostTable), a split-monotonicity accelerated variant
 // (Knuth-style bounds, MergeCostTableFast) that runs in O(n^2) in practice,
 // and the production path ComputeTables, which runs the same accelerated
-// recurrence in banded, column-major, append-only storage — 12 bytes per
-// cell instead of 32 — either column by column serially or with each DP
-// diagonal sharded across a worker pool.  The tables are resumable:
+// recurrence column by column in banded, column-major, append-only storage
+// — 12 bytes per cell instead of 32 — on the caller's goroutine.  The
+// package starts no goroutines; callers that want parallelism run
+// independent instances side by side.  The tables are resumable:
 // Tables.Extend appends an arrival suffix to an existing solve as new
 // columns, the only band cells whose interval touches the new arrivals,
 // writing each cell once and never moving an old one, bit-identical to a
@@ -183,7 +184,7 @@ func MergeCost(times []float64, model Model) (float64, error) {
 		return 0, nil
 	}
 	//modlint:ignore ctxflow MergeCost is the ctx-free compatibility wrapper; callers wanting cancellation use ComputeTables directly
-	t, err := ComputeTables(context.Background(), times, model, 0, 0)
+	t, err := ComputeTables(context.Background(), times, model, 0, 1)
 	if err != nil {
 		return 0, err
 	}
@@ -210,7 +211,7 @@ func OptimalTree(times []float64, model Model) (*mergetree.RTree, float64, error
 		return nil, 0, fmt.Errorf("%w: offline: no arrivals", moderr.ErrBadInstance)
 	}
 	//modlint:ignore ctxflow OptimalTree is the ctx-free compatibility wrapper over ComputeTables
-	t, err := ComputeTables(context.Background(), times, model, 0, 0)
+	t, err := ComputeTables(context.Background(), times, model, 0, 1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -237,20 +238,13 @@ type Forest struct {
 // interval merge costs; a group starting at arrival i may extend to arrival
 // j only while times[j] - times[i] < L (later clients could not receive the
 // root's data otherwise).
-func OptimalForest(times []float64, L float64, model Model) (*Forest, error) {
-	//modlint:ignore ctxflow OptimalForest is the ctx-free compatibility wrapper over OptimalForestWorkers
-	return OptimalForestWorkers(context.Background(), times, L, model, 0)
-}
-
-// OptimalForestWorkers is OptimalForest with an explicit context and DP
-// worker count (0 means GOMAXPROCS).  The interval DP is computed in banded
-// column storage: a group rooted at arrival i can only extend while
-// times[j] - times[i] < L, so only the O(n * W) intervals inside an L-window
-// are materialized, where W is the largest number of arrivals in any such
-// window — the reason the arrival cap of policy.OfflineOptimal could be
-// raised 10x.  Cancelling ctx aborts the underlying DP within one work unit
-// and returns an error wrapping ctx.Err().
-func OptimalForestWorkers(ctx context.Context, times []float64, L float64, model Model, workers int) (*Forest, error) {
+//
+// The interval DP is computed in banded column storage: only the O(n * W)
+// intervals inside an L-window are materialized, where W is the largest
+// number of arrivals in any such window — the reason the arrival cap of
+// policy.OfflineOptimal could be raised 10x.  Cancelling ctx aborts the
+// DP within one column and returns an error wrapping ctx.Err().
+func OptimalForest(ctx context.Context, times []float64, L float64, model Model) (*Forest, error) {
 	if err := validateTimes(times); err != nil {
 		return nil, err
 	}
@@ -260,7 +254,7 @@ func OptimalForestWorkers(ctx context.Context, times []float64, L float64, model
 	if len(times) == 0 {
 		return &Forest{Forest: mergetree.NewRForest(L)}, nil
 	}
-	t, err := ComputeTables(ctx, times, model, L, workers)
+	t, err := ComputeTables(ctx, times, model, L, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +332,7 @@ func (t *Tables) AdvancePartition(L float64) error {
 // incrementally with Extend).  Thanks to AdvancePartition's resumable
 // prefix DP, repeated SolveForest calls with the same L cost O(new
 // arrivals) plus the reconstruction, not O(n * window).  The result is
-// bit-identical to a cold OptimalForestWorkers run over the same arrivals,
+// bit-identical to a cold OptimalForest run over the same arrivals,
 // whichever sequence of Extend calls produced the table.
 func (t *Tables) SolveForest(L float64) (*Forest, error) {
 	if err := t.AdvancePartition(L); err != nil {

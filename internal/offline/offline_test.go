@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -220,7 +221,7 @@ func TestOptimalForestSlottedMatchesCore(t *testing.T) {
 	// With slot arrivals and integer L the general forest DP must reproduce
 	// the delay-guaranteed optimum F(L,n).
 	for _, c := range []struct{ L, n int64 }{{15, 8}, {15, 14}, {4, 16}, {8, 30}, {30, 60}} {
-		res, err := OptimalForest(slotTimes(int(c.n)), float64(c.L), ReceiveTwo)
+		res, err := OptimalForest(context.Background(), slotTimes(int(c.n)), float64(c.L), ReceiveTwo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +243,7 @@ func TestOptimalForestStructure(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(40)
 		times := randomTimes(rng, n, 3)
-		res, err := OptimalForest(times, 1.0, ReceiveTwo)
+		res, err := OptimalForest(context.Background(), times, 1.0, ReceiveTwo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +274,7 @@ func TestOptimalForestIsLowerBoundForHeuristics(t *testing.T) {
 		if len(tr) < 2 {
 			continue
 		}
-		res, err := OptimalForest(tr, 1.0, ReceiveTwo)
+		res, err := OptimalForest(context.Background(), tr, 1.0, ReceiveTwo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,13 +289,13 @@ func TestOptimalForestIsLowerBoundForHeuristics(t *testing.T) {
 }
 
 func TestOptimalForestErrors(t *testing.T) {
-	if _, err := OptimalForest([]float64{0, 1}, 0, ReceiveTwo); err == nil {
+	if _, err := OptimalForest(context.Background(), []float64{0, 1}, 0, ReceiveTwo); err == nil {
 		t.Errorf("non-positive L should fail")
 	}
-	if _, err := OptimalForest([]float64{1, 0}, 1, ReceiveTwo); err == nil {
+	if _, err := OptimalForest(context.Background(), []float64{1, 0}, 1, ReceiveTwo); err == nil {
 		t.Errorf("unsorted times should fail")
 	}
-	res, err := OptimalForest(nil, 1, ReceiveTwo)
+	res, err := OptimalForest(context.Background(), nil, 1, ReceiveTwo)
 	if err != nil || res.Forest.Size() != 0 {
 		t.Errorf("empty input should give an empty forest")
 	}
@@ -303,11 +304,11 @@ func TestOptimalForestErrors(t *testing.T) {
 func TestOptimalForestReceiveAllCheaper(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	times := randomTimes(rng, 30, 2)
-	two, err := OptimalForest(times, 1.0, ReceiveTwo)
+	two, err := OptimalForest(context.Background(), times, 1.0, ReceiveTwo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := OptimalForest(times, 1.0, ReceiveAll)
+	all, err := OptimalForest(context.Background(), times, 1.0, ReceiveAll)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func BenchmarkEpochReplanCold(b *testing.B) {
 		b.Run(fmt.Sprintf("overlap=%d%%", overlap), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f, err := OptimalForestWorkers(ctx, times, replanL, ReceiveTwo, 1)
+				f, err := OptimalForest(ctx, times, replanL, ReceiveTwo)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func BenchmarkAbsorbEpoch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := absorbLive(ctx, tab, times, flashL, 1); err != nil {
+		if err := absorbLive(ctx, tab, times, flashL); err != nil {
 			b.Fatal(err)
 		}
 		f, err := tab.SolveForest(flashL)

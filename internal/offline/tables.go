@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/mergetree"
 	"repro/internal/moderr"
@@ -135,20 +133,19 @@ func BandBytes(times []float64, window float64) int64 {
 }
 
 // ComputeTables runs the split-monotonicity (Knuth-accelerated) interval DP
-// of MergeCostTableFast into banded column storage, sharding each diagonal
-// of the DP across a persistent pool of `workers` goroutines (0 means
-// GOMAXPROCS).  All cells of one diagonal depend only on strictly shorter
-// intervals, so a diagonal is embarrassingly parallel; each cell is computed
-// by exactly the same float operations in the same order as the serial
-// algorithm, so the resulting mc and split tables are bit-identical to
-// MergeCostTableFast for every in-band cell regardless of worker count.
+// of MergeCostTableFast into banded column storage, column by column on the
+// caller's goroutine.  Each cell is computed by exactly the same float
+// operations in the same order as MergeCostTableFast, so the resulting mc
+// and split tables are bit-identical to it for every in-band cell.
 //
 // The DP can run for seconds at large n, so it honors ctx: cancellation is
-// observed within one work unit (one column of the serial driver, one
-// diagonal chunk of the parallel one), every pool goroutine is joined
-// before the call returns, and the error wraps ctx.Err() so callers can
+// observed between columns, and the error wraps ctx.Err() so callers can
 // test it with errors.Is(err, context.Canceled).
-func ComputeTables(ctx context.Context, times []float64, model Model, window float64, workers int) (*Tables, error) {
+//
+// The trailing int is ignored.  It remains only because the benchmark
+// module calls ComputeTables with it (benchmark/layers.go:334); callers
+// pass 1.
+func ComputeTables(ctx context.Context, times []float64, model Model, window float64, _ int) (*Tables, error) {
 	if err := validateTimes(times); err != nil {
 		return nil, err
 	}
@@ -159,7 +156,7 @@ func ComputeTables(ctx context.Context, times []float64, model Model, window flo
 	if len(times) == 0 {
 		return t, nil
 	}
-	if err := t.grow(ctx, times, workers); err != nil {
+	if err := t.grow(ctx, times); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -176,7 +173,10 @@ func ComputeTables(ctx context.Context, times []float64, model Model, window flo
 //
 // On error — cancellation included — the table may be partially updated and
 // must be discarded; on success it is ready for further Extend calls.
-func (t *Tables) Extend(ctx context.Context, newTimes []float64, workers int) error {
+//
+// The trailing int is ignored, like ComputeTables's; the benchmark module
+// pins it (benchmark/layers.go:340).
+func (t *Tables) Extend(ctx context.Context, newTimes []float64, _ int) error {
 	if len(newTimes) == 0 {
 		return nil
 	}
@@ -190,7 +190,7 @@ func (t *Tables) Extend(ctx context.Context, newTimes []float64, workers int) er
 	if err := ctx.Err(); err != nil {
 		return canceled(err)
 	}
-	return t.grow(ctx, newTimes, workers)
+	return t.grow(ctx, newTimes)
 }
 
 // Clone returns a deep copy of the table sharing no storage with t, so a
@@ -220,19 +220,16 @@ func (t *Tables) Clone() *Tables {
 // columns and fills them.  It is the single driver behind both
 // ComputeTables (growing an empty table) and Extend (growing a solved one),
 // which is what makes warm and cold results bit-identical by construction.
-func (t *Tables) grow(ctx context.Context, newTimes []float64, workers int) error {
+func (t *Tables) grow(ctx context.Context, newTimes []float64) error {
 	m := t.n
 	n := m + len(newTimes)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	t.times = append(t.times, newTimes...)
 	times := t.times
 
 	// Carve the new columns from one chunk per array, sized exactly: the
 	// first sweep counts their cells, the second slices the views and seeds
-	// each column's length-2 cell (split(j-1, j) = j, like the serial code;
-	// the length-1 cell (j, j) stays zero).
+	// each column's length-2 cell (split(j-1, j) = j, like
+	// MergeCostTableFast; the length-1 cell (j, j) stays zero).
 	p0 := 0
 	if m > 0 {
 		p0 = t.lo(m - 1)
@@ -246,7 +243,6 @@ func (t *Tables) grow(ctx context.Context, newTimes []float64, workers int) erro
 	splitChunk := make([]int32, add)
 	t.mc = slices.Grow(t.mc, n-m)
 	t.split = slices.Grow(t.split, n-m)
-	widest := 0
 	for j, p, at := m, p0, 0; j < n; j++ {
 		p = bandLo(times, t.window, p, j)
 		w := j - p + 1
@@ -257,7 +253,6 @@ func (t *Tables) grow(ctx context.Context, newTimes []float64, workers int) erro
 			t.split[j][1] = int32(j)
 		}
 		at += w
-		widest = max(widest, w)
 	}
 	t.cells += add
 	t.n = n
@@ -272,81 +267,16 @@ func (t *Tables) grow(ctx context.Context, newTimes []float64, workers int) erro
 		t.limit[i] = int32(j)
 	}
 
-	// The two drivers below fill the same cells with the same per-cell code
-	// (fillColumn), so their outputs are identical; they differ only in
-	// iteration order.  Serially, the new columns are filled left to right,
-	// each from its length-3 cell (row j-2) to its longest (row lo(j)),
-	// reading the columns to its left and the cells just written.  With
-	// workers, cells of one diagonal are independent, so each diagonal is
-	// sharded across a persistent pool.
-	if workers <= 1 || n-2 < minParallelRows {
-		for j := m; j < n; j++ {
-			// One column is the serial work unit: cancellation is observed
-			// between columns, never mid-column.
-			if err := ctx.Err(); err != nil {
-				return canceled(err)
-			}
-			if lo := t.lo(j); j-2 >= lo {
-				t.fillColumn(times, j, j-2, lo)
-			}
-		}
-		return nil
-	}
-
-	type job struct{ length, lo, hi int }
-	jobs := make(chan job, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		go func() {
-			for jb := range jobs {
-				// A dispatched chunk is the parallel work unit; after a
-				// cancel the pool drains the queue without computing.
-				if ctx.Err() == nil {
-					t.computeDiagonal(times, jb.length, jb.lo, jb.hi)
-				}
-				wg.Done()
-			}
-		}()
-	}
-	defer close(jobs)
-
-	// No new column is longer than widest, so no longer diagonal has cells.
-	lom := t.lo(m)
-	for length := 3; length <= widest; length++ {
-		// Only rows whose cell (i, i+length-1) can be new: its column must
-		// be new (i > m-length), and banded rows start at lo(m) or later.
-		lo0 := max(m-length+1, lom)
-		hi0 := n - length + 1
-		rows := hi0 - lo0
-		if rows <= 0 {
-			continue
-		}
-		if rows < minParallelRows {
-			if err := ctx.Err(); err != nil {
-				wg.Wait()
-				return canceled(err)
-			}
-			t.computeDiagonal(times, length, lo0, hi0)
-			continue
-		}
-		chunk := (rows + workers - 1) / workers
-		for lo := lo0; lo < hi0; lo += chunk {
-			hi := lo + chunk
-			if hi > hi0 {
-				hi = hi0
-			}
-			wg.Add(1)
-			select {
-			case jobs <- job{length, lo, hi}:
-			case <-ctx.Done():
-				wg.Done() // the job was never dispatched
-				wg.Wait()
-				return canceled(ctx.Err())
-			}
-		}
-		wg.Wait()
+	// The new columns are filled left to right, each from its length-3
+	// cell (row j-2) to its longest (row lo(j)), reading the columns to its
+	// left and the cells just written.  One column is the work unit:
+	// cancellation is observed between columns, never mid-column.
+	for j := m; j < n; j++ {
 		if err := ctx.Err(); err != nil {
 			return canceled(err)
+		}
+		if lo := t.lo(j); j-2 >= lo {
+			t.fillColumn(times, j, j-2, lo)
 		}
 	}
 	return nil
@@ -359,27 +289,11 @@ func canceled(err error) error {
 	return fmt.Errorf("offline: interval DP canceled: %w", err)
 }
 
-// minParallelRows is the diagonal size below which the sync overhead of
-// fanning out exceeds the work; such diagonals run on the caller.
-const minParallelRows = 512
-
-// computeDiagonal fills the cells (i, i+length-1) for i in [lo, hi),
-// skipping those outside the band (longer than their column).
-func (t *Tables) computeDiagonal(times []float64, length, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		j := i + length - 1
-		if length <= len(t.mc[j]) {
-			t.fillColumn(times, j, i, i)
-		}
-	}
-}
-
 // fillColumn fills the cells (i, j) of column j for i from iHi down to iLo
 // (iHi <= j-2).  The cells (iHi+1 .. j, j) and the columns left of j must
 // already be final.  The float operations per cell match MergeCostTableFast
 // exactly (same expressions, same order), so the output is bit-identical to
-// the [][] reference no matter which driver calls this; only the indexing
-// is column-major.
+// the [][] reference; only the indexing is column-major.
 func (t *Tables) fillColumn(times []float64, j, iHi, iLo int) {
 	cols := t.mc
 	colJ := cols[j]

@@ -7,9 +7,9 @@ import (
 )
 
 // TestTablesMatchFastExactly is the required equivalence property: the
-// flattened (and optionally parallel) DP must reproduce the mc and split
-// tables of MergeCostTableFast bit for bit on random instances, in both
-// receive models and for any worker count.
+// flattened DP must reproduce the mc and split tables of
+// MergeCostTableFast bit for bit on random instances, in both receive
+// models.
 func TestTablesMatchFastExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
@@ -20,46 +20,19 @@ func TestTablesMatchFastExactly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				tab, err := ComputeTables(context.Background(), times, model, 0, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < n; i++ {
-					for j := i; j < n; j++ {
-						if got, want := tab.MC(i, j), mc[i][j]; got != want {
-							t.Fatalf("model %v workers %d: mc(%d,%d) = %v, want %v", model, workers, i, j, got, want)
-						}
-						if got, want := tab.Split(i, j), split[i][j]; got != want {
-							t.Fatalf("model %v workers %d: split(%d,%d) = %d, want %d", model, workers, i, j, got, want)
-						}
+			tab, err := ComputeTables(context.Background(), times, model, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				for j := i; j < n; j++ {
+					if got, want := tab.MC(i, j), mc[i][j]; got != want {
+						t.Fatalf("model %v: mc(%d,%d) = %v, want %v", model, i, j, got, want)
+					}
+					if got, want := tab.Split(i, j), split[i][j]; got != want {
+						t.Fatalf("model %v: split(%d,%d) = %d, want %d", model, i, j, got, want)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestTablesParallelPoolExactly exercises the persistent worker pool (only
-// engaged on diagonals of at least 512 rows) and checks bit-identical
-// output against the serial [][] reference.
-func TestTablesParallelPoolExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 700
-	times := randomTimes(rng, n, 500)
-	mc, split, err := MergeCostTableFast(times, ReceiveTwo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := ComputeTables(context.Background(), times, ReceiveTwo, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			if tab.MC(i, j) != mc[i][j] || tab.Split(i, j) != split[i][j] {
-				t.Fatalf("cell (%d,%d): got (%v,%d), want (%v,%d)",
-					i, j, tab.MC(i, j), tab.Split(i, j), mc[i][j], split[i][j])
 			}
 		}
 	}
@@ -97,36 +70,6 @@ func TestTablesBandedMatchesFull(t *testing.T) {
 				if banded.MC(i, j) != full.MC(i, j) || banded.Split(i, j) != full.Split(i, j) {
 					t.Fatalf("banded cell (%d,%d) diverges from full", i, j)
 				}
-			}
-		}
-	}
-}
-
-// TestOptimalForestWorkersDeterministic checks the forest DP produces the
-// same cost, roots, and trees for any worker count.
-func TestOptimalForestWorkersDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 15; trial++ {
-		n := 2 + rng.Intn(120)
-		times := randomTimes(rng, n, 20)
-		L := 2 + rng.Float64()*6
-		serial, err := OptimalForestWorkers(context.Background(), times, L, ReceiveTwo, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := OptimalForestWorkers(context.Background(), times, L, ReceiveTwo, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Cost != parallel.Cost {
-			t.Fatalf("cost diverges: %v vs %v", serial.Cost, parallel.Cost)
-		}
-		if len(serial.Roots) != len(parallel.Roots) {
-			t.Fatalf("roots diverge: %v vs %v", serial.Roots, parallel.Roots)
-		}
-		for i := range serial.Roots {
-			if serial.Roots[i] != parallel.Roots[i] {
-				t.Fatalf("roots diverge: %v vs %v", serial.Roots, parallel.Roots)
 			}
 		}
 	}

@@ -203,8 +203,8 @@ const defaultOfflineArrivalCap = 50000
 const defaultOfflineTableBytes = int64(1) << 30 * 3 / 2
 
 // OfflineOptions configures the exact off-line optimal policies.  The zero
-// value selects the defaults: a 50000-arrival cap, a ~1.5 GiB table memory
-// budget, and GOMAXPROCS DP workers.
+// value selects the defaults: a 50000-arrival cap and a ~1.5 GiB table
+// memory budget.
 type OfflineOptions struct {
 	// MaxArrivals caps the (clipped, possibly batched) trace size; <= 0
 	// selects the 50000 default.
@@ -212,8 +212,6 @@ type OfflineOptions struct {
 	// MaxTableBytes caps the banded DP table footprint in bytes; <= 0
 	// selects the ~1.5 GiB default.
 	MaxTableBytes int64
-	// Workers is the DP worker count (0 means GOMAXPROCS, 1 means serial).
-	Workers int
 }
 
 func (o OfflineOptions) withDefaults() OfflineOptions {
@@ -233,9 +231,9 @@ func OfflineOptimal(mediaLength float64, maxArrivals int) Policy {
 	return OfflineOptimalOpts(mediaLength, OfflineOptions{MaxArrivals: maxArrivals})
 }
 
-// OfflineOptimalOpts is OfflineOptimal with explicit caps and DP worker
-// count.  Instances over the caps are refused with an error wrapping
-// ErrInstanceTooLarge before any table is allocated.
+// OfflineOptimalOpts is OfflineOptimal with explicit caps.  Instances over
+// the caps are refused with an error wrapping ErrInstanceTooLarge before
+// any table is allocated.
 func OfflineOptimalOpts(mediaLength float64, opt OfflineOptions) Policy {
 	return offlineOptimal{mediaLength: mediaLength, opt: opt.withDefaults()}
 }
@@ -265,7 +263,7 @@ func (p offlineOptimal) Serve(ctx context.Context, trace arrivals.Trace, horizon
 	if err := checkOfflineTableMemory(clipped, p.mediaLength, p.opt.MaxTableBytes); err != nil {
 		return 0, err
 	}
-	res, err := offline.OptimalForestWorkers(ctx, clipped, p.mediaLength, offline.ReceiveTwo, p.opt.Workers)
+	res, err := offline.OptimalForest(ctx, clipped, p.mediaLength, offline.ReceiveTwo)
 	if err != nil {
 		return 0, err
 	}
@@ -292,8 +290,7 @@ func OfflineOptimalBatched(mediaLength, delay float64, maxArrivals int) Policy {
 	return OfflineOptimalBatchedOpts(mediaLength, delay, OfflineOptions{MaxArrivals: maxArrivals})
 }
 
-// OfflineOptimalBatchedOpts is OfflineOptimalBatched with explicit caps and
-// DP worker count.
+// OfflineOptimalBatchedOpts is OfflineOptimalBatched with explicit caps.
 func OfflineOptimalBatchedOpts(mediaLength, delay float64, opt OfflineOptions) Policy {
 	return offlineOptimalBatched{mediaLength: mediaLength, delay: delay, opt: opt.withDefaults()}
 }
@@ -323,7 +320,7 @@ func (p offlineOptimalBatched) Serve(ctx context.Context, trace arrivals.Trace, 
 	if err := checkOfflineTableMemory(batched, p.mediaLength, p.opt.MaxTableBytes); err != nil {
 		return 0, err
 	}
-	res, err := offline.OptimalForestWorkers(ctx, batched, p.mediaLength, offline.ReceiveTwo, p.opt.Workers)
+	res, err := offline.OptimalForest(ctx, batched, p.mediaLength, offline.ReceiveTwo)
 	if err != nil {
 		return 0, err
 	}

@@ -299,8 +299,7 @@ func (sh *shard) newScheduler(obj multiobject.Object, strategy string, delay, ba
 }
 
 // liveConfig is the scheduler configuration of obj at the given
-// effective delay.  Epoch replans run the serial off-line DP
-// (PlanWorkers 1): the shards already run in parallel.
+// effective delay.
 func (sh *shard) liveConfig(obj multiobject.Object, delay float64) live.Config {
 	obj.Delay = delay
 	var nowNanos func() int64
@@ -311,7 +310,6 @@ func (sh *shard) liveConfig(obj multiobject.Object, delay float64) live.Config {
 		Object:       obj,
 		EpochSlots:   sh.srv.cfg.EpochSlots,
 		ConstantRate: sh.srv.cfg.ConstantRateTuning,
-		PlanWorkers:  1,
 		Cache:        sh.cache,
 		Sink:         sh,
 		Ctx:          sh.srv.ctx,

@@ -58,10 +58,10 @@ func ExampleCompare() {
 }
 
 // ExamplePlanner_plan bounds an off-line optimal plan with per-call
-// options: the DP gets a worker pool and a memory budget, and the plan is
-// rejected if it would exceed a 10-channel cap.
+// options: the DP gets a memory budget, and the plan is rejected if it
+// would exceed a 10-channel cap.
 func ExamplePlanner_plan() {
-	p, err := mod.New("offline", mod.WithWorkers(2), mod.WithMemoryBudget(64<<20))
+	p, err := mod.New("offline", mod.WithMemoryBudget(64<<20))
 	if err != nil {
 		panic(err)
 	}

@@ -3,6 +3,7 @@ package mod_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -122,6 +123,31 @@ func TestSentinelErrorsThroughFacade(t *testing.T) {
 	// FitDelays budget failures classify the same way.
 	if _, err := mod.FitDelays(mod.ZipfCatalog(5, 1, 0.01, 1), 10, 1, 2, 2); !errors.Is(err, mod.ErrCapacity) {
 		t.Errorf("FitDelays error %v, want ErrCapacity", err)
+	}
+	// Non-finite instance parameters are refused by every planner before
+	// any planning starts.
+	arr := []float64{0.1, 0.2, 0.3}
+	nonFinite := []struct {
+		name string
+		inst mod.Instance
+		opt  mod.Option
+	}{
+		{"horizon NaN", mod.Instance{Arrivals: arr, Horizon: math.NaN()}, nil},
+		{"horizon +Inf", mod.Instance{Arrivals: arr, Horizon: math.Inf(1)}, nil},
+		{"delay NaN", mod.Instance{Arrivals: arr, Horizon: 1}, mod.WithDelay(math.NaN())},
+		{"delay +Inf", mod.Instance{Arrivals: arr, Horizon: 1}, mod.WithDelay(math.Inf(1))},
+		{"media length NaN", mod.Instance{Arrivals: arr, Horizon: 1}, mod.WithMediaLength(math.NaN())},
+		{"media length +Inf", mod.Instance{Arrivals: arr, Horizon: 1}, mod.WithMediaLength(math.Inf(1))},
+	}
+	for _, name := range mod.Planners() {
+		for _, c := range nonFinite {
+			if _, err := mod.MustNew(name).Plan(ctx, c.inst, c.opt); !errors.Is(err, mod.ErrBadInstance) {
+				t.Errorf("%s with %s: error %v, want ErrBadInstance", name, c.name, err)
+			}
+		}
+	}
+	if _, err := mod.Compare(ctx, mod.Planners(), mod.Instance{Arrivals: arr, Horizon: 1}, mod.WithDelay(math.NaN())); !errors.Is(err, mod.ErrBadInstance) {
+		t.Errorf("Compare with delay NaN: error %v, want ErrBadInstance", err)
 	}
 }
 

@@ -15,8 +15,9 @@ type Settings struct {
 	Delay float64
 	// Horizon, when positive, overrides Instance.Horizon.
 	Horizon float64
-	// Workers sizes worker pools (the off-line DP diagonals, Compare's
-	// policy pool); 0 means GOMAXPROCS, 1 means serial.
+	// Workers sizes Compare's policy pool and the live server's shard
+	// count; 0 means GOMAXPROCS, 1 means serial.  A single Plan runs on
+	// the caller's goroutine whatever its value.
 	Workers int
 	// ChannelCap, when positive, bounds the time-average number of busy
 	// channels a Plan may use; plans over the cap fail with ErrCapacity.
@@ -126,8 +127,8 @@ func WithDelay(d float64) Option { return func(s *Settings) { s.Delay = d } }
 // WithHorizon overrides the Instance's planning horizon.
 func WithHorizon(h float64) Option { return func(s *Settings) { s.Horizon = h } }
 
-// WithWorkers sizes the worker pools of parallel planners and Compare
-// (0 = GOMAXPROCS, 1 = serial).
+// WithWorkers sizes Compare's worker pool and the live server's shard
+// count (0 = GOMAXPROCS, 1 = serial).  A single Plan ignores it.
 func WithWorkers(n int) Option { return func(s *Settings) { s.Workers = n } }
 
 // WithChannelCap bounds the time-average busy channels of a Plan; plans

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/arrivals"
 )
@@ -98,15 +99,20 @@ func (p *planner) Plan(ctx context.Context, inst Instance, opts ...Option) (Plan
 }
 
 // resolveInstance validates the trace and resolves the horizon (an
-// explicit WithHorizon wins over the instance's).
+// explicit WithHorizon wins over the instance's).  It also rejects a
+// non-finite media length or delay, which no planner checks for itself.
 func resolveInstance(inst Instance, st Settings) (arrivals.Trace, float64, error) {
 	horizon := inst.Horizon
 	if st.Horizon > 0 {
 		horizon = st.Horizon
 	}
-	if horizon <= 0 {
-		return nil, 0, fmt.Errorf("%w: horizon must be positive (got %g; set Instance.Horizon or WithHorizon)",
+	if horizon <= 0 || math.IsNaN(horizon) || math.IsInf(horizon, 1) {
+		return nil, 0, fmt.Errorf("%w: horizon must be positive and finite (got %g; set Instance.Horizon or WithHorizon)",
 			ErrBadInstance, horizon)
+	}
+	if math.IsNaN(st.MediaLength) || math.IsInf(st.MediaLength, 0) || math.IsNaN(st.Delay) || math.IsInf(st.Delay, 0) {
+		return nil, 0, fmt.Errorf("%w: media length and delay must be finite (got %g and %g)",
+			ErrBadInstance, st.MediaLength, st.Delay)
 	}
 	trace := arrivals.Trace(inst.Arrivals)
 	if err := trace.Validate(); err != nil {

@@ -106,7 +106,6 @@ func offlineOptions(st Settings) policy.OfflineOptions {
 	return policy.OfflineOptions{
 		MaxArrivals:   st.MaxArrivals,
 		MaxTableBytes: st.MemoryBudget,
-		Workers:       st.Workers,
 	}
 }
 
