@@ -416,21 +416,28 @@ func BenchmarkOfflineDP(b *testing.B) {
 }
 
 // BenchmarkOfflineForest measures the banded end-to-end optimum (the
-// policy.OfflineOptimal path) at the raised arrival cap's scale: the band
-// keeps the table footprint proportional to arrivals-per-window rather than
-// n^2.
+// policy.OfflineOptimal path) at the raised arrival cap's scale: forest
+// tables keep the footprint proportional to arrivals-per-window rather
+// than n^2.  table-MB and cells/arrival are the stored tables' size.
 func BenchmarkOfflineForest(b *testing.B) {
 	const n = 10000
 	times := offlineBenchTimes(n)
 	// Window of ~200 arrivals.
 	window := (times[n-1] - times[0]) / (n / 200)
+	tab, err := offline.ComputeTables(context.Background(), times, offline.ReceiveTwo, window, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
-	b.ReportMetric(float64(offline.BandBytes(times, window))/(1<<20), "table-MB")
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := offline.OptimalForest(context.Background(), times, window, offline.ReceiveTwo); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(tab.MemoryBytes())/(1<<20), "table-MB")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*n), "ns/arrival")
+	b.ReportMetric(float64(tab.Cells())/n, "cells/arrival")
 }
 
 // activeStreamsPerSlot is the pre-refactor ActiveStreams: one increment per

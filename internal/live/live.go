@@ -139,9 +139,11 @@ type ReplanStats struct {
 	// (resumable banded tables or batched-start prefixes) instead of a
 	// cold batch-planner run.
 	WarmReplans int64 `json:"warm_replans"`
-	// CellsReused and CellsRecomputed count off-line DP cells at warm
-	// closes: cells carried over from mid-epoch absorption versus cells
-	// the close itself had to fill.
+	// CellsReused and CellsRecomputed count stored off-line DP cells at
+	// warm closes: cells carried over from mid-epoch absorption versus
+	// cells the close itself had to fill.  Forest tables store only the
+	// rows the group partition can still use (offline.Tables), so both
+	// count pruned cells, about half the window band at flash density.
 	CellsReused     int64 `json:"cells_reused"`
 	CellsRecomputed int64 `json:"cells_recomputed"`
 	// ReplanNanos and MaxReplanNanos meter replan wall time (total, and

@@ -24,14 +24,14 @@ import (
 // have disjoint epoch-relative traces, so warm state never outlives its
 // epoch — the scheduler resets it at every close (and hence at drain).
 //
-// Strategy coverage: offline and offline-batched carry resumable banded
-// tables (offline.Tables.Extend + AdvancePartition); batching, dyadic,
-// and dyadic-batched carry their deduplicated service-time prefix, which
-// is the whole of their planner input.  Unicast's replan is O(n) copying
-// with no reusable state, and the hybrid's mode classification is a
-// single O(n + slots) sweep with no superlinear component, so both stay
-// cold by design (documented in DESIGN.md); their closes still count in
-// ReplanStats.Replans.
+// Strategy coverage: offline and offline-batched carry resumable forest
+// tables (offline.Tables.Extend, which advances the partition DP with the
+// columns); batching, dyadic, and dyadic-batched carry their deduplicated
+// service-time prefix, which is the whole of their planner input.
+// Unicast's replan is O(n) copying with no reusable state, and the
+// hybrid's mode classification is a single O(n + slots) sweep with no
+// superlinear component, so both stay cold by design (documented in
+// DESIGN.md); their closes still count in ReplanStats.Replans.
 
 // warmReport is the per-close reuse accounting a warm replan returns.
 type warmReport struct {
@@ -93,8 +93,8 @@ func (d *dedupTrace) reset() {
 
 // tablesWarm is the resumable off-line replanner (offline and
 // offline-batched): it grows one retained offline.Tables handle by
-// Extend as arrivals are absorbed and advances the partition prefix DP
-// alongside, so SolveForest at the close costs only the tail.
+// Extend as arrivals are absorbed, the partition prefix DP advancing with
+// the columns, so SolveForest at the close costs only the tail.
 type tablesWarm struct {
 	p  PlanParams
 	in dedupTrace
@@ -131,10 +131,9 @@ func (w *tablesWarm) observe(rel float64) {
 }
 
 // absorb extends the retained table (creating it on first use) over the
-// pending deduplicated suffix and advances the partition DP.  Any
-// failure — over budget, cancelled context, uncoverable gap — marks the
-// state dead for the rest of the epoch; the cold close then reproduces
-// exactly what cold-only mode would have done.
+// pending deduplicated suffix.  Any failure — over budget, cancelled
+// context — marks the state dead for the rest of the epoch; the cold
+// close then reproduces exactly what cold-only mode would have done.
 func (w *tablesWarm) absorb() {
 	if offline.BandBytes(w.in.times, w.p.MediaLength) > warmAbsorbBudget {
 		w.kill()
@@ -158,11 +157,6 @@ func (w *tablesWarm) absorb() {
 		return
 	}
 	w.absorbed = len(w.in.times)
-	if err := w.tab.AdvancePartition(w.p.MediaLength); err != nil {
-		// An uncoverable gap: the cold close will hit the identical error
-		// in its own partition DP and fall back, warm or not.
-		w.kill()
-	}
 }
 
 func (w *tablesWarm) kill() {

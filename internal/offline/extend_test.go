@@ -204,14 +204,12 @@ func liveCadence(n int) []int {
 }
 
 // absorbLive grows tab over times the way warm epoch replanning does: an
-// Extend plus an AdvancePartition(L) at each liveCadence chunk end.
-func absorbLive(ctx context.Context, tab *Tables, times []float64, L float64) error {
+// Extend at each liveCadence chunk end (forest tables advance their
+// partition with the columns; unbanded tables carry none).
+func absorbLive(ctx context.Context, tab *Tables, times []float64) error {
 	at := 0
 	for _, end := range liveCadence(len(times)) {
 		if err := tab.Extend(ctx, times[at:end], 1); err != nil {
-			return err
-		}
-		if err := tab.AdvancePartition(L); err != nil {
 			return err
 		}
 		at = end
@@ -241,7 +239,7 @@ func TestExtendLiveCadenceMatchesCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			warm := &Tables{model: ReceiveTwo, window: tc.window}
-			if err := absorbLive(ctx, warm, times, 1); err != nil {
+			if err := absorbLive(ctx, warm, times); err != nil {
 				t.Fatal(err)
 			}
 			sameCells(t, warm, cold, tc.name)
@@ -251,9 +249,9 @@ func TestExtendLiveCadenceMatchesCold(t *testing.T) {
 
 // TestExtendAllocatesOnlyNewCells guards the append-only layout: absorbing
 // a flash-density epoch (about 10 media-length windows, a few hundred
-// arrivals each) at the live cadence, Extend and AdvancePartition together
-// may allocate at most 1.15x the final table — each cell once plus the
-// O(n) per-arrival bookkeeping, with no realloc-and-copy of old cells.
+// arrivals each) at the live cadence, Extend may allocate at most 1.15x
+// the final table — each cell once plus chunk slack and the O(n)
+// per-arrival bookkeeping, with no realloc-and-copy of old cells.
 func TestExtendAllocatesOnlyNewCells(t *testing.T) {
 	const (
 		n         = 4400
@@ -268,7 +266,7 @@ func TestExtendAllocatesOnlyNewCells(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := absorbLive(ctx, tab, times, L); err != nil {
+	if err := absorbLive(ctx, tab, times); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

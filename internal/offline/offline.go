@@ -19,20 +19,24 @@
 // reference (MergeCostTable), a split-monotonicity accelerated variant
 // (Knuth-style bounds, MergeCostTableFast) that runs in O(n^2) in practice,
 // and the production path ComputeTables, which runs the same accelerated
-// recurrence column by column in banded, column-major, append-only storage
-// — 12 bytes per cell instead of 32 — on the caller's goroutine.  The
-// package starts no goroutines; callers that want parallelism run
-// independent instances side by side.  The tables are resumable:
-// Tables.Extend appends an arrival suffix to an existing solve as new
-// columns, the only band cells whose interval touches the new arrivals,
-// writing each cell once and never moving an old one, bit-identical to a
-// cold ComputeTables over the concatenation — the warm-start substrate of
-// the live layer's epoch replanning (AdvancePartition and SolveForest
-// resume the forest partition the same way).  The test suite
-// cross-validates all variants cell for cell on random instances and
-// against the closed forms of the slotted case.  The package is used as the
-// exact-optimum baseline for evaluating the on-line algorithms on general
-// arrival sequences.
+// recurrence column by column in column-major, append-only storage — 12
+// bytes per cell instead of 32 — on the caller's goroutine.  Given a media
+// length as its window it builds forest tables, which solve the group
+// partition in the same pass and store a column only from the row the
+// partition can still start a group at; the merge cost satisfies the
+// quadrangle inequality, so that row never moves left, and at high
+// arrival density about half the window band is stored.  The package
+// starts no goroutines; callers that want parallelism run independent
+// instances side by side.  The tables are resumable: Tables.Extend appends
+// an arrival suffix to an existing solve as new columns, writing each cell
+// once and never moving an old one, bit-identical to a cold ComputeTables
+// over the concatenation — the warm-start substrate of the live layer's
+// epoch replanning, whose closes call SolveForest to rebuild the forest.
+// The test suite cross-validates all variants cell for cell on random
+// instances, the forest against a full-window partition scan, and both
+// against the closed forms of the slotted case.  The package is used as
+// the exact-optimum baseline for evaluating the on-line algorithms on
+// general arrival sequences.
 package offline
 
 import (
@@ -239,17 +243,19 @@ type Forest struct {
 // j only while times[j] - times[i] < L (later clients could not receive the
 // root's data otherwise).
 //
-// The interval DP is computed in banded column storage: only the O(n * W)
-// intervals inside an L-window are materialized, where W is the largest
-// number of arrivals in any such window — the reason the arrival cap of
-// policy.OfflineOptimal could be raised 10x.  Cancelling ctx aborts the
-// DP within one column and returns an error wrapping ctx.Err().
+// The interval DP is computed into forest tables: only intervals inside an
+// L-window are candidates, O(n * W) cells for W arrivals in the densest
+// window — the reason the arrival cap of policy.OfflineOptimal could be
+// raised 10x — and of those only the rows the partition can still use are
+// stored.  A non-finite or non-positive L is ErrBadInstance, reported
+// before anything is allocated.  Cancelling ctx aborts the DP within one
+// column and returns an error wrapping ctx.Err().
 func OptimalForest(ctx context.Context, times []float64, L float64, model Model) (*Forest, error) {
 	if err := validateTimes(times); err != nil {
 		return nil, err
 	}
-	if L <= 0 {
-		return nil, fmt.Errorf("%w: offline: media length must be positive, got %g", moderr.ErrBadInstance, L)
+	if !(L > 0) || math.IsInf(L, 1) {
+		return nil, fmt.Errorf("%w: offline: media length must be positive and finite, got %g", moderr.ErrBadInstance, L)
 	}
 	if len(times) == 0 {
 		return &Forest{Forest: mergetree.NewRForest(L)}, nil
@@ -261,84 +267,34 @@ func OptimalForest(ctx context.Context, times []float64, L float64, model Model)
 	return t.SolveForest(L)
 }
 
-// AdvancePartition runs the resumable group-partition prefix DP up to the
-// table's current arrival count without reconstructing the forest.  best[j]
-// depends only on earlier prefixes, so after an Extend only the appended
-// suffix is solved; a warm replanner calls this during absorption so the
-// final SolveForest pays only for the un-absorbed tail.  The table's band
-// must cover the L-window — it does whenever the table was built with
-// window L or unbanded.
+// AdvancePartition only validates: forest tables advance the partition in
+// the same pass that fills each column, so after any ComputeTables or
+// Extend it is already solved for every arrival.  It returns
+// ErrBadInstance unless t is a forest table (finite window > 0) and L is
+// its window.  It remains because the benchmark module calls it after
+// each Extend (benchmark/layers.go:344).
 func (t *Tables) AdvancePartition(L float64) error {
-	if L <= 0 {
-		return fmt.Errorf("%w: offline: media length must be positive, got %g", moderr.ErrBadInstance, L)
+	if !t.forest() || L != t.window {
+		return fmt.Errorf("%w: offline: partition of media length %g needs forest tables of that window, have window %g",
+			moderr.ErrBadInstance, L, t.window)
 	}
-	if t.window > 0 && !math.IsInf(t.window, 1) && L > t.window {
-		return fmt.Errorf("%w: offline: partition window %g exceeds the table band %g", moderr.ErrBadInstance, L, t.window)
-	}
-	n := t.n
-	if t.solvedL != L {
-		t.solved = 0
-		t.solvedL = L
-	}
-	if t.solved >= n {
-		return nil
-	}
-	if cap(t.best) < n+1 {
-		nb := make([]float64, len(t.best), n+1+(n+1)/2)
-		copy(nb, t.best)
-		nc := make([]int32, len(t.choice), cap(nb))
-		copy(nc, t.choice)
-		t.best, t.choice = nb, nc
-	}
-	t.best = t.best[:n+1]
-	t.choice = t.choice[:n+1]
-	t.best[0] = 0
-	t.choice[0] = 0
-	const inf = math.MaxFloat64
-	times := t.times
-	// best[j] = minimum cost of serving arrivals 0..j-1.  Its last group
-	// starts at some i in [p, j-1], p being the first arrival with
-	// times[j-1] - times[p] < L: nondecreasing in j and, since L <= window,
-	// never below lo(j-1).
-	p := t.lo(t.solved)
-	for j := t.solved + 1; j <= n; j++ {
-		best := inf
-		pick := 0
-		p = bandLo(times, L, p, j-1)
-		// MC(i, j-1) for descending i is column j-1 read front to back.
-		col := t.mc[j-1]
-		for i := j - 1; i >= p; i-- {
-			c := t.best[i] + L + col[j-1-i]
-			if c < best {
-				best = c
-				pick = i
-			}
-		}
-		if best == inf {
-			t.solved = j - 1
-			return fmt.Errorf("%w: offline: arrival %d cannot be covered (gap exceeds media length)", moderr.ErrBadInstance, j-1)
-		}
-		t.best[j] = best
-		t.choice[j] = int32(pick)
-	}
-	t.solved = n
 	return nil
 }
 
-// SolveForest runs the group-partition DP over the table's arrivals:
-// partition them into consecutive groups, give each group's first arrival a
-// full stream of length L, and merge the rest optimally (the same
-// optimization as OptimalForest, on tables the caller may have built
-// incrementally with Extend).  Thanks to AdvancePartition's resumable
-// prefix DP, repeated SolveForest calls with the same L cost O(new
-// arrivals) plus the reconstruction, not O(n * window).  The result is
-// bit-identical to a cold OptimalForest run over the same arrivals,
-// whichever sequence of Extend calls produced the table.
+// SolveForest rebuilds the optimal forest over the table's arrivals from
+// the partition the forest tables carry: partition the arrivals into
+// consecutive groups, give each group's first arrival a full stream of
+// length L, and merge the rest optimally (the same optimization as
+// OptimalForest, on tables the caller may have built incrementally with
+// Extend).  L must be the tables' window (see AdvancePartition).  Each
+// call costs only the reconstruction, and the result is bit-identical to
+// a cold OptimalForest run over the same arrivals, whichever sequence of
+// Extend calls produced the table.
 func (t *Tables) SolveForest(L float64) (*Forest, error) {
 	if err := t.AdvancePartition(L); err != nil {
 		return nil, err
 	}
-	n := t.n
+	n := t.N()
 	if n == 0 {
 		return &Forest{Forest: mergetree.NewRForest(L)}, nil
 	}

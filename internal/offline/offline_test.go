@@ -2,14 +2,17 @@ package offline
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/arrivals"
 	"repro/internal/core"
 	"repro/internal/dyadic"
 	"repro/internal/mergetree"
+	"repro/internal/moderr"
 )
 
 func slotTimes(n int) []float64 {
@@ -291,6 +294,20 @@ func TestOptimalForestIsLowerBoundForHeuristics(t *testing.T) {
 func TestOptimalForestErrors(t *testing.T) {
 	if _, err := OptimalForest(context.Background(), []float64{0, 1}, 0, ReceiveTwo); err == nil {
 		t.Errorf("non-positive L should fail")
+	}
+	// A non-finite L fails before any table is allocated.
+	times := replanArrivals(3000, 0.001)
+	for _, L := range []float64{math.NaN(), math.Inf(1)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := OptimalForest(context.Background(), times, L, ReceiveTwo)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, moderr.ErrBadInstance) {
+			t.Errorf("L = %g: err = %v, want ErrBadInstance", L, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("L = %g: allocated %d bytes before failing, want < 1 MB", L, alloc)
+		}
 	}
 	if _, err := OptimalForest(context.Background(), []float64{1, 0}, 1, ReceiveTwo); err == nil {
 		t.Errorf("unsorted times should fail")

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,16 +140,38 @@ func TestBackpressureDeterministic(t *testing.T) {
 	}
 }
 
+// statusRecorder remembers the status code a handler wrote.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
+}
+
+func (r *statusRecorder) WriteHeader(code int) {
+	r.status = code
+	r.ResponseWriter.WriteHeader(code)
+}
+
 // TestHTTPDriverBackpressure drives a paused single-shard server over
 // HTTP past its high-water mark: the test observes at least one 429 with
-// a Retry-After header, releases the shard, and the driver — honoring
+// a Retry-After header, keeps the shard paused until the driver itself
+// has been refused once, releases it, and the driver — honoring
 // Retry-After with capped backoff — completes the whole trace with no
 // failures; the server then drains to the same cost totals as an
 // unpressured run of the admitted subset (one arrival instant, so any
 // admitted subset is cost-equivalent).
 func TestHTTPDriverBackpressure(t *testing.T) {
 	s := pressureServer(t, 1)
-	hs := httptest.NewServer(serve.Handler(s))
+	// Count the 429s answered to the driver; the probe marks its own
+	// requests with an X-Probe header.
+	var driver429 atomic.Int64
+	h := serve.Handler(s)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := &statusRecorder{ResponseWriter: w}
+		h.ServeHTTP(rec, r)
+		if rec.status == http.StatusTooManyRequests && r.Header.Get("X-Probe") == "" {
+			driver429.Add(1)
+		}
+	}))
 	defer hs.Close()
 
 	release, err := s.Pause(0)
@@ -177,8 +200,14 @@ func TestHTTPDriverBackpressure(t *testing.T) {
 	saw429 := false
 	deadline := time.Now().Add(15 * time.Second)
 	for !saw429 && time.Now().Before(deadline) {
-		resp, err := probe.Post(hs.URL+"/v1/request", "application/json",
+		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/request",
 			strings.NewReader(`{"object":"object-01","t":0.5}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Probe", "1")
+		resp, err := probe.Do(req)
 		if err != nil {
 			continue // client timeout: the probe is parked in the queue
 		}
@@ -195,7 +224,16 @@ func TestHTTPDriverBackpressure(t *testing.T) {
 		release()
 		t.Fatal("never observed a 429 while the shard was paused")
 	}
+	// The driver's requests may reach the server only now: keep the shard
+	// paused until one of them has been refused, so the driver's
+	// Retry-After path is what the rest of the test checks.
+	for driver429.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	release()
+	if driver429.Load() == 0 {
+		t.Fatal("the driver was never refused while the shard was paused")
+	}
 
 	var d driven
 	select {
