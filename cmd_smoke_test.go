@@ -134,10 +134,11 @@ func TestCommandSmoke(t *testing.T) {
 							t.Errorf("bench row %+v reports pressure rejects without -pressure", r)
 						}
 						if r.Strategy != "online" {
-							// Epoch-based strategies replan at least at drain,
-							// and warm-start replanning is the default.
-							if r.Replans <= 0 || r.WarmReplans != r.Replans {
-								t.Errorf("%s row %+v: want warm_replans == replans > 0", cell.Workload, r)
+							// Epoch-based strategies replan at least at drain;
+							// only the off-line pair (not in this grid)
+							// warm-starts from resumable tables.
+							if r.Replans <= 0 || r.WarmReplans != 0 {
+								t.Errorf("%s row %+v: want replans > 0 and warm_replans == 0", cell.Workload, r)
 							}
 							// The durable columns are measured on the
 							// "online" rows only.

@@ -499,13 +499,6 @@ func staticTreeCost(L, n, size int64) int64 {
 	return cost
 }
 
-// All runs every experiment with its default configuration, using all CPUs
-// for the sweeps that support worker pools.
-func All() ([]Result, error) {
-	//modlint:ignore ctxflow All is the ctx-free compatibility wrapper; callers wanting cancellation use AllWithWorkers
-	return AllWithWorkers(context.Background(), 0)
-}
-
 // AllWithWorkers runs every experiment, spreading the replication grids of
 // the Figs. 11-12 sweeps, the dyadic-vs-optimal extension, and the workload
 // simulation across `workers` goroutines (0 means GOMAXPROCS, 1 means
@@ -560,18 +553,14 @@ func AllWithWorkers(ctx context.Context, workers int) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ext6, err := WarmReplan(ctx, DefaultLiveVsBatch())
+	ext6, err := Backpressure(ctx, DefaultBackpressure())
 	if err != nil {
 		return nil, err
 	}
-	ext7, err := Backpressure(ctx, DefaultBackpressure())
+	ext7, err := CrashRecovery(ctx, DefaultCrashRecovery())
 	if err != nil {
 		return nil, err
 	}
-	ext8, err := CrashRecovery(ctx, DefaultCrashRecovery())
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ext1, ext2, ext3, ext4, ext5, ext6, ext7, ext8)
+	out = append(out, ext1, ext2, ext3, ext4, ext5, ext6, ext7)
 	return out, nil
 }

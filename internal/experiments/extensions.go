@@ -16,7 +16,7 @@ import (
 // exercise the extensions discussed in its Section 5 (multiple media
 // objects, hybrid servers) plus an extra cross-check of the dyadic baseline
 // against the exact general-arrivals off-line optimum.  They are included in
-// All() and cmd/modexp under the ids "ext-*".
+// AllWithWorkers and cmd/modexp under the ids "ext-*".
 
 // HybridConfig parameterizes the hybrid-server extension experiment.
 type HybridConfig struct {

@@ -54,7 +54,12 @@ func DefaultLiveVsBatch() LiveVsBatchConfig {
 // replanning every EpochSlots slots (the price or gain of epoch
 // isolation: merging cannot cross a boundary, but neither can a sparse
 // epoch be burdened by a dense one).  Costs are summed over the catalog in
-// complete media streams.
+// complete media streams.  The replan columns are the epoch run's
+// accounting: how many epoch closes replanned, how many warm-started from
+// the off-line strategies' resumable forest tables, and how many stored
+// DP cells those closes reused versus filled themselves.  Every column
+// is a deterministic count or cost — no wall-clock timing — so the
+// result is bit-identical across machines and worker counts.
 func LiveVsBatch(ctx context.Context, cfg LiveVsBatchConfig) (Result, error) {
 	cat := mod.ZipfCatalog(cfg.Objects, cfg.MediaLength, cfg.Delay, cfg.ZipfExponent)
 	strategies := cfg.Strategies
@@ -76,7 +81,8 @@ func LiveVsBatch(ctx context.Context, cfg LiveVsBatchConfig) (Result, error) {
 	}
 
 	wholeSlots := int(cfg.Horizon/cfg.Delay) + 1
-	tab := textplot.NewTable("strategy", "batch_cost", "live_cost", "live_epoch_cost", "epoch_delta_pct", "live_streams")
+	tab := textplot.NewTable("strategy", "batch_cost", "live_cost", "live_epoch_cost", "epoch_delta_pct", "live_streams",
+		"replans", "warm_replans", "cells_reused", "cells_recomputed")
 	for _, strategy := range strategies {
 		if err := ctx.Err(); err != nil {
 			return Result{}, fmt.Errorf("experiments: live-vs-batch canceled: %w", err)
@@ -94,11 +100,11 @@ func LiveVsBatch(ctx context.Context, cfg LiveVsBatchConfig) (Result, error) {
 			}
 			batch += plan.Cost
 		}
-		liveCost, liveStreams, err := liveRun(ctx, cat, reqs, cfg.Horizon, strategy, wholeSlots)
+		liveCost, liveStreams, _, err := liveRun(ctx, cat, reqs, cfg.Horizon, strategy, wholeSlots)
 		if err != nil {
 			return Result{}, err
 		}
-		epochCost, _, err := liveRun(ctx, cat, reqs, cfg.Horizon, strategy, cfg.EpochSlots)
+		epochCost, _, rs, err := liveRun(ctx, cat, reqs, cfg.Horizon, strategy, cfg.EpochSlots)
 		if err != nil {
 			return Result{}, err
 		}
@@ -110,69 +116,14 @@ func LiveVsBatch(ctx context.Context, cfg LiveVsBatchConfig) (Result, error) {
 		if batch > 0 {
 			delta = 100 * (epochCost - batch) / batch
 		}
-		tab.AddRow(strategy, batch, liveCost, epochCost, delta, liveStreams)
+		tab.AddRow(strategy, batch, liveCost, epochCost, delta, liveStreams,
+			rs.Replans, rs.WarmReplans, rs.CellsReused, rs.CellsRecomputed)
 	}
 	return Result{
 		ID:    "ext-live-vs-batch",
 		Title: "Extension: live serving vs batch planning, per strategy",
 		Table: tab,
-		Notes: fmt.Sprintf("%d objects, Zipf(%g), horizon %g, seed %d: live_cost drains one whole-horizon epoch and must equal batch_cost bit for bit; live_epoch_cost replans every %d slots (epoch isolation: merging never crosses a boundary)",
-			cfg.Objects, cfg.ZipfExponent, cfg.Horizon, cfg.Seed, cfg.EpochSlots),
-	}, nil
-}
-
-// WarmReplan compares warm-start against cold epoch replanning, per
-// strategy, on the same deterministic trace: the two runs must agree bit
-// for bit on cost and stream count (the warm-start contract — warm either
-// reproduces the cold replan exactly or declines and the cold path runs),
-// and the table reports the reuse accounting behind the warm run: how
-// many epoch closes replanned, how many warm-started, and how much of the
-// off-line planners' banded DP was carried over versus recomputed.  Every
-// column is a deterministic count — no wall-clock timing — so the result
-// is bit-identical across machines and worker counts.
-func WarmReplan(ctx context.Context, cfg LiveVsBatchConfig) (Result, error) {
-	cat := mod.ZipfCatalog(cfg.Objects, cfg.MediaLength, cfg.Delay, cfg.ZipfExponent)
-	strategies := cfg.Strategies
-	if len(strategies) == 0 {
-		strategies = mod.LivePlanners()
-	}
-	reqs, err := mod.GenerateRequests(cat, mod.LoadConfig{
-		Horizon:          cfg.Horizon,
-		MeanInterArrival: cfg.MeanInterArrival,
-		Kind:             mod.PoissonArrivals,
-		Seed:             cfg.Seed,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	tab := textplot.NewTable("strategy", "cost", "replans", "warm_replans", "cells_reused", "cells_recomputed")
-	for _, strategy := range strategies {
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("experiments: warm-replan canceled: %w", err)
-		}
-		warmCost, warmStreams, warmStats, err := liveReplanRun(ctx, cat, reqs, cfg.Horizon, strategy, cfg.EpochSlots, true)
-		if err != nil {
-			return Result{}, err
-		}
-		coldCost, coldStreams, coldStats, err := liveReplanRun(ctx, cat, reqs, cfg.Horizon, strategy, cfg.EpochSlots, false)
-		if err != nil {
-			return Result{}, err
-		}
-		if warmCost != coldCost || warmStreams != coldStreams {
-			return Result{}, fmt.Errorf("experiments: %s warm replanning cost %g/%d streams != cold %g/%d (bit-identity broken)",
-				strategy, warmCost, warmStreams, coldCost, coldStreams)
-		}
-		if coldStats.WarmReplans != 0 {
-			return Result{}, fmt.Errorf("experiments: %s cold run reports %d warm replans", strategy, coldStats.WarmReplans)
-		}
-		tab.AddRow(strategy, warmCost, warmStats.Replans, warmStats.WarmReplans,
-			warmStats.CellsReused, warmStats.CellsRecomputed)
-	}
-	return Result{
-		ID:    "ext-warm-replan",
-		Title: "Extension: warm-start vs cold epoch replanning, per strategy",
-		Table: tab,
-		Notes: fmt.Sprintf("%d objects, Zipf(%g), horizon %g, seed %d, epoch %d slots: warm and cold replanning are bit-identical by construction (verified per row); warm_replans counts epoch closes that reused retained state, and the cell columns split the off-line planners' banded DP into reused vs recomputed work (the online strategy never replans; unicast and hybrid replan cold by design)",
+		Notes: fmt.Sprintf("%d objects, Zipf(%g), horizon %g, seed %d: live_cost drains one whole-horizon epoch and must equal batch_cost bit for bit; live_epoch_cost replans every %d slots (epoch isolation: merging never crosses a boundary), and the replan columns account for that run: warm_replans counts closes answered from the off-line strategies' resumable forest tables, split into stored DP cells reused vs recomputed (the online strategy never replans; every other strategy re-runs its batch planner)",
 			cfg.Objects, cfg.ZipfExponent, cfg.Horizon, cfg.Seed, cfg.EpochSlots),
 	}, nil
 }
@@ -294,18 +245,10 @@ func Backpressure(ctx context.Context, cfg BackpressureConfig) (Result, error) {
 }
 
 // liveRun replays the trace through a live server with the given default
-// strategy and epoch length and returns the drained catalog-total cost
-// and stream count.
-func liveRun(ctx context.Context, cat mod.Catalog, reqs []mod.Request, horizon float64, strategy string, epochSlots int) (float64, int64, error) {
-	cost, streams, _, err := liveReplanRun(ctx, cat, reqs, horizon, strategy, epochSlots, true)
-	return cost, streams, err
-}
-
-// liveReplanRun replays the trace through a live server with warm-start
-// replanning on or off and returns the drained catalog-total cost, stream
-// count, and summed replan accounting.
-func liveReplanRun(ctx context.Context, cat mod.Catalog, reqs []mod.Request, horizon float64, strategy string, epochSlots int, warm bool) (float64, int64, mod.ReplanStats, error) {
-	srv, err := mod.NewLiveServer(cat, mod.WithStrategy(strategy), mod.WithEpoch(epochSlots), mod.WithWarmReplanning(warm))
+// strategy and epoch length and returns the drained catalog-total cost,
+// stream count, and summed replan accounting.
+func liveRun(ctx context.Context, cat mod.Catalog, reqs []mod.Request, horizon float64, strategy string, epochSlots int) (float64, int64, mod.ReplanStats, error) {
+	srv, err := mod.NewLiveServer(cat, mod.WithStrategy(strategy), mod.WithEpoch(epochSlots))
 	if err != nil {
 		return 0, 0, mod.ReplanStats{}, err
 	}

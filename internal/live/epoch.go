@@ -38,8 +38,8 @@ type PlanParams struct {
 	// Cache supplies the on-line template state the hybrid's
 	// delay-guaranteed segments replay.
 	Cache *Cache
-	// Ctx bounds the off-line DP of a replan; it is never nil after
-	// paramsFor (Config.withDefaults roots the default).
+	// Ctx bounds the off-line DP of a replan; it is never nil
+	// (Config.withDefaults and BatchReference root the default).
 	Ctx context.Context
 }
 
@@ -92,20 +92,20 @@ type epochStrategy struct {
 	// (unicast's no-sharing accounting).
 	perArrival bool
 	replan     Replanner
-	// newWarm builds the strategy's warm-start replanning state (nil:
-	// the strategy always replans cold — unicast and hybrid, see warm.go).
-	newWarm func(p PlanParams) warmState
+	// resumable: the close resumes forest tables absorbed mid-epoch
+	// (the off-line pair, warm.go) instead of running replan from scratch.
+	resumable bool
 }
 
 // epochStrategies lists the live-capable batch planner families.  Names
 // are the public planner registry names; each replanner calls exactly the
 // code path the policy layer uses for the same name.
 var epochStrategies = []epochStrategy{
-	{name: "offline", replan: replanOffline, newWarm: newTablesWarm(false)},
-	{name: "offline-batched", batched: true, replan: replanOfflineBatched, newWarm: newTablesWarm(true)},
-	{name: "dyadic", replan: replanDyadic, newWarm: newStartsWarm(false, true)},
-	{name: "dyadic-batched", batched: true, replan: replanDyadicBatched, newWarm: newStartsWarm(true, true)},
-	{name: "batching", batched: true, replan: replanBatching, newWarm: newStartsWarm(true, false)},
+	{name: "offline", replan: replanOffline, resumable: true},
+	{name: "offline-batched", batched: true, replan: replanOfflineBatched, resumable: true},
+	{name: "dyadic", replan: replanDyadic},
+	{name: "dyadic-batched", batched: true, replan: replanDyadicBatched},
+	{name: "batching", batched: true, replan: replanBatching},
 	{name: "unicast", perArrival: true, replan: replanUnicast},
 	{name: "hybrid", batched: true, replan: replanHybrid},
 }
@@ -157,12 +157,12 @@ type epochSched struct {
 	// the slots consumed before each re-basing (pressure closes, drains).
 	epochSlots int64
 	slotBase   int64
-	// warm is the strategy's warm-start replanning state, absorbing
+	// warm holds the off-line pair's resumable forest tables, absorbing
 	// arrivals as they are admitted so the epoch close pays only for the
-	// un-absorbed tail (nil: cold replanning, by configuration or because
-	// the strategy has no warm form).  now meters replan latency when the
-	// serving layer injects a clock (nil on deterministic paths).
-	warm warmState
+	// un-absorbed tail (nil for every other strategy).  now meters replan
+	// latency when the serving layer injects a clock (nil on
+	// deterministic paths).
+	warm *tablesWarm
 	now  func() int64
 	// provisional holds the estimated ends of the admission gauge's
 	// placeholder channels for the current epoch's clients: until the
@@ -189,8 +189,8 @@ func newEpochSched(st epochStrategy, cfg Config) *epochSched {
 		s.epochLen = float64(cfg.EpochSlots) * cfg.Object.Delay
 		s.epochSlots = int64(cfg.EpochSlots)
 	}
-	if !cfg.ColdReplan && st.newWarm != nil {
-		s.warm = st.newWarm(s.p)
+	if st.resumable {
+		s.warm = &tablesWarm{p: s.p, batched: st.batched}
 	}
 	s.now = cfg.NowNanos
 	return s
@@ -327,20 +327,16 @@ func (s *epochSched) closeEpoch(relHorizon float64) {
 	s.times = s.times[:0]
 }
 
-// runReplan answers one epoch close: from the warm state when it can
-// reproduce the cold planner bit for bit, from the cold batch planner
-// otherwise.  Warm state never outlives its epoch — consecutive epochs
-// have disjoint epoch-relative traces — so it is reset at every close,
-// which also drops the retained table handle at drains.
+// runReplan answers one epoch close: from the retained tables when they
+// reproduce the batch planner bit for bit, from the batch planner
+// otherwise.  The tables never outlive their epoch — consecutive epochs
+// have disjoint epoch-relative traces — so they are reset at every
+// close, which also drops the retained handle at drains.
 func (s *epochSched) runReplan(relHorizon float64) (PlanOutcome, error) {
 	s.totals.Replan.Replans++
 	if s.warm != nil {
 		defer s.warm.reset()
-		out, rep, handled, err := s.warm.replan(s.times, relHorizon)
-		if handled {
-			s.totals.Replan.WarmReplans++
-			s.totals.Replan.CellsReused += rep.cellsReused
-			s.totals.Replan.CellsRecomputed += rep.cellsRecomputed
+		if out, handled, err := s.warm.replan(s.times, relHorizon, &s.totals.Replan); handled {
 			return out, err
 		}
 	}
@@ -471,12 +467,7 @@ func offlineOutcome(times []float64, p PlanParams) (PlanOutcome, error) {
 			break
 		}
 	}
-	ctx := p.Ctx
-	if ctx == nil {
-		//modlint:ignore ctxflow BatchReference builds PlanParams directly without withDefaults; root the never-cancelled default here
-		ctx = context.Background()
-	}
-	res, err := offline.OptimalForest(ctx, deduped, p.MediaLength, offline.ReceiveTwo)
+	res, err := offline.OptimalForest(p.Ctx, deduped, p.MediaLength, offline.ReceiveTwo)
 	if err != nil {
 		return PlanOutcome{}, err
 	}
@@ -514,18 +505,11 @@ func forestOutcome(f *mergetree.RForest) PlanOutcome {
 }
 
 // replanBatching is merging-free batching: one full stream per occupied
-// slot, started at the slot's end.
+// slot, started at the slot's end.  Its cost, the occupied-slot count, is
+// batching.BatchedCost's, read off the batched starts instead of batching
+// the trace a second time.
 func replanBatching(times []float64, horizon float64, p PlanParams) (PlanOutcome, error) {
-	starts := clip(times, horizon).BatchTimes(p.Delay)
-	out := PlanOutcome{
-		Cost: batching.BatchedCost(clip(times, horizon), p.Delay),
-		Busy: float64(len(starts)) * p.MediaLength,
-	}
-	out.Streams = make([]Stream, len(starts))
-	for i, t := range starts {
-		out.Streams[i] = Stream{Start: t, Length: p.MediaLength}
-	}
-	return out, nil
+	return replanFallback(clip(times, horizon).BatchTimes(p.Delay), p), nil
 }
 
 // replanUnicast is the no-sharing strawman: a private full stream per
@@ -599,6 +583,8 @@ func BatchReference(strategy string, times []float64, horizon float64, obj multi
 		SlotsPerMedia: obj.Slots(),
 		ConstantRate:  constantRate,
 		Cache:         NewCache(),
+		//modlint:ignore ctxflow BatchReference is a ctx-free test oracle; its off-line DP is never cancelled
+		Ctx: context.Background(),
 	}
 	if strategy == "online" {
 		n := int64(math.Round(horizon / obj.Delay))

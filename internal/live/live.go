@@ -128,16 +128,16 @@ type Totals struct {
 	Replan ReplanStats
 }
 
-// ReplanStats summarizes epoch replanning for one scheduler.  Warm-start
-// replanning absorbs an epoch's arrivals into resumable DP state as they
-// are admitted, so the close pays only for the un-absorbed tail; these
-// counters expose how much of each close was served from that state.
+// ReplanStats summarizes epoch replanning for one scheduler.  The
+// off-line strategies absorb an epoch's arrivals into resumable DP tables
+// as they are admitted, so the close pays only for the un-absorbed tail;
+// these counters expose how much of each close was served from them.
 type ReplanStats struct {
-	// Replans counts epoch closes that ran a batch replan.
+	// Replans counts epoch closes that ran a replan.
 	Replans int64 `json:"replans"`
-	// WarmReplans counts replans answered from warm per-epoch state
-	// (resumable banded tables or batched-start prefixes) instead of a
-	// cold batch-planner run.
+	// WarmReplans counts replans answered from the resumable forest
+	// tables of offline and offline-batched instead of a batch-planner
+	// run; every other strategy reports 0.
 	WarmReplans int64 `json:"warm_replans"`
 	// CellsReused and CellsRecomputed count stored off-line DP cells at
 	// warm closes: cells carried over from mid-epoch absorption versus
@@ -236,12 +236,6 @@ type Config struct {
 	// in-flight epoch DP within one work unit.  nil means Background
 	// (never cancelled) — the batch facade's behaviour.
 	Ctx context.Context
-	// ColdReplan disables warm-start epoch replanning: epoch strategies
-	// then re-run their batch planner from scratch at every close instead
-	// of absorbing arrivals into resumable state mid-epoch.  Plans and
-	// accounting are bit-identical either way (pinned by tests); the flag
-	// exists for benchmarking and bisection.
-	ColdReplan bool
 	// NowNanos, when non-nil, supplies a monotonic clock reading used only
 	// to meter replan latency into Totals.Replan.  The serving layer
 	// injects it; deterministic simulation paths leave it nil — this
@@ -260,7 +254,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.Sink = nopSink{}
 	}
 	if c.Ctx == nil {
-		//modlint:ignore ctxflow nil Ctx means "never cancelled"; this is the one place the default is rooted
+		//modlint:ignore ctxflow nil Ctx means "never cancelled"; every scheduler's default is rooted here
 		c.Ctx = context.Background()
 	}
 	return c, nil

@@ -1,10 +1,11 @@
 package live
 
-// Warm-start replanning tests: a scheduler with warm state enabled must
-// be observationally identical — every sink event, every total — to the
-// same scheduler replanning cold, across strategies, epoch shapes, ties,
-// pressure closes, and drains.  The only permitted difference is the
-// ReplanStats reuse accounting itself.
+// Warm-start replanning tests: an off-line scheduler resuming its forest
+// tables must be observationally identical — every sink event, every
+// total — to the same scheduler with its tables nil, which runs the batch
+// planner at every close, across epoch shapes, ties, pressure closes,
+// and drains.  The only permitted difference is the ReplanStats reuse
+// accounting itself.
 
 import (
 	"math/rand"
@@ -35,7 +36,7 @@ func (r *recordSink) StreamTrimmed(end, staleEnd float64) {
 }
 
 // warmTrace builds a nondecreasing arrival trace with deliberate ties and
-// same-slot clusters — the cases the warm dedupe must mirror exactly.
+// same-slot clusters — the cases the tables' dedupe must mirror exactly.
 func warmTrace(rng *rand.Rand, n int, horizon float64) []float64 {
 	out := make([]float64, 0, n)
 	at := 0.0
@@ -52,12 +53,17 @@ func warmTrace(rng *rand.Rand, n int, horizon float64) []float64 {
 	return out
 }
 
+// runWarmCase drains the trace through the named strategy's scheduler;
+// cold nils its retained tables, so every close runs the batch planner.
 func runWarmCase(t *testing.T, name string, cold bool, times []float64, epochSlots int, horizon float64) (*recordSink, float64, Totals) {
 	t.Helper()
 	sink := &recordSink{}
-	s, err := New(name, Config{Object: testObject(0.125), EpochSlots: epochSlots, Sink: sink, ColdReplan: cold})
+	s, err := New(name, Config{Object: testObject(0.125), EpochSlots: epochSlots, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cold {
+		s.(*epochSched).warm = nil
 	}
 	for i, at := range times {
 		if i%7 == 3 {
@@ -69,15 +75,12 @@ func runWarmCase(t *testing.T, name string, cold bool, times []float64, epochSlo
 	return sink, end, s.Totals()
 }
 
-// TestWarmReplanBitIdentical is the warm-start contract for every live
-// strategy: with warm replanning on (the default), every sink event and
-// every total matches the cold run exactly; only the ReplanStats reuse
-// counters may differ.
+// TestWarmReplanBitIdentical is the warm-start contract for every epoch
+// strategy: every sink event and every total matches the same scheduler
+// with its tables nil exactly; only the ReplanStats reuse counters may
+// differ, and only the off-line pair resumes tables at all.
 func TestWarmReplanBitIdentical(t *testing.T) {
-	warmCapable := map[string]bool{
-		"offline": true, "offline-batched": true,
-		"dyadic": true, "dyadic-batched": true, "batching": true,
-	}
+	warmCapable := map[string]bool{"offline": true, "offline-batched": true}
 	for _, st := range epochStrategies {
 		st := st
 		t.Run(st.name, func(t *testing.T) {
@@ -120,7 +123,7 @@ func TestWarmReplanBitIdentical(t *testing.T) {
 }
 
 // TestWarmReplanPressureClose drives the pressure-close path (ties that
-// never advance the clock) with warm state on and off.
+// never advance the clock) with the retained tables on and nil.
 func TestWarmReplanPressureClose(t *testing.T) {
 	old := maxEpochArrivals
 	maxEpochArrivals = 16

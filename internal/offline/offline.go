@@ -181,20 +181,6 @@ func MergeCostTableFast(times []float64, model Model) (mc [][]float64, split [][
 	return mc, split, nil
 }
 
-// MergeCost returns the optimal merge cost of a single tree over all the
-// given arrivals in the chosen model.
-func MergeCost(times []float64, model Model) (float64, error) {
-	if len(times) == 0 {
-		return 0, nil
-	}
-	//modlint:ignore ctxflow MergeCost is the ctx-free compatibility wrapper; callers wanting cancellation use ComputeTables directly
-	t, err := ComputeTables(context.Background(), times, model, 0, 1)
-	if err != nil {
-		return 0, err
-	}
-	return t.MC(0, len(times)-1), nil
-}
-
 // BuildTree reconstructs an optimal merge tree over the arrivals i..j from a
 // split table produced by MergeCostTable or MergeCostTableFast.
 func BuildTree(times []float64, split [][]int, i, j int) *mergetree.RTree {
@@ -206,21 +192,6 @@ func BuildTree(times []float64, split [][]int, i, j int) *mergetree.RTree {
 	right := BuildTree(times, split, h, j)
 	left.AddChild(right)
 	return left
-}
-
-// OptimalTree returns an optimal merge tree over all the arrivals in the
-// chosen model, together with its merge cost.
-func OptimalTree(times []float64, model Model) (*mergetree.RTree, float64, error) {
-	if len(times) == 0 {
-		return nil, 0, fmt.Errorf("%w: offline: no arrivals", moderr.ErrBadInstance)
-	}
-	//modlint:ignore ctxflow OptimalTree is the ctx-free compatibility wrapper over ComputeTables
-	t, err := ComputeTables(context.Background(), times, model, 0, 1)
-	if err != nil {
-		return nil, 0, err
-	}
-	n := len(times)
-	return t.BuildTree(times, 0, n-1), t.MC(0, n-1), nil
 }
 
 // Forest is the result of the full off-line optimization: which arrivals

@@ -73,9 +73,21 @@ func TestValidateTimes(t *testing.T) {
 	if _, _, err := MergeCostTableFast([]float64{2, 1}, ReceiveTwo); err == nil {
 		t.Errorf("MergeCostTableFast should propagate validation errors")
 	}
-	if _, err := MergeCost([]float64{2, 1}, ReceiveTwo); err == nil {
-		t.Errorf("MergeCost should propagate validation errors")
+	if _, err := ComputeTables(context.Background(), []float64{2, 1}, ReceiveTwo, 0, 1); err == nil {
+		t.Errorf("ComputeTables should propagate validation errors")
 	}
+}
+
+// optimalTree is the optimal single merge tree over all the arrivals and
+// its merge cost: the root interval of the unbanded tables.
+func optimalTree(t *testing.T, times []float64, model Model) (*mergetree.RTree, float64) {
+	t.Helper()
+	tab, err := ComputeTables(context.Background(), times, model, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(times)
+	return tab.BuildTree(times, 0, n-1), tab.MC(0, n-1)
 }
 
 func TestSlottedMatchesClosedForm(t *testing.T) {
@@ -83,17 +95,11 @@ func TestSlottedMatchesClosedForm(t *testing.T) {
 	// closed forms M(n) and Mw(n).
 	for n := 1; n <= 60; n++ {
 		times := slotTimes(n)
-		mc, err := MergeCost(times, ReceiveTwo)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, mc := optimalTree(t, times, ReceiveTwo)
 		if int64(math.Round(mc)) != core.MergeCost(int64(n)) {
 			t.Errorf("general DP merge cost for n=%d is %v, want %d", n, mc, core.MergeCost(int64(n)))
 		}
-		ma, err := MergeCost(times, ReceiveAll)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, ma := optimalTree(t, times, ReceiveAll)
 		if int64(math.Round(ma)) != core.MergeCostAll(int64(n)) {
 			t.Errorf("general DP receive-all cost for n=%d is %v, want %d", n, ma, core.MergeCostAll(int64(n)))
 		}
@@ -131,10 +137,7 @@ func TestOptimalTreeMatchesCostAndIsValid(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(30)
 		times := randomTimes(rng, n, 5)
-		tr, cost, err := OptimalTree(times, ReceiveTwo)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr, cost := optimalTree(t, times, ReceiveTwo)
 		if tr.Size() != n {
 			t.Fatalf("tree has %d nodes, want %d", tr.Size(), n)
 		}
@@ -148,10 +151,7 @@ func TestOptimalTreeMatchesCostAndIsValid(t *testing.T) {
 			t.Fatalf("tree cost %v != DP cost %v", tr.MergeCost(), cost)
 		}
 		// Receive-all tree as well.
-		trA, costA, err := OptimalTree(times, ReceiveAll)
-		if err != nil {
-			t.Fatal(err)
-		}
+		trA, costA := optimalTree(t, times, ReceiveAll)
 		if math.Abs(trA.MergeCostAll()-costA) > 1e-9 {
 			t.Fatalf("receive-all tree cost %v != DP cost %v", trA.MergeCostAll(), costA)
 		}
@@ -162,19 +162,23 @@ func TestOptimalTreeMatchesCostAndIsValid(t *testing.T) {
 }
 
 func TestOptimalTreeErrors(t *testing.T) {
-	if _, _, err := OptimalTree(nil, ReceiveTwo); err == nil {
-		t.Errorf("empty input should fail")
-	}
-	if _, _, err := OptimalTree([]float64{3, 1}, ReceiveTwo); err == nil {
+	if _, err := ComputeTables(context.Background(), []float64{3, 1}, ReceiveTwo, 0, 1); err == nil {
 		t.Errorf("unsorted input should fail")
+	}
+	if _, err := ComputeTables(context.Background(), []float64{1, math.NaN()}, ReceiveTwo, 0, 1); err == nil {
+		t.Errorf("NaN input should fail")
 	}
 }
 
 func TestMergeCostEmptyAndSingle(t *testing.T) {
-	if c, err := MergeCost(nil, ReceiveTwo); err != nil || c != 0 {
-		t.Errorf("empty merge cost should be 0")
+	tab, err := ComputeTables(context.Background(), nil, ReceiveTwo, 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c, err := MergeCost([]float64{3.5}, ReceiveTwo); err != nil || c != 0 {
+	if tab.N() != 0 || tab.Cells() != 0 {
+		t.Errorf("empty tables hold %d arrivals, %d cells; want none", tab.N(), tab.Cells())
+	}
+	if _, c := optimalTree(t, []float64{3.5}, ReceiveTwo); c != 0 {
 		t.Errorf("single arrival merge cost should be 0")
 	}
 }
@@ -186,10 +190,7 @@ func TestOptimalTreeBeatsDyadicAndEveryEnumeratedTree(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(8)
 		times := randomTimes(rng, n, 0.9)
-		_, opt, err := OptimalTree(times, ReceiveTwo)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, opt := optimalTree(t, times, ReceiveTwo)
 		// Enumerate all shapes (reusing the slotted enumerator's shapes and
 		// relabeling with the real times).
 		for _, shape := range mergetree.Enumerate(0, n) {

@@ -385,6 +385,71 @@ func (f *flakyStore) AppendWALBatch(shard int, recs [][]byte) error {
 // every restore failing New with a WAL sequence gap until the next
 // cadence snapshot happens to truncate it.
 func TestWALFailureRepairSnapshot(t *testing.T) {
+	mem := store.NewMem()
+	checkWALRepair(t, &flakyStore{Mem: mem, failAt: 5}, mem)
+}
+
+// lossyFlushStore wraps a Mem store and fails exactly one Flush, losing
+// the records that flush was to commit — what the file store does when a
+// write error breaks its buffered writer.  Appends wait in the wrapper
+// until a Flush hands them to the Mem.
+type lossyFlushStore struct {
+	*store.Mem
+	failAt int64 // 1-based index of the Flush to fail
+
+	mu      sync.Mutex
+	flushes int64
+	pending map[int][][]byte
+}
+
+func (f *lossyFlushStore) AppendWALBatch(shard int, recs [][]byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, rec := range recs {
+		f.pending[shard] = append(f.pending[shard], append([]byte(nil), rec...))
+	}
+	return nil
+}
+
+func (f *lossyFlushStore) Flush(shard int, mode store.SyncMode) error {
+	f.mu.Lock()
+	recs := f.pending[shard]
+	delete(f.pending, shard)
+	f.flushes++
+	fail := f.flushes == f.failAt
+	f.mu.Unlock()
+	if fail {
+		return errors.New("injected flush failure")
+	}
+	if err := f.Mem.AppendWALBatch(shard, recs); err != nil {
+		return err
+	}
+	return f.Mem.Flush(shard, mode)
+}
+
+func (f *lossyFlushStore) SaveSnapshot(shard int, data []byte) error {
+	f.mu.Lock()
+	delete(f.pending, shard) // superseded by the snapshot
+	f.mu.Unlock()
+	return f.Mem.SaveSnapshot(shard, data)
+}
+
+// TestWALFlushFailureRepairSnapshot: a failed Flush that loses the
+// records it was to commit leaves the same sequence gap as a failed
+// append, so it must force the same repair snapshot.
+func TestWALFlushFailureRepairSnapshot(t *testing.T) {
+	mem := store.NewMem()
+	checkWALRepair(t, &lossyFlushStore{Mem: mem, failAt: 5, pending: map[int][][]byte{}}, mem)
+}
+
+// checkWALRepair runs the crash trace through a one-shard "online"
+// server on st, a fault-injecting wrapper around mem, and restores a
+// fresh server from mem's disk image.  The doomed server's snapshot
+// cadence is out of reach, so the only snapshot that can exist is the
+// repair the fault forces.  Its tickets must match a store-less run's,
+// and the restored server must drain to the same objects.
+func checkWALRepair(t *testing.T, st store.Store, mem *store.Mem) {
+	t.Helper()
 	const horizon = 8.0
 	reqs := crashTrace(t)
 
@@ -399,9 +464,9 @@ func TestWALFailureRepairSnapshot(t *testing.T) {
 	}
 	ref.Close()
 
-	mem := store.NewMem()
-	flaky := &flakyStore{Mem: mem, failAt: 5}
-	doomed, err := serve.New(crashConfig("online", 1, flaky, false))
+	cfg := crashConfig("online", 1, st, false)
+	cfg.SnapshotEpochs = 1 << 20
+	doomed, err := serve.New(cfg)
 	if err != nil {
 		t.Fatalf("New(doomed): %v", err)
 	}
@@ -413,8 +478,6 @@ func TestWALFailureRepairSnapshot(t *testing.T) {
 			t.Fatalf("ticket %d diverged under WAL failure:\n got %+v\nwant %+v", i, tickets[i], refTickets[i])
 		}
 	}
-	// crashConfig sets no SnapshotEpochs cadence, so the only snapshot
-	// that can exist is the forced repair.
 	if got := mem.Snapshots(); got != 1 {
 		t.Fatalf("store holds %d snapshots, want exactly the repair snapshot", got)
 	}

@@ -236,7 +236,11 @@ func (s *Server) commit(sh *shard, w *walCommit) {
 	s.appendRun(sh, w)
 	if acks && w.dirty {
 		if err := s.cfg.Store.Flush(sh.id, s.cfg.SyncMode); err != nil {
+			// A failed flush may lose the records it was to commit (the
+			// file store drops its broken buffer), leaving a sequence
+			// gap: repair it like a failed append.
 			s.walFailures.Add(1)
+			s.walRepair[sh.id].Store(true)
 		}
 		s.walFlushes.Add(1)
 		w.dirty = false
@@ -348,7 +352,7 @@ func (sh *shard) submitDurable(st *objectState, req Request, queueNS int64, repl
 // maybeSnapshot hands the writer a snapshot capture once the shard clock
 // passes the next cadence boundary (Config.SnapshotEpochs epochs of
 // EpochSlots slots of the shard's smallest delay), or immediately when
-// the writer flagged a WAL append failure — the repair snapshot
+// the writer flagged a failed WAL append or flush — the repair snapshot
 // truncates the gapped log so a later restore does not fail on the
 // missing sequence.  The loop only copies state; the writer encodes.
 func (sh *shard) maybeSnapshot() {

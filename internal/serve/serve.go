@@ -109,12 +109,6 @@ type Config struct {
 	// the Poisson golden-ratio tuning, matching the facade's WithPoisson
 	// default.
 	ConstantRateTuning bool
-	// ColdReplanning disables warm-start epoch replanning for every
-	// object: epoch strategies then re-run their batch planner from
-	// scratch at each close instead of absorbing arrivals into resumable
-	// DP state mid-epoch.  Schedules and accounting are bit-identical
-	// either way; the flag exists for benchmarking and bisection.
-	ColdReplanning bool
 	// MeterReplanNanos injects a monotonic wall clock into each object's
 	// scheduler so ObjectStats.Replan reports replan latency.  Off by
 	// default, keeping deterministic virtual-time replays clock-free.
@@ -333,9 +327,9 @@ type ObjectStats struct {
 	// streams (never under normal operation).
 	ReplanFailures int64 `json:"replan_failures,omitempty"`
 	// Replan summarizes the object's epoch replans: how many closes were
-	// answered from warm per-epoch state, the DP cells reused versus
-	// recomputed, and replan wall time (metered only when
-	// Config.MeterReplanNanos is set).
+	// answered from the off-line strategies' resumable forest tables, the
+	// DP cells reused versus recomputed, and replan wall time (metered
+	// only when Config.MeterReplanNanos is set).
 	Replan ReplanStats `json:"replan"`
 }
 
@@ -431,9 +425,10 @@ type Server struct {
 	// writer goroutine touches its slot.
 	walEnc []*store.Encoder
 	// walRepair holds one flag per shard (nil without a store): set by
-	// the shard's WAL writer when an append fails, leaving a sequence
-	// gap in the log, and consumed by the shard loop, which forces an
-	// immediate repair snapshot to re-establish a consistent base.
+	// the shard's WAL writer when an append or flush fails, leaving a
+	// sequence gap in the log, and consumed by the shard loop, which
+	// forces an immediate repair snapshot to re-establish a consistent
+	// base.
 	walRepair []atomic.Bool
 
 	// walWG tracks the per-shard WAL writer goroutines; Close waits for

@@ -313,7 +313,6 @@ func (sh *shard) liveConfig(obj multiobject.Object, delay float64) live.Config {
 		Cache:        sh.cache,
 		Sink:         sh,
 		Ctx:          sh.srv.ctx,
-		ColdReplan:   sh.srv.cfg.ColdReplanning,
 		NowNanos:     nowNanos,
 	}
 }

@@ -58,29 +58,22 @@ func TestLiveStrategiesMatchBatchPlan(t *testing.T) {
 			strategy := strategy
 			t.Run(kind.String()+"/"+strategy, func(t *testing.T) {
 				for _, shards := range []int{1, 2, 5} {
-					rep := runStrategy(t, cat, strategy, reqs, horizon, shards, false)
+					rep := runStrategy(t, cat, strategy, reqs, horizon, shards)
 					checkAgainstBatch(t, strategy, shards, cat, traces, horizon, rep)
-					if shards == 2 {
-						// Warm-start replanning on (the default, above)
-						// versus off must be bit-identical per object.
-						cold := runStrategy(t, cat, strategy, reqs, horizon, shards, true)
-						checkWarmColdIdentical(t, strategy, rep, cold)
-					}
 				}
 			})
 		}
 	}
 }
 
-func runStrategy(t *testing.T, cat multiobject.Catalog, strategy string, reqs []serve.Request, horizon float64, shards int, coldReplan bool) *serve.Report {
+func runStrategy(t *testing.T, cat multiobject.Catalog, strategy string, reqs []serve.Request, horizon float64, shards int) *serve.Report {
 	t.Helper()
 	s, err := serve.New(serve.Config{
 		Catalog:         cat,
 		Shards:          shards,
 		DefaultStrategy: strategy,
 		// One whole-horizon epoch: the batch-equivalent configuration.
-		EpochSlots:     1 << 20,
-		ColdReplanning: coldReplan,
+		EpochSlots: 1 << 20,
 	})
 	if err != nil {
 		t.Fatalf("New(%s): %v", strategy, err)
@@ -91,30 +84,6 @@ func runStrategy(t *testing.T, cat multiobject.Catalog, strategy string, reqs []
 		t.Fatalf("RunDriver(%s): %v", strategy, err)
 	}
 	return rep
-}
-
-// checkWarmColdIdentical compares a warm-replanning run against a cold
-// one: every per-object stat must match exactly, the ReplanStats reuse
-// accounting being the only permitted difference.
-func checkWarmColdIdentical(t *testing.T, strategy string, warm, cold *serve.Report) {
-	t.Helper()
-	if len(warm.Drain.Objects) != len(cold.Drain.Objects) {
-		t.Fatalf("%s: object counts diverge warm/cold", strategy)
-	}
-	for i := range warm.Drain.Objects {
-		w, c := warm.Drain.Objects[i], cold.Drain.Objects[i]
-		if c.Replan.WarmReplans != 0 {
-			t.Errorf("%s %s: cold run reports %d warm replans", strategy, c.Name, c.Replan.WarmReplans)
-		}
-		if w.Replan.Replans != c.Replan.Replans {
-			t.Errorf("%s %s: replans %d (warm) != %d (cold)", strategy, w.Name, w.Replan.Replans, c.Replan.Replans)
-		}
-		w.Replan, c.Replan = serve.ReplanStats{}, serve.ReplanStats{}
-		if w != c {
-			t.Errorf("%s: object %s diverges between warm and cold replanning:\nwarm %+v\ncold %+v",
-				strategy, w.Name, w, c)
-		}
-	}
 }
 
 func checkAgainstBatch(t *testing.T, strategy string, shards int, cat multiobject.Catalog, traces map[string][]float64, horizon float64, rep *serve.Report) {

@@ -26,7 +26,9 @@ import (
 // loss; group commit amortizes the fsync over a batch).  A crash can
 // leave a torn final frame in the log; the first append of the next
 // process trims the file back to its last complete frame so new records
-// never land after torn bytes (see wal).
+// never land after torn bytes (see wal).  A failed write or flush drops
+// the shard's handle (see dropWAL), so one transient fault does not
+// fail every later append.
 type File struct {
 	dir string
 
@@ -78,16 +80,17 @@ func (s *File) SaveSnapshot(shard int, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if wf := s.wals[shard]; wf != nil {
-		if err := wf.w.Flush(); err != nil {
-			return fmt.Errorf("store: flush WAL before truncate: %w", err)
+		if err := wf.w.Flush(); err == nil {
+			if err := wf.f.Truncate(0); err != nil {
+				return fmt.Errorf("store: truncate WAL: %w", err)
+			}
+			return nil
 		}
-		if err := wf.f.Truncate(0); err != nil {
-			return fmt.Errorf("store: truncate WAL: %w", err)
-		}
-		return nil
+		// The snapshot supersedes whatever the failed flush held back.
+		s.dropWAL(shard)
 	}
-	// No open handle this process lifetime: drop any stale log from a
-	// previous run.
+	// No usable handle: drop the log, whether stale from a previous run
+	// or behind a failed write.
 	if err := os.Remove(s.walPath(shard)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: remove superseded WAL: %w", err)
 	}
@@ -139,23 +142,27 @@ func (s *File) wal(shard int) (*walFile, error) {
 	return wf, nil
 }
 
-// AppendWAL implements Store.
+// dropWAL closes and forgets shard's WAL handle after a failed write or
+// flush.  bufio errors are sticky, so the handle would fail every later
+// call; instead the records it still buffered are lost (the serve layer
+// repairs that sequence gap with a snapshot), and the next append
+// reopens the file through wal, trimming any torn frame the failure left.
+// Callers hold s.mu.
+func (s *File) dropWAL(shard int) {
+	if wf := s.wals[shard]; wf != nil {
+		wf.f.Close() // the handle already failed; its close error adds nothing
+		delete(s.wals, shard)
+	}
+}
+
+// AppendWAL implements Store as a one-record AppendWALBatch.
 func (s *File) AppendWAL(shard int, rec []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	wf, err := s.wal(shard)
-	if err != nil {
-		return err
-	}
-	wf.frame = appendFrame(wf.frame[:0], rec)
-	if _, err := wf.w.Write(wf.frame); err != nil {
-		return fmt.Errorf("store: append WAL record: %w", err)
-	}
-	return nil
+	return s.AppendWALBatch(shard, [][]byte{rec})
 }
 
 // AppendWALBatch implements Store: the whole run goes into the buffered
-// writer under one lock acquisition; on error a prefix may be appended.
+// writer under one lock acquisition.  On error a prefix may be appended,
+// and the records buffered since the last Flush are dropped (dropWAL).
 func (s *File) AppendWALBatch(shard int, recs [][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -166,6 +173,7 @@ func (s *File) AppendWALBatch(shard int, recs [][]byte) error {
 	for _, rec := range recs {
 		wf.frame = appendFrame(wf.frame[:0], rec)
 		if _, err := wf.w.Write(wf.frame); err != nil {
+			s.dropWAL(shard)
 			return fmt.Errorf("store: append WAL record: %w", err)
 		}
 	}
@@ -187,10 +195,12 @@ func (s *File) Flush(shard int, mode SyncMode) error {
 		return nil
 	}
 	if err := wf.w.Flush(); err != nil {
+		s.dropWAL(shard)
 		return fmt.Errorf("store: flush WAL: %w", err)
 	}
 	if mode == SyncFull {
 		if err := wf.f.Sync(); err != nil {
+			s.dropWAL(shard)
 			return fmt.Errorf("store: fsync WAL: %w", err)
 		}
 	}
@@ -206,6 +216,7 @@ func (s *File) flushOS(shard int) error {
 	defer s.mu.Unlock()
 	if wf := s.wals[shard]; wf != nil {
 		if err := wf.w.Flush(); err != nil {
+			s.dropWAL(shard)
 			return fmt.Errorf("store: flush WAL: %w", err)
 		}
 	}

@@ -57,16 +57,13 @@ func (m *Mem) LoadSnapshot(shard int) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// AppendWAL implements Store: the record lands in the pending buffer
-// until the next Flush publishes it.
+// AppendWAL implements Store as a one-record AppendWALBatch.
 func (m *Mem) AppendWAL(shard int, rec []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pending[shard] = appendFrame(m.pending[shard], rec)
-	return nil
+	return m.AppendWALBatch(shard, [][]byte{rec})
 }
 
-// AppendWALBatch implements Store.
+// AppendWALBatch implements Store: the records land in the pending
+// buffer until the next Flush publishes them.
 func (m *Mem) AppendWALBatch(shard int, recs [][]byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -121,7 +121,11 @@ type Store interface {
 	// sync level — the group-commit barrier the serve layer issues once
 	// per batch, before releasing the batch's acknowledgements
 	// (log-before-ack).  SyncNone is a no-op, SyncOS reaches the
-	// operating system, SyncFull additionally fsyncs.
+	// operating system, SyncFull additionally fsyncs.  A failed append
+	// or Flush may lose the records appended since the last successful
+	// Flush, leaving a sequence gap the caller must repair with a
+	// snapshot; the store itself stays usable, so later appends succeed
+	// once the fault clears.
 	Flush(shard int, mode SyncMode) error
 	// ReplayWAL calls fn for each record appended to shard's WAL since the
 	// last SaveSnapshot, in append order, stopping at the first error.  A

@@ -674,6 +674,106 @@ func TestFileSyncModes(t *testing.T) {
 	}
 }
 
+// TestFileWALRecoversAfterFault: one failed WAL write or flush must not
+// disable the log for the rest of the process.  The fault closes the
+// handle's file underneath its buffered writer; it surfaces either at the
+// next Flush or at an append large enough to spill the buffer.  Either
+// way the record in flight is lost, but the next append reopens the log,
+// replay returns the records before and after the fault, and a snapshot
+// succeeds and truncates the log.
+func TestFileWALRecoversAfterFault(t *testing.T) {
+	big := make([]byte, 1<<16) // spills the 32 KiB buffer inside the append
+	for _, tc := range []struct {
+		name  string
+		fault func(st *File) error
+	}{
+		{"flush", func(st *File) error {
+			if err := st.AppendWAL(0, []byte("lost")); err != nil {
+				return err
+			}
+			return st.Flush(0, SyncOS)
+		}},
+		{"append", func(st *File) error {
+			return st.AppendWALBatch(0, [][]byte{[]byte("lost"), big})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := NewFile(t.TempDir())
+			if err != nil {
+				t.Fatalf("NewFile: %v", err)
+			}
+			defer st.Close()
+			if err := st.AppendWAL(0, []byte("before")); err != nil {
+				t.Fatalf("AppendWAL(before): %v", err)
+			}
+			if err := st.Flush(0, SyncOS); err != nil {
+				t.Fatalf("Flush(before): %v", err)
+			}
+			st.wals[0].f.Close() // the fault: the descriptor is gone
+			if err := tc.fault(st); err == nil {
+				t.Fatal("write to a closed WAL file reported no error")
+			}
+			if err := st.AppendWAL(0, []byte("after")); err != nil {
+				t.Fatalf("AppendWAL after the fault: %v", err)
+			}
+			if err := st.Flush(0, SyncOS); err != nil {
+				t.Fatalf("Flush after the fault: %v", err)
+			}
+			replay := func() []string {
+				t.Helper()
+				var got []string
+				if err := st.ReplayWAL(0, func(rec []byte) error {
+					got = append(got, string(rec))
+					return nil
+				}); err != nil {
+					t.Fatalf("ReplayWAL: %v", err)
+				}
+				return got
+			}
+			if got := replay(); len(got) != 2 || got[0] != "before" || got[1] != "after" {
+				t.Fatalf("replay after the fault = %q, want [before after]", got)
+			}
+			if err := st.SaveSnapshot(0, []byte("snap")); err != nil {
+				t.Fatalf("SaveSnapshot after the fault: %v", err)
+			}
+			if got := replay(); len(got) != 0 {
+				t.Fatalf("replay after the snapshot = %q, want nothing", got)
+			}
+		})
+	}
+}
+
+// TestFileSnapshotDropsBrokenWAL: a snapshot whose pre-truncate flush
+// fails still succeeds — it supersedes the records the broken buffer
+// held — and the log takes appends again afterwards.
+func TestFileSnapshotDropsBrokenWAL(t *testing.T) {
+	st, err := NewFile(t.TempDir())
+	if err != nil {
+		t.Fatalf("NewFile: %v", err)
+	}
+	defer st.Close()
+	if err := st.AppendWAL(0, []byte("superseded")); err != nil {
+		t.Fatalf("AppendWAL: %v", err)
+	}
+	st.wals[0].f.Close() // the fault: the buffered record cannot land
+	if err := st.SaveSnapshot(0, []byte("snap")); err != nil {
+		t.Fatalf("SaveSnapshot over a broken WAL: %v", err)
+	}
+	if err := st.AppendWAL(0, []byte("after")); err != nil {
+		t.Fatalf("AppendWAL after the snapshot: %v", err)
+	}
+	var got []string
+	if err := st.ReplayWAL(0, func(rec []byte) error {
+		got = append(got, string(rec))
+		return nil
+	}); err != nil {
+		t.Fatalf("ReplayWAL: %v", err)
+	}
+	if len(got) != 1 || got[0] != "after" {
+		t.Fatalf("replay = %q, want [after]", got)
+	}
+}
+
 // TestMemCloneDropsPending pins the group-commit crash model: records
 // appended but not yet flushed are absent from a Clone — they are the
 // bytes a SIGKILL takes from the user-space buffer — while the live

@@ -60,10 +60,9 @@
 //     LivePlanners lists the capability set, WithStrategy/WithEpoch (or
 //     per-object Object.Strategy entries) route catalog objects onto
 //     planner families, and a drained live run over one whole-horizon
-//     epoch reproduces the batch Plan cost bit for bit.  Epoch closes
-//     warm-start by default — the off-line families resume their banded
-//     DP tables (offline.Tables.Extend) across the shared arrival prefix
-//     instead of recomputing them — with WithWarmReplanning(false) as
-//     the cold escape hatch and ObjectStats.Replan reporting the reuse
-//     accounting; warm and cold replanning are bit-identical.
+//     epoch reproduces the batch Plan cost bit for bit.  The off-line
+//     families' epoch closes warm-start: they resume the forest DP
+//     tables (offline.Tables.Extend) absorbed as arrivals were admitted
+//     instead of recomputing them, bit-identically, and
+//     ObjectStats.Replan reports the reuse accounting.
 package mod

@@ -88,48 +88,6 @@ func TestNewLiveServerStrategyRouting(t *testing.T) {
 	}
 }
 
-// TestWithWarmReplanningFacade pins the facade option: warm (the default)
-// and cold replanning drain to identical per-object results, the warm run
-// reports warm replans in ObjectStats.Replan, and the cold run reports
-// none.
-func TestWithWarmReplanningFacade(t *testing.T) {
-	cat := mod.ZipfCatalog(3, 1.0, 0.125, 1.0)
-	reqs, err := mod.GenerateRequests(cat, mod.LoadConfig{
-		Horizon: 4, MeanInterArrival: 0.05, Kind: mod.PoissonArrivals, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(warm bool) []mod.ObjectStats {
-		t.Helper()
-		srv, err := mod.NewLiveServer(cat, mod.WithStrategy("offline-batched"),
-			mod.WithEpoch(8), mod.WithWarmReplanning(warm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		rep, err := mod.RunDriver(context.Background(), srv, reqs, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Drain.Objects
-	}
-	warm, cold := run(true), run(false)
-	for i := range warm {
-		w, c := warm[i], cold[i]
-		if w.Replan.Replans == 0 || w.Replan.WarmReplans != w.Replan.Replans {
-			t.Errorf("%s: warm run Replan = %+v, want every replan warm", w.Name, w.Replan)
-		}
-		if c.Replan.WarmReplans != 0 {
-			t.Errorf("%s: cold run reports %d warm replans", c.Name, c.Replan.WarmReplans)
-		}
-		w.Replan, c.Replan = mod.ReplanStats{}, mod.ReplanStats{}
-		if !reflect.DeepEqual(w, c) {
-			t.Errorf("%s diverges between warm and cold replanning:\nwarm %+v\ncold %+v", w.Name, w, c)
-		}
-	}
-}
-
 func TestNewLiveServerUnknownStrategy(t *testing.T) {
 	cat := mod.ZipfCatalog(2, 1.0, 0.1, 1.0)
 	if _, err := mod.NewLiveServer(cat, mod.WithStrategy("no-such-planner")); !errors.Is(err, mod.ErrBadConfig) {

@@ -41,11 +41,6 @@ type Settings struct {
 	// strategies, in slots of each object's delay; 0 selects the serving
 	// default.  Batch planning ignores it.
 	EpochSlots int
-	// WarmReplanning lets the live layer's epoch replanner warm-start from
-	// state retained across the closing epoch (default true).  Warm and
-	// cold replanning are bit-identical; false forces the cold path.
-	// Batch planning ignores it.
-	WarmReplanning bool
 	// PressureHighWater, when positive, turns on queue-depth backpressure
 	// in the live layer: submits routed to a shard whose queue occupancy
 	// already exceeds the mark are refused with ErrPressure (HTTP 429 +
@@ -99,7 +94,7 @@ func (s Settings) SlotsPerMedia() int64 {
 
 // DefaultSettings returns the documented defaults.
 func DefaultSettings() Settings {
-	return Settings{MediaLength: 1, Delay: 0.01, Poisson: true, WarmReplanning: true}
+	return Settings{MediaLength: 1, Delay: 0.01, Poisson: true}
 }
 
 // ResolveSettings applies opts to DefaultSettings, exactly as New and Plan
@@ -156,17 +151,6 @@ func WithStrategy(name string) Option { return func(s *Settings) { s.Strategy = 
 // the whole horizon to plan a drained run in one batch — the
 // configuration under which a live run reproduces the batch Plan exactly.
 func WithEpoch(slots int) Option { return func(s *Settings) { s.EpochSlots = slots } }
-
-// WithWarmReplanning toggles warm-start epoch replanning in NewLiveServer
-// (default on).  When on, epoch-based strategies reuse planning state
-// retained across the closing epoch — resumable DP tables for the
-// off-line planners, deduplicated service starts for the batching and
-// dyadic families — instead of replanning from scratch; results are
-// bit-identical either way (the equivalence suite pins warm == cold), so
-// false exists for measurement and triage, not correctness.  ObjectStats
-// reports the warm-replan and cell-reuse accounting either way.  Batch
-// planning is unaffected.
-func WithWarmReplanning(on bool) Option { return func(s *Settings) { s.WarmReplanning = on } }
 
 // WithBackpressure sets the live layer's per-shard queue high-water mark:
 // a submit routed to a shard already holding more than highWater queued

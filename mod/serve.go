@@ -68,7 +68,8 @@ type ObjectStats = serve.ObjectStats
 
 // ReplanStats is the epoch-replanning accounting inside ObjectStats: how
 // many epoch closes replanned, how many of those warm-started from the
-// previous state, and the DP-cell reuse and latency totals behind them.
+// off-line strategies' resumable forest tables, and the DP-cell reuse
+// and latency totals behind them.
 type ReplanStats = serve.ReplanStats
 
 // DrainResult is the final accounting of a drained server.
@@ -113,13 +114,15 @@ func LivePlanners() []string { return serve.LivePlanners() }
 // (per-object Object.Strategy entries override it), WithEpoch the
 // replanning period of epoch-based strategies in slots, WithChannelCap
 // the admission controller's channel budget, WithWorkers the shard
-// count, WithPoisson(false) the constant-rate dyadic tuning, and
-// WithWarmReplanning(false) cold whole-epoch replanning.  Durability
-// comes from WithDurability (a file store the server owns) or WithStore
-// (a caller-owned backend), with WithSnapshotEpochs setting the cadence
-// and WithRestore warm-restarting from the store's latest state.  For
-// knobs beyond the options (degradation ladder, queue depths, wall-clock
-// time unit), build a ServeConfig and call NewServer directly.
+// count, and WithPoisson(false) the constant-rate dyadic tuning.  Epoch
+// closes of the off-line strategies resume the forest tables absorbed
+// mid-epoch, and every other epoch strategy re-runs its batch planner;
+// ObjectStats.Replan reports the accounting.  Durability comes from
+// WithDurability (a file store the server owns) or WithStore (a
+// caller-owned backend), with WithSnapshotEpochs setting the cadence and
+// WithRestore warm-restarting from the store's latest state.  For knobs
+// beyond the options (degradation ladder, queue depths, wall-clock time
+// unit), build a ServeConfig and call NewServer directly.
 func NewLiveServer(cat Catalog, opts ...Option) (*Server, error) {
 	st := ResolveSettings(opts...)
 	cfg := ServeConfig{
@@ -129,7 +132,6 @@ func NewLiveServer(cat Catalog, opts ...Option) (*Server, error) {
 		DefaultStrategy:    st.Strategy,
 		EpochSlots:         st.EpochSlots,
 		ConstantRateTuning: !st.Poisson,
-		ColdReplanning:     !st.WarmReplanning,
 		PressureHighWater:  st.PressureHighWater,
 		MeterStages:        st.MeterStages,
 		Store:              st.Store,
