@@ -416,7 +416,7 @@ func BenchmarkOfflineDP(b *testing.B) {
 }
 
 // BenchmarkOfflineForest measures the banded end-to-end optimum (the
-// policy.OfflineOptimal path) at the raised arrival cap's scale: forest
+// offline planner's path) at the raised arrival cap's scale: forest
 // tables keep the footprint proportional to arrivals-per-window rather
 // than n^2.  table-MB and cells/arrival are the stored tables' size.
 func BenchmarkOfflineForest(b *testing.B) {

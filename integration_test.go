@@ -19,9 +19,9 @@ import (
 	"repro/internal/multiobject"
 	"repro/internal/offline"
 	"repro/internal/online"
-	"repro/internal/policy"
 	"repro/internal/schedule"
 	"repro/internal/sim"
+	"repro/mod"
 )
 
 // TestIntegrationOfflinePipeline runs the full off-line pipeline for the
@@ -90,27 +90,29 @@ func TestIntegrationOnlineVsOfflineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestIntegrationPolicyComparisonConsistency cross-checks the policy facade
-// against the underlying packages on one trace.
+// TestIntegrationPolicyComparisonConsistency cross-checks the facade's
+// comparison of the standard planners against the underlying packages on
+// one trace.
 func TestIntegrationPolicyComparisonConsistency(t *testing.T) {
 	trace := arrivals.Poisson(0.004, 8, 42)
 	const mediaLen, delay, horizon = 1.0, 0.01, 8.0
-	costs, err := policy.Compare(context.Background(), policy.Standard(mediaLen, delay, true), trace, horizon)
+	costs, err := mod.Compare(context.Background(), mod.StandardNames(),
+		mod.Instance{Arrivals: trace, Horizon: horizon}, mod.WithMediaLength(mediaLen), mod.WithDelay(delay))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Delay-guaranteed: must equal the online package's normalized cost.
 	wantDG := online.NormalizedCost(100, 800)
-	if math.Abs(costs["delay-guaranteed"]-wantDG) > 1e-9 {
-		t.Errorf("policy facade DG cost %v != online package %v", costs["delay-guaranteed"], wantDG)
+	if math.Abs(costs["online"]-wantDG) > 1e-9 {
+		t.Errorf("facade online cost %v != online package %v", costs["online"], wantDG)
 	}
 	// Immediate dyadic: must equal the dyadic package's cost.
 	wantDy, err := dyadic.TotalCost(trace, mediaLen, dyadic.GoldenPoisson())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(costs["immediate dyadic"]-wantDy) > 1e-9 {
-		t.Errorf("policy facade dyadic cost %v != dyadic package %v", costs["immediate dyadic"], wantDy)
+	if math.Abs(costs["dyadic"]-wantDy) > 1e-9 {
+		t.Errorf("facade dyadic cost %v != dyadic package %v", costs["dyadic"], wantDy)
 	}
 	// Hybrid: must match the hybrid package.
 	hres, err := hybrid.Run(trace, horizon, hybrid.DefaultConfig(mediaLen, delay))
@@ -118,7 +120,7 @@ func TestIntegrationPolicyComparisonConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(costs["hybrid"]-hres.TotalCost) > 1e-9 {
-		t.Errorf("policy facade hybrid cost %v != hybrid package %v", costs["hybrid"], hres.TotalCost)
+		t.Errorf("facade hybrid cost %v != hybrid package %v", costs["hybrid"], hres.TotalCost)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 // the layer directly.  In these packages every constructed error must
 // wrap a sentinel; the shared leaf sentinels live in internal/moderr.
 var ErrwrapPackages = map[string]bool{
-	"repro/internal/policy":      true,
 	"repro/internal/serve":       true,
 	"repro/internal/live":        true,
 	"repro/internal/multiobject": true,

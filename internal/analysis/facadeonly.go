@@ -9,10 +9,9 @@ import (
 // programs: the public facade, plus the analytics/presentation layers
 // (experiment tables and text charts) and the static-analysis suite
 // (cmd/modlint's engine), which are consumers of the facade themselves
-// rather than algorithm constructors.  Everything algorithmic — policy,
-// online, offline, dyadic, batching, hybrid, core, mergetree, schedule,
-// sim, multiobject, arrivals, live, serve — must be reached through
-// repro/mod.
+// rather than algorithm constructors.  Everything algorithmic — online,
+// offline, dyadic, batching, hybrid, core, mergetree, schedule, sim,
+// multiobject, arrivals, live, serve — must be reached through repro/mod.
 var FacadeAllowed = map[string]bool{
 	"repro/mod":                  true,
 	"repro/internal/experiments": true,

@@ -74,6 +74,16 @@ func GoldenConstantRate(slotsPerMedia int64) Params {
 	return Params{Alpha: fib.Phi, Beta: beta}
 }
 
+// Golden returns the Section 4.2 tuning for the arrival type: GoldenPoisson
+// for Poisson arrivals, GoldenConstantRate(slotsPerMedia) for constant-rate
+// ones.  The dyadic planners and their live epochs both use it.
+func Golden(poisson bool, slotsPerMedia int64) Params {
+	if poisson {
+		return GoldenPoisson()
+	}
+	return GoldenConstantRate(slotsPerMedia)
+}
+
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
 	if !(p.Alpha > 1) || math.IsInf(p.Alpha, 0) || math.IsNaN(p.Alpha) {

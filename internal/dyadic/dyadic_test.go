@@ -51,6 +51,15 @@ func TestGoldenConstantRate(t *testing.T) {
 	GoldenConstantRate(0)
 }
 
+func TestGoldenPicksTuningByArrivalType(t *testing.T) {
+	if Golden(true, 100) != GoldenPoisson() {
+		t.Errorf("Poisson tuning = %+v, want %+v", Golden(true, 100), GoldenPoisson())
+	}
+	if Golden(false, 100) != GoldenConstantRate(100) {
+		t.Errorf("constant-rate tuning = %+v, want %+v", Golden(false, 100), GoldenConstantRate(100))
+	}
+}
+
 func TestBuildForestSingleArrival(t *testing.T) {
 	f, err := BuildForest(arrivals.Trace{0.3}, 1.0, Original())
 	if err != nil {

@@ -317,8 +317,8 @@ func Fig12(ctx context.Context, cfg ComparisonConfig) (Result, error) {
 // comparisonFigure obtains its per-trace algorithm costs exclusively
 // through the public mod facade — the same planners any downstream user
 // gets from mod.New — so the published figures are, by construction, what
-// the public API produces.  The facade planners are thin adapters over the
-// policy layer with no arithmetic of their own, which keeps the sweep
+// the public API produces.  The facade planners call the dyadic package
+// directly with no arithmetic of their own, which keeps the sweep
 // bit-identical to the historical direct-call implementation.
 func comparisonFigure(ctx context.Context, cfg ComparisonConfig, poisson bool) (Result, error) {
 	delay := cfg.DelayPct / 100.0

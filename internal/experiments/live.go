@@ -33,7 +33,10 @@ type LiveVsBatchConfig struct {
 
 // DefaultLiveVsBatch returns a small catalog whose delays divide the
 // horizon exactly, so the batch and whole-horizon live numbers agree bit
-// for bit.
+// for bit.  The trace is dense enough and the 48-slot epochs long enough
+// for the off-line pair's epochs to pass the warm-absorption chunk
+// (more occupied slots than the chunk for offline-batched), so the
+// cells_reused column shows the warm path at work.
 func DefaultLiveVsBatch() LiveVsBatchConfig {
 	return LiveVsBatchConfig{
 		Objects:          4,
@@ -41,9 +44,9 @@ func DefaultLiveVsBatch() LiveVsBatchConfig {
 		Delay:            0.125,
 		Horizon:          8,
 		ZipfExponent:     1,
-		MeanInterArrival: 0.1,
+		MeanInterArrival: 0.02,
 		Seed:             7,
-		EpochSlots:       16,
+		EpochSlots:       48,
 	}
 }
 
@@ -296,7 +299,8 @@ type CrashRecoveryConfig struct {
 	Strategies []string
 }
 
-// DefaultCrashRecovery cuts the DefaultLiveVsBatch trace mid-run.
+// DefaultCrashRecovery cuts a 4-object trace (mean inter-arrival time
+// 0.1, 8-slot epochs) mid-run.
 func DefaultCrashRecovery() CrashRecoveryConfig {
 	return CrashRecoveryConfig{
 		Objects:          4,

@@ -43,14 +43,10 @@ func TestLiveVsBatchCanceled(t *testing.T) {
 // the off-line pair answers every epoch close from its resumable forest
 // tables and reuses DP cells absorbed mid-epoch, every other epoch
 // strategy re-runs its batch planner (no warm replans), and the online
-// strategy never replans.  The default trace is too sparse for an epoch
-// to reach the absorption chunk, so this run is 5x denser with 48-slot
-// epochs (more occupied slots than the chunk for offline-batched).
+// strategy never replans.  It runs the default, so the published table
+// shows the reuse.
 func TestWarmReplanExperiment(t *testing.T) {
-	cfg := DefaultLiveVsBatch()
-	cfg.MeanInterArrival /= 5
-	cfg.EpochSlots = 48
-	res, err := LiveVsBatch(context.Background(), cfg)
+	res, err := LiveVsBatch(context.Background(), DefaultLiveVsBatch())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dyadic"
 	"repro/internal/hybrid"
 	"repro/internal/mergetree"
-	"repro/internal/moderr"
 	"repro/internal/multiobject"
 	"repro/internal/offline"
 )
@@ -23,10 +22,10 @@ type Stream struct {
 	Length float64
 }
 
-// PlanParams are the batch-planner parameters of one epoch replan,
-// mirroring exactly how the policy layer configures the same planner for
-// the same instance — the reason a whole-horizon epoch reproduces the
-// public Plan() bit for bit.
+// PlanParams are the batch-planner parameters of one epoch replan: the
+// settings the mod facade's planner of the same name passes its
+// algorithm, which is why a whole-horizon epoch reproduces the public
+// Plan() bit for bit.
 type PlanParams struct {
 	// MediaLength and Delay are the object's length and effective delay.
 	MediaLength, Delay float64
@@ -53,13 +52,6 @@ func paramsFor(cfg Config) PlanParams {
 		Cache:         cfg.Cache,
 		Ctx:           cfg.Ctx,
 	}
-}
-
-func (p PlanParams) dyadicParams() dyadic.Params {
-	if p.ConstantRate {
-		return dyadic.GoldenConstantRate(p.SlotsPerMedia)
-	}
-	return dyadic.GoldenPoisson()
 }
 
 // PlanOutcome is one batch replan's result: the authoritative cost the
@@ -98,8 +90,9 @@ type epochStrategy struct {
 }
 
 // epochStrategies lists the live-capable batch planner families.  Names
-// are the public planner registry names; each replanner calls exactly the
-// code path the policy layer uses for the same name.
+// are the public planner registry names; each replanner calls the
+// algorithm the facade's planner of the same name calls, with the same
+// settings.
 var epochStrategies = []epochStrategy{
 	{name: "offline", replan: replanOffline, resumable: true},
 	{name: "offline-batched", batched: true, replan: replanOfflineBatched, resumable: true},
@@ -418,7 +411,7 @@ func clip(times []float64, horizon float64) arrivals.Trace {
 }
 
 // replanOffline is the exact off-line optimum (the banded interval DP),
-// the same call policy.OfflineOptimal makes.
+// the guarded solve the facade's offline planner runs.
 func replanOffline(times []float64, horizon float64, p PlanParams) (PlanOutcome, error) {
 	return offlineOutcome(clip(times, horizon), p)
 }
@@ -429,45 +422,12 @@ func replanOfflineBatched(times []float64, horizon float64, p PlanParams) (PlanO
 	return offlineOutcome(clip(times, horizon).BatchTimes(p.Delay), p)
 }
 
-// Live epochs must never run a DP the batch facade would refuse: these
-// mirror the policy layer's off-line instance caps (50000 arrivals,
-// ~1.5 GiB of banded tables).  An over-cap epoch falls back to unicast
-// streams (counted in ReplanFailures) instead of stalling the shard
-// event loop on a multi-GB allocation.
-const (
-	maxOfflineEpochArrivals   = 50000
-	maxOfflineEpochTableBytes = int64(1) << 30 * 3 / 2
-)
-
+// offlineOutcome runs the guarded solve with the default caps, so a live
+// epoch never runs a DP the batch facade would refuse.  An over-cap epoch
+// falls back to unicast streams (counted in ReplanFailures) instead of
+// stalling the shard event loop on a multi-GB allocation.
 func offlineOutcome(times []float64, p PlanParams) (PlanOutcome, error) {
-	if len(times) == 0 {
-		return PlanOutcome{}, nil
-	}
-	if len(times) > maxOfflineEpochArrivals {
-		return PlanOutcome{}, fmt.Errorf("%w: live: epoch of %d arrivals exceeds the %d-arrival off-line DP cap",
-			moderr.ErrInstanceTooLarge, len(times), maxOfflineEpochArrivals)
-	}
-	if bytes := offline.BandBytes(times, p.MediaLength); bytes > maxOfflineEpochTableBytes {
-		return PlanOutcome{}, fmt.Errorf("%w: live: epoch DP would need %d MB of tables (cap %d MB)",
-			moderr.ErrInstanceTooLarge, bytes>>20, maxOfflineEpochTableBytes>>20)
-	}
-	// The DP requires strictly increasing times; clients at identical
-	// instants share a stream trivially, so collapse ties (the dyadic
-	// algorithm does the same).  Untied traces pass through unchanged,
-	// keeping the cost bit-identical to policy.OfflineOptimal's.
-	deduped := times
-	for i := 1; i < len(times); i++ {
-		if times[i] == times[i-1] {
-			deduped = make([]float64, 0, len(times))
-			for j, t := range times {
-				if j == 0 || t != times[j-1] {
-					deduped = append(deduped, t)
-				}
-			}
-			break
-		}
-	}
-	res, err := offline.OptimalForest(p.Ctx, deduped, p.MediaLength, offline.ReceiveTwo)
+	res, err := offline.SolveGuarded(p.Ctx, times, p.MediaLength, 0, 0)
 	if err != nil {
 		return PlanOutcome{}, err
 	}
@@ -480,7 +440,7 @@ func offlineOutcome(times []float64, p PlanParams) (PlanOutcome, error) {
 
 // replanDyadic is the immediate-service dyadic baseline.
 func replanDyadic(times []float64, horizon float64, p PlanParams) (PlanOutcome, error) {
-	f, err := dyadic.BuildForest(clip(times, horizon), p.MediaLength, p.dyadicParams())
+	f, err := dyadic.BuildForest(clip(times, horizon), p.MediaLength, dyadic.Golden(!p.ConstantRate, p.SlotsPerMedia))
 	if err != nil {
 		return PlanOutcome{}, err
 	}
@@ -489,7 +449,7 @@ func replanDyadic(times []float64, horizon float64, p PlanParams) (PlanOutcome, 
 
 // replanDyadicBatched is the batched dyadic baseline.
 func replanDyadicBatched(times []float64, horizon float64, p PlanParams) (PlanOutcome, error) {
-	f, err := dyadic.BuildBatchedForest(clip(times, horizon), p.MediaLength, p.Delay, p.dyadicParams())
+	f, err := dyadic.BuildBatchedForest(clip(times, horizon), p.MediaLength, p.Delay, dyadic.Golden(!p.ConstantRate, p.SlotsPerMedia))
 	if err != nil {
 		return PlanOutcome{}, err
 	}
@@ -575,7 +535,7 @@ func replanHybrid(times []float64, horizon float64, p PlanParams) (PlanOutcome, 
 // batch plan produces for the (relative, nondecreasing) arrival times
 // over the horizon — the numbers a drained live run with EpochSlots >=
 // horizon must reproduce bit for bit.  For the oblivious on-line strategy
-// the horizon is rounded to slots exactly like policy.DelayGuaranteed.
+// the horizon is rounded to slots exactly like the facade's online planner.
 func BatchReference(strategy string, times []float64, horizon float64, obj multiobject.Object, constantRate bool) (streams int64, cost float64, err error) {
 	p := PlanParams{
 		MediaLength:   obj.Length,

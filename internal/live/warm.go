@@ -37,10 +37,9 @@ type tablesWarm struct {
 
 	// starts is the DP input observed so far: occupied slot ends for
 	// offline-batched (arrivals.Trace.BatchTimes float for float), raw
-	// times with adjacent ties collapsed for offline (offlineOutcome's
-	// tie handling).  lastSlot is the slot of the latest slot end.
-	starts   []float64
-	lastSlot int64
+	// times for offline, with ties collapsed by offline.AppendDistinct
+	// (the guarded solve's tie handling; equal slot ends are one slot).
+	starts []float64
 
 	tab      *offline.Tables
 	absorbed int  // prefix of starts already extended into tab
@@ -53,25 +52,21 @@ type tablesWarm struct {
 const warmAbsorbMin = 32
 
 // warmAbsorbBudget caps mid-epoch table growth at 2/3 of the batch
-// replanner's instance cap: epochs headed past it are left to the batch
+// replanner's table cap: epochs headed past it are left to the batch
 // close (which re-checks its own caps on its own inputs and falls back
 // identically with or without retained tables).
-const warmAbsorbBudget = maxOfflineEpochTableBytes * 2 / 3
+const warmAbsorbBudget = offline.DefaultMaxTableBytes * 2 / 3
 
 // observe absorbs one admitted arrival (epoch-relative, nondecreasing;
 // exactly the values appended to the scheduler's trace).
 func (w *tablesWarm) observe(rel float64) {
 	if w.batched {
-		slot := int64(math.Floor(rel / w.p.Delay))
-		if len(w.starts) > 0 && slot == w.lastSlot {
-			return
-		}
-		w.lastSlot = slot
-		rel = float64(slot+1) * w.p.Delay
-	} else if n := len(w.starts); n > 0 && rel == w.starts[n-1] {
+		rel = float64(int64(math.Floor(rel/w.p.Delay))+1) * w.p.Delay
+	}
+	n := len(w.starts)
+	if w.starts = offline.AppendDistinct(w.starts, rel); len(w.starts) == n {
 		return
 	}
-	w.starts = append(w.starts, rel)
 	if !w.dead && len(w.starts)-w.absorbed >= warmAbsorbMin+w.absorbed/8 {
 		w.absorb()
 	}
@@ -128,10 +123,7 @@ func (w *tablesWarm) replan(times []float64, relHorizon float64, rs *ReplanStats
 	if w.batched {
 		batchIn = w.starts
 	}
-	if len(batchIn) > maxOfflineEpochArrivals {
-		return PlanOutcome{}, false, nil
-	}
-	if offline.BandBytes(batchIn, w.p.MediaLength) > maxOfflineEpochTableBytes {
+	if offline.CheckSize(batchIn, w.p.MediaLength, 0, 0) != nil {
 		return PlanOutcome{}, false, nil
 	}
 	var reused int64

@@ -75,16 +75,24 @@ func runWarmCase(t *testing.T, name string, cold bool, times []float64, epochSlo
 	return sink, end, s.Totals()
 }
 
-// TestWarmReplanBitIdentical is the warm-start contract for every epoch
-// strategy: every sink event and every total matches the same scheduler
-// with its tables nil exactly; only the ReplanStats reuse counters may
-// differ, and only the off-line pair resumes tables at all.
+// TestWarmReplanBitIdentical is the warm-start contract: for the off-line
+// pair, every sink event and every total matches the same scheduler with
+// its tables nil exactly, and only the ReplanStats reuse counters may
+// differ.  Every other epoch strategy has no tables to resume, so it is
+// checked directly for zero warm replans.
 func TestWarmReplanBitIdentical(t *testing.T) {
-	warmCapable := map[string]bool{"offline": true, "offline-batched": true}
 	for _, st := range epochStrategies {
 		st := st
 		t.Run(st.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
+			if !st.resumable {
+				_, _, tot := runWarmCase(t, st.name, false, warmTrace(rng, 200, 4), 16, 4)
+				if tot.Replan.Replans == 0 || tot.Replan.WarmReplans != 0 {
+					t.Fatalf("replans %d, warm replans %d; want replans and no warm replans",
+						tot.Replan.Replans, tot.Replan.WarmReplans)
+				}
+				return
+			}
 			for trial := 0; trial < 6; trial++ {
 				horizon := 2 + rng.Float64()*4
 				n := 20 + rng.Intn(180)
@@ -105,13 +113,12 @@ func TestWarmReplanBitIdentical(t *testing.T) {
 					t.Fatalf("trial %d: replan count %d (warm) != %d (cold)",
 						trial, warmTot.Replan.Replans, coldTot.Replan.Replans)
 				}
-				if warmCapable[st.name] && warmTot.Replan.WarmReplans != warmTot.Replan.Replans {
+				if warmTot.Replan.WarmReplans != warmTot.Replan.Replans {
 					t.Fatalf("trial %d: only %d of %d replans were warm",
 						trial, warmTot.Replan.WarmReplans, warmTot.Replan.Replans)
 				}
-				if coldTot.Replan.WarmReplans != 0 || !warmCapable[st.name] && warmTot.Replan.WarmReplans != 0 {
-					t.Fatalf("trial %d: unexpected warm replans (warm %d, cold %d)",
-						trial, warmTot.Replan.WarmReplans, coldTot.Replan.WarmReplans)
+				if coldTot.Replan.WarmReplans != 0 {
+					t.Fatalf("trial %d: %d warm replans with the tables nil", trial, coldTot.Replan.WarmReplans)
 				}
 				warmTot.Replan, coldTot.Replan = ReplanStats{}, ReplanStats{}
 				if warmTot != coldTot {
@@ -132,7 +139,7 @@ func TestWarmReplanPressureClose(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		times = append(times, 0.3+float64(i/25)*0.05) // 4 bursts of 25 ties
 	}
-	for _, name := range []string{"offline", "offline-batched", "batching", "dyadic"} {
+	for _, name := range []string{"offline", "offline-batched"} {
 		warmSink, _, warmTot := runWarmCase(t, name, false, times, 1<<20, 1)
 		coldSink, _, coldTot := runWarmCase(t, name, true, times, 1<<20, 1)
 		if !reflect.DeepEqual(warmSink.events, coldSink.events) {

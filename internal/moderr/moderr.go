@@ -1,15 +1,14 @@
 // Package moderr declares the repository's shared failure sentinels: the
 // leaf of the error taxonomy the public mod facade exposes.
 //
-// The classified layers (policy, multiobject, offline, live, serve) sit
-// at different depths of the import graph — offline cannot import policy,
-// policy cannot import live — yet errors.Is must classify a failure
+// The classified layers (multiobject, offline, live, serve, mod) sit at
+// different depths of the import graph — offline cannot import live,
+// live cannot import mod — yet errors.Is must classify a failure
 // identically whichever layer raised it.  So the sentinel *values* live
-// here, below everything; policy re-exports them under its historical
-// names (the mod facade aliases those in turn), and every layer wraps
-// them with %w.  The errwrap analyzer (internal/analysis) enforces the
-// wrapping discipline; the message texts keep their original "policy:"
-// prefixes so no pinned output changes.
+// here, below everything; the mod facade re-exports them, and every layer
+// wraps them with %w.  The errwrap analyzer (internal/analysis) enforces
+// the wrapping discipline; the message texts keep their original
+// "policy:" prefixes so no pinned output changes.
 package moderr
 
 import "errors"

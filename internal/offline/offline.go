@@ -216,11 +216,11 @@ type Forest struct {
 //
 // The interval DP is computed into forest tables: only intervals inside an
 // L-window are candidates, O(n * W) cells for W arrivals in the densest
-// window — the reason the arrival cap of policy.OfflineOptimal could be
-// raised 10x — and of those only the rows the partition can still use are
-// stored.  A non-finite or non-positive L is ErrBadInstance, reported
-// before anything is allocated.  Cancelling ctx aborts the DP within one
-// column and returns an error wrapping ctx.Err().
+// window — the reason DefaultMaxArrivals could be raised 10x — and of
+// those only the rows the partition can still use are stored.  A
+// non-finite or non-positive L is ErrBadInstance, reported before
+// anything is allocated.  Cancelling ctx aborts the DP within one column
+// and returns an error wrapping ctx.Err().
 func OptimalForest(ctx context.Context, times []float64, L float64, model Model) (*Forest, error) {
 	if err := validateTimes(times); err != nil {
 		return nil, err
@@ -236,6 +236,79 @@ func OptimalForest(ctx context.Context, times []float64, L float64, model Model)
 		return nil, err
 	}
 	return t.SolveForest(L)
+}
+
+// DefaultMaxArrivals is the arrival cap of CheckSize.  Forest tables
+// store at most 12 bytes per interval inside one media-length window, so
+// a DP over n arrivals with W in its densest window needs at most 12 n W
+// bytes: 287 MB at n = 50000 in the Figs. 11-12 setting (horizon 100
+// media lengths).  Adversarial traces that pack everything into one
+// window are caught by DefaultMaxTableBytes instead.
+const DefaultMaxArrivals = 50000
+
+// DefaultMaxTableBytes is the table cap of CheckSize: ~1.5 GiB of window
+// band, whatever the arrival count.
+const DefaultMaxTableBytes = int64(1) << 30 * 3 / 2
+
+// CheckSize refuses, with an error wrapping ErrInstanceTooLarge, a DP
+// over times (ties counted) with more than maxArrivals arrivals or a
+// window band (BandBytes) over maxTableBytes.  It runs in O(n) and
+// allocates nothing.  Non-positive caps select DefaultMaxArrivals and
+// DefaultMaxTableBytes.
+func CheckSize(times []float64, L float64, maxArrivals int, maxTableBytes int64) error {
+	if maxArrivals <= 0 {
+		maxArrivals = DefaultMaxArrivals
+	}
+	if maxTableBytes <= 0 {
+		maxTableBytes = DefaultMaxTableBytes
+	}
+	if len(times) > maxArrivals {
+		return fmt.Errorf("%w: offline: %d arrivals exceed the %d-arrival DP cap",
+			moderr.ErrInstanceTooLarge, len(times), maxArrivals)
+	}
+	if bytes := BandBytes(times, L); bytes > maxTableBytes {
+		return fmt.Errorf("%w: offline: DP would need %d MB of tables for %d arrivals (budget %d MB)",
+			moderr.ErrInstanceTooLarge, bytes>>20, len(times), maxTableBytes>>20)
+	}
+	return nil
+}
+
+// SolveGuarded is the receive-two off-line optimum behind the guard that
+// the off-line planners and the live off-line epochs share: CheckSize on
+// times as given, then tied arrivals collapsed by distinct before
+// OptimalForest.  times must be nondecreasing.  An untied trace reaches
+// the DP as is, so its forest is OptimalForest's bit for bit.
+func SolveGuarded(ctx context.Context, times []float64, L float64, maxArrivals int, maxTableBytes int64) (*Forest, error) {
+	if err := CheckSize(times, L, maxArrivals, maxTableBytes); err != nil {
+		return nil, err
+	}
+	return OptimalForest(ctx, distinct(times), L, ReceiveTwo)
+}
+
+// distinct returns the nondecreasing times with every arrival that ties
+// its predecessor dropped: clients arriving at the same instant share a
+// stream, and the DP needs strictly increasing times.  An untied trace is
+// returned as is, without a copy.
+func distinct(times []float64) []float64 {
+	for i := 1; i < len(times); i++ {
+		if times[i] == times[i-1] {
+			out := append(make([]float64, 0, len(times)), times[:i]...)
+			for _, t := range times[i:] {
+				out = AppendDistinct(out, t)
+			}
+			return out
+		}
+	}
+	return times
+}
+
+// AppendDistinct appends t to starts unless it ties the last of them: the
+// tie collapse of distinct, one arrival at a time.
+func AppendDistinct(starts []float64, t float64) []float64 {
+	if n := len(starts); n > 0 && starts[n-1] == t {
+		return starts
+	}
+	return append(starts, t)
 }
 
 // AdvancePartition only validates: forest tables advance the partition in

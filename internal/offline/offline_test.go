@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -316,6 +317,65 @@ func TestOptimalForestErrors(t *testing.T) {
 	res, err := OptimalForest(context.Background(), nil, 1, ReceiveTwo)
 	if err != nil || res.Forest.Size() != 0 {
 		t.Errorf("empty input should give an empty forest")
+	}
+}
+
+// TestSolveGuarded pins the shared off-line guard: both caps count tied
+// arrivals, non-positive caps select the defaults, and ties collapse
+// before the DP, so a tied trace costs what its deduplication costs and
+// an untied one what OptimalForest returns.
+func TestSolveGuarded(t *testing.T) {
+	ctx := context.Background()
+	tied := []float64{0.1, 0.1, 0.2, 0.35, 0.35, 0.9}
+	if err := CheckSize(tied, 1, 5, 0); !errors.Is(err, moderr.ErrInstanceTooLarge) {
+		t.Errorf("arrival cap counting ties: err = %v, want ErrInstanceTooLarge", err)
+	}
+	if err := CheckSize(tied, 1, 0, BandBytes(tied, 1)-1); !errors.Is(err, moderr.ErrInstanceTooLarge) {
+		t.Errorf("table cap counting ties: err = %v, want ErrInstanceTooLarge", err)
+	}
+	if err := CheckSize(tied, 1, 6, BandBytes(tied, 1)); err != nil {
+		t.Errorf("caps met exactly: err = %v", err)
+	}
+	atCap := make([]float64, DefaultMaxArrivals+1)
+	for i := range atCap {
+		atCap[i] = float64(i)
+	}
+	if err := CheckSize(atCap[:DefaultMaxArrivals], 1, 0, 0); err != nil {
+		t.Errorf("%d arrivals under the default caps: err = %v", DefaultMaxArrivals, err)
+	}
+	if err := CheckSize(atCap, 1, 0, 0); !errors.Is(err, moderr.ErrInstanceTooLarge) {
+		t.Errorf("%d arrivals: err = %v, want ErrInstanceTooLarge", len(atCap), err)
+	}
+	if _, err := SolveGuarded(ctx, tied, 1, 2, 0); !errors.Is(err, moderr.ErrInstanceTooLarge) {
+		t.Errorf("SolveGuarded over the arrival cap: err = %v, want ErrInstanceTooLarge", err)
+	}
+
+	deduped := []float64{0.1, 0.2, 0.35, 0.9}
+	if got := distinct(tied); !reflect.DeepEqual(got, deduped) {
+		t.Fatalf("distinct(%v) = %v, want %v", tied, got, deduped)
+	}
+	if got := distinct(deduped); &got[0] != &deduped[0] {
+		t.Errorf("distinct copied an untied trace")
+	}
+	got, err := SolveGuarded(ctx, tied, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := OptimalForest(ctx, deduped, 1, ReceiveTwo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cost != want.Cost || !reflect.DeepEqual(got.Roots, want.Roots) {
+		t.Errorf("tied trace: cost %v roots %v, want the deduplicated %v roots %v", got.Cost, got.Roots, want.Cost, want.Roots)
+	}
+	rng := rand.New(rand.NewSource(5))
+	times := randomTimes(rng, 200, 4)
+	got, err = SolveGuarded(ctx, times, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ = OptimalForest(ctx, times, 1, ReceiveTwo); got.Cost != want.Cost {
+		t.Errorf("untied trace: cost %v, want OptimalForest's %v", got.Cost, want.Cost)
 	}
 }
 

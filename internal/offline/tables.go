@@ -111,8 +111,8 @@ func (t *Tables) forest() bool { return t.window > 0 && !math.IsInf(t.window, 1)
 // (0 when window <= 0 or +Inf, i.e. unbanded).  It is nondecreasing in j,
 // so a sweep over the columns passes the previous column's result as p.
 // It is the single definition of the window band used by both the column
-// fill and BandCells, so the memory guard in policy.OfflineOptimal can
-// never fall below what the tables actually store.
+// fill and BandCells, so the memory guard in CheckSize can never fall
+// below what the tables actually store.
 func bandLo(times []float64, window float64, p, j int) int {
 	if window <= 0 || math.IsInf(window, 1) {
 		return 0

@@ -85,7 +85,7 @@ func TestTablesBandedMatchesFull(t *testing.T) {
 }
 
 // TestMemoryBytesAccounting sanity-checks the 12-bytes-per-cell estimate
-// used by policy.OfflineOptimal to refuse over-sized instances.
+// used by CheckSize to refuse over-sized instances.
 func TestMemoryBytesAccounting(t *testing.T) {
 	times := randomTimes(rand.New(rand.NewSource(1)), 100, 10)
 	tab, err := ComputeTables(context.Background(), times, ReceiveTwo, 0, 1)

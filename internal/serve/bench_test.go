@@ -78,24 +78,26 @@ func durableShard(b *testing.B, sh *shard) (stop func()) {
 }
 
 // BenchmarkShardAdmitDurable extends the allocation guard to the durable
-// hot path: the WAL record fill and channel send (logSubmit, the
-// record-only walSubmit), the admit core, and the commit round-trip
-// through the group-commit WAL writer (an ack-only walSubmit).  The
-// record travels as a fixed-size array inside the channel message, so
-// durability must add zero allocations per admitted request.
+// single-submit path the shard loop runs: submitDurable fills the WAL
+// record, admits, and hands record, ticket and reply channel to the
+// group-commit WAL writer as one walSubmit message; the benchmark then
+// waits for the ack.  The record travels as a fixed-size array inside
+// the channel message, so durability must add zero allocations per
+// admitted request.  The strategy is batching, whose tickets carry no
+// receiving program: the online ticket's program copy is the one
+// intentional per-request allocation, and it would hide any other.
 func BenchmarkShardAdmitDurable(b *testing.B) {
-	sh, st := benchShard(b, "online")
+	sh, st := benchShard(b, "batching")
 	stop := durableShard(b, sh)
 	defer stop()
+	q := &sh.srv.queues[sh.id]
 	reply := make(chan Ticket, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	t := 0.0
 	for i := 0; i < b.N; i++ {
 		t += 0.003
-		sh.logSubmit(Request{Object: "hot", T: t})
-		sh.admitCore(st, t)
-		sh.walCh <- walMsg{kind: walSubmit, reply: reply}
+		sh.submitDurable(st, Request{Object: "hot", T: t}, 137, reply, q)
 		<-reply
 	}
 }

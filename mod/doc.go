@@ -30,7 +30,12 @@
 //	hybrid           Section 5 hybrid (delay-guaranteed when loaded, dyadic when idle)
 //	unicast          no sharing: a private full stream per client
 //
-// Third parties can Register additional planners under new names.
+// Each built-in planner checks the settings its algorithm needs and calls
+// the algorithm directly; Compare runs the same planners on one instance
+// at once, spread over a WithWorkers pool, with the costs Plan returns.
+// Arrival times are nondecreasing, and clients arriving at the same
+// instant share a stream.  Third parties can Register additional planners
+// under new names; Compare knows only the built-in ones.
 //
 // Behavior is configured with functional options (WithDelay, WithWorkers,
 // WithChannelCap, WithMemoryBudget, WithHorizon, ...), applied at New time

@@ -3,8 +3,8 @@ package mod
 import (
 	"errors"
 
+	"repro/internal/moderr"
 	"repro/internal/multiobject"
-	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -21,12 +21,12 @@ var (
 	// ErrBadInstance marks invalid problem instances: a non-positive
 	// horizon, an unsorted or non-finite arrival trace, a delay exceeding
 	// the media length.
-	ErrBadInstance = policy.ErrBadInstance
+	ErrBadInstance = moderr.ErrBadInstance
 
 	// ErrInstanceTooLarge marks instances the exact off-line DP refuses up
 	// front: more arrivals than the configured cap (WithMaxArrivals) or DP
 	// tables over the memory budget (WithMemoryBudget).
-	ErrInstanceTooLarge = policy.ErrInstanceTooLarge
+	ErrInstanceTooLarge = moderr.ErrInstanceTooLarge
 
 	// ErrCapacity marks channel-budget failures: a Plan whose bandwidth
 	// exceeds WithChannelCap, or a FitDelays search that cannot meet its

@@ -8,42 +8,63 @@ import (
 	"time"
 
 	"repro/internal/arrivals"
+	"repro/internal/batching"
 	"repro/internal/dyadic"
 	"repro/internal/hybrid"
-	"repro/internal/policy"
+	"repro/internal/offline"
+	"repro/internal/online"
 	"repro/mod"
 )
 
-// TestPlannersMatchPolicyLayer pins the facade to the policy layer: for
-// every built-in planner, Plan must return exactly the cost the underlying
-// policy computes (bit-identical — the facade adds no arithmetic).
-func TestPlannersMatchPolicyLayer(t *testing.T) {
+// TestPlannersMatchAlgorithms pins every built-in planner to the algorithm
+// it calls: Plan must return exactly the cost of the direct call
+// (bit-identical — the facade adds no arithmetic).
+func TestPlannersMatchAlgorithms(t *testing.T) {
 	ctx := context.Background()
 	trace := arrivals.Poisson(0.004, 10, 42)
 	inst := mod.Instance{Arrivals: trace, Horizon: 10}
 	const delay = 0.01
-
-	pols := map[string]policy.Policy{
-		"online":          policy.DelayGuaranteed(1, delay),
-		"offline":         policy.OfflineOptimal(1, 0),
-		"offline-batched": policy.OfflineOptimalBatched(1, delay, 0),
-		"dyadic":          policy.ImmediateDyadic(1, dyadic.GoldenPoisson()),
-		"dyadic-batched":  policy.BatchedDyadic(1, delay, dyadic.GoldenPoisson()),
-		"batching":        policy.PureBatching(1, delay),
-		"hybrid":          policy.Hybrid(hybrid.DefaultConfig(1, delay)),
-		"unicast":         policy.Unicast(),
-	}
-	for name, pol := range pols {
-		want, err := pol.Serve(ctx, trace, 10)
+	clipped := trace.Clip(10)
+	optimum := func(times []float64) (float64, error) {
+		f, err := offline.OptimalForest(ctx, times, 1, offline.ReceiveTwo)
 		if err != nil {
-			t.Fatalf("policy %s: %v", name, err)
+			return 0, err
+		}
+		return f.NormalizedCost(), nil
+	}
+	direct := map[string]func() (float64, error){
+		// The on-line cost depends on the horizon alone.
+		"online":          func() (float64, error) { return online.NormalizedCost(100, 1000), nil },
+		"offline":         func() (float64, error) { return optimum(clipped) },
+		"offline-batched": func() (float64, error) { return optimum(clipped.BatchTimes(delay)) },
+		"dyadic":          func() (float64, error) { return dyadic.TotalCost(clipped, 1, dyadic.GoldenPoisson()) },
+		"dyadic-batched": func() (float64, error) {
+			return dyadic.TotalBatchedCost(clipped, 1, delay, dyadic.GoldenPoisson())
+		},
+		"batching": func() (float64, error) { return batching.BatchedCost(clipped, delay), nil },
+		"hybrid": func() (float64, error) {
+			res, err := hybrid.Run(clipped, 10, hybrid.DefaultConfig(1, delay))
+			if err != nil {
+				return 0, err
+			}
+			return res.TotalCost, nil
+		},
+		"unicast": func() (float64, error) { return batching.ImmediateUnicastCost(clipped), nil },
+	}
+	if len(direct) != len(mod.Planners()) {
+		t.Fatalf("%d direct calls for %d planners", len(direct), len(mod.Planners()))
+	}
+	for name, call := range direct {
+		want, err := call()
+		if err != nil {
+			t.Fatalf("%s direct call: %v", name, err)
 		}
 		plan, err := mod.MustNew(name, mod.WithDelay(delay)).Plan(ctx, inst)
 		if err != nil {
 			t.Fatalf("planner %s: %v", name, err)
 		}
 		if plan.Cost != want {
-			t.Errorf("planner %s cost = %v, want the policy layer's %v (must be bit-identical)", name, plan.Cost, want)
+			t.Errorf("planner %s cost = %v, want the direct call's %v (must be bit-identical)", name, plan.Cost, want)
 		}
 		if plan.Planner != name || plan.Horizon != 10 || plan.Arrivals != len(trace) {
 			t.Errorf("planner %s plan metadata = %+v", name, plan)
@@ -51,8 +72,34 @@ func TestPlannersMatchPolicyLayer(t *testing.T) {
 	}
 }
 
-// TestHybridAux checks the hybrid planner reports its mode timeline, which
-// the policy layer cannot.
+// TestOnlineMatchesOnlinePackage: the online planner costs exactly
+// online.NormalizedCost for the horizon's slots, on an empty trace and on
+// a dense one alike (the delay-guaranteed cost is trace-independent).
+func TestOnlineMatchesOnlinePackage(t *testing.T) {
+	ctx := context.Background()
+	want := online.NormalizedCost(100, 1000)
+	p := mod.MustNew("online", mod.WithDelay(0.01))
+	for _, trace := range []arrivals.Trace{{}, arrivals.Poisson(0.001, 10, 1)} {
+		plan, err := p.Plan(ctx, mod.Instance{Arrivals: trace, Horizon: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Cost != want {
+			t.Errorf("online on %d arrivals = %v, want the trace-independent %v", len(trace), plan.Cost, want)
+		}
+	}
+}
+
+// TestOfflineEmptyTrace: the off-line optimum of no arrivals is no stream.
+func TestOfflineEmptyTrace(t *testing.T) {
+	plan, err := mod.MustNew("offline").Plan(context.Background(), mod.Instance{Horizon: 5})
+	if err != nil || plan.Cost != 0 {
+		t.Errorf("offline on an empty trace = %v, %v; want 0", plan.Cost, err)
+	}
+}
+
+// TestHybridAux checks the hybrid planner reports its mode timeline
+// through Plan.Aux.
 func TestHybridAux(t *testing.T) {
 	trace := arrivals.Poisson(0.05, 10, 7)
 	plan, err := mod.MustNew("hybrid").Plan(context.Background(), mod.Instance{Arrivals: trace, Horizon: 10})

@@ -15,7 +15,7 @@ type Settings struct {
 	Delay float64
 	// Horizon, when positive, overrides Instance.Horizon.
 	Horizon float64
-	// Workers sizes Compare's policy pool and the live server's shard
+	// Workers sizes Compare's worker pool and the live server's shard
 	// count; 0 means GOMAXPROCS, 1 means serial.  A single Plan runs on
 	// the caller's goroutine whatever its value.
 	Workers int

@@ -12,10 +12,10 @@ import (
 // Instance is one planning problem: the client arrival times for a single
 // media object and the horizon to plan over.
 type Instance struct {
-	// Arrivals are the client request times, strictly increasing, in the
-	// catalog's time units.  May be empty: the oblivious planners (online,
-	// batching at zero load, ...) have well-defined costs for an empty
-	// trace.
+	// Arrivals are the client request times, nondecreasing, in the
+	// catalog's time units; clients arriving at the same instant share a
+	// stream.  May be empty: the oblivious planners (online, batching at
+	// zero load, ...) have well-defined costs for an empty trace.
 	Arrivals []float64
 	// Horizon is the planning horizon in the same units.  WithHorizon
 	// overrides it; one of the two must be positive.
@@ -91,11 +91,20 @@ func (p *planner) Plan(ctx context.Context, inst Instance, opts ...Option) (Plan
 		AverageChannels: cost * st.MediaLength / horizon,
 		Aux:             aux,
 	}
-	if st.ChannelCap > 0 && plan.AverageChannels > float64(st.ChannelCap) {
-		return Plan{}, fmt.Errorf("mod: planner %q: %w: plan needs %.2f average channels, cap is %d",
-			p.name, ErrCapacity, plan.AverageChannels, st.ChannelCap)
+	if err := checkCap(st, plan.AverageChannels); err != nil {
+		return Plan{}, fmt.Errorf("mod: planner %q: %w", p.name, err)
 	}
 	return plan, nil
+}
+
+// checkCap refuses a plan whose time-average busy channels exceed
+// WithChannelCap; Plan and Compare share it, so swapping a Plan loop for
+// Compare never loses the capacity guard.
+func checkCap(st Settings, avgChannels float64) error {
+	if st.ChannelCap > 0 && avgChannels > float64(st.ChannelCap) {
+		return fmt.Errorf("%w: plan needs %.2f average channels, cap is %d", ErrCapacity, avgChannels, st.ChannelCap)
+	}
+	return nil
 }
 
 // resolveInstance validates the trace and resolves the horizon (an

@@ -2,67 +2,163 @@ package mod
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/arrivals"
+	"repro/internal/batching"
 	"repro/internal/dyadic"
 	"repro/internal/hybrid"
-	"repro/internal/policy"
+	"repro/internal/offline"
+	"repro/internal/online"
 )
 
-// The built-in planners.  Each is a thin, options-driven adapter over the
-// internal policy layer; their names are pinned by a golden registry test.
+// builtins is the one table of built-in planners, in registration order.
+// Each entry checks the settings its algorithm needs and calls the
+// algorithm directly; the trace is validated and the horizon resolved
+// before any entry runs (resolveInstance).  Plan and Compare run the same
+// entry, so a Plan and a Compare cost for the same name come from the same
+// computation.  The names are pinned by a golden registry test.
+var builtins = []struct {
+	name string
+	run  runFunc
+}{
+	{"online", runOnline},
+	{"offline", runOffline},
+	{"offline-batched", runOfflineBatched},
+	{"dyadic", runDyadic},
+	{"dyadic-batched", runDyadicBatched},
+	{"batching", runBatching},
+	{"hybrid", runHybrid},
+	{"unicast", runUnicast},
+}
+
 func init() {
-	for _, name := range builtinNames {
-		name := name
-		Register(name, func(opts ...Option) (Planner, error) {
-			return &planner{name: name, base: opts, run: builtinRun(name)}, nil
+	for _, b := range builtins {
+		b := b
+		Register(b.name, func(opts ...Option) (Planner, error) {
+			return &planner{name: b.name, base: opts, run: b.run}, nil
 		})
 	}
 }
 
-// builtinNames lists the built-in planners in registration order; the
-// sorted view is what Planners() reports and what the golden test pins.
-var builtinNames = []string{
-	"online",
-	"offline",
-	"offline-batched",
-	"dyadic",
-	"dyadic-batched",
-	"batching",
-	"hybrid",
-	"unicast",
+// builtinRun returns the built-in entry registered under name.
+func builtinRun(name string) (runFunc, error) {
+	for _, b := range builtins {
+		if b.name == name {
+			return b.run, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %q", ErrUnknownPlanner, name)
 }
 
 // StandardNames returns the planners of the paper's Figs. 11-12 comparison
-// plus the merging-free baselines, in the policy layer's stable order.
+// plus the merging-free baselines, in a stable order.
 func StandardNames() []string {
 	return []string{"online", "dyadic", "dyadic-batched", "hybrid", "batching", "unicast"}
 }
 
-// builtinRun returns the runFunc for a built-in name.  All planners except
-// hybrid delegate straight to their policy; hybrid calls the hybrid engine
-// directly so it can report its mode timeline through Plan.Aux (the policy
-// layer exposes only the cost).
-func builtinRun(name string) runFunc {
-	if name == "hybrid" {
-		return runHybrid
+// checkMedia refuses a non-positive media length: the one setting the
+// immediate-service merging planners need.
+func checkMedia(st Settings) error {
+	if st.MediaLength <= 0 {
+		return fmt.Errorf("%w: media length must be positive (got %g)", ErrBadInstance, st.MediaLength)
 	}
-	return func(ctx context.Context, trace arrivals.Trace, horizon float64, st Settings) (float64, map[string]float64, error) {
-		pol, err := builtinPolicy(name, st)
-		if err != nil {
-			return 0, nil, err
-		}
-		cost, err := pol.Serve(ctx, trace, horizon)
-		return cost, nil, err
+	return nil
+}
+
+// checkDelay refuses settings without 0 < delay <= media length: what
+// every planner that serves clients at slot ends needs.
+func checkDelay(st Settings) error {
+	if st.MediaLength <= 0 || st.Delay <= 0 || st.Delay > st.MediaLength {
+		return fmt.Errorf("%w: need 0 < delay <= media length (got media=%g delay=%g)",
+			ErrBadInstance, st.MediaLength, st.Delay)
 	}
+	return nil
+}
+
+// runOnline is the paper's delay-guaranteed on-line algorithm: a (possibly
+// truncated) stream starts at the end of every slot, following the static
+// F_h merge-tree template whatever the arrivals, so the cost depends on
+// the horizon alone.
+func runOnline(_ context.Context, _ arrivals.Trace, horizon float64, st Settings) (float64, map[string]float64, error) {
+	if err := checkDelay(st); err != nil {
+		return 0, nil, err
+	}
+	// Round, not ceil: the repo-wide horizon-slot convention shared with
+	// the Figs. 11-12 sweep (experiments.comparisonFigure) and cmd/modsim,
+	// so the planner reproduces those figures' delay-guaranteed points
+	// exactly when the delay does not divide the horizon.
+	n := int64(math.Round(horizon / st.Delay))
+	if n < 1 {
+		n = 1
+	}
+	return online.NormalizedCost(st.SlotsPerMedia(), n), nil, nil
+}
+
+// runOffline is the exact off-line optimum for immediate service: the
+// interval DP over the arrivals, behind the shared off-line guard.
+func runOffline(ctx context.Context, trace arrivals.Trace, horizon float64, st Settings) (float64, map[string]float64, error) {
+	if err := checkMedia(st); err != nil {
+		return 0, nil, err
+	}
+	return solveOffline(ctx, trace.Clip(horizon), st)
+}
+
+// runOfflineBatched is the exact off-line optimum when every client may
+// wait until the end of its slot: the interval DP over the occupied slot
+// ends, the tight lower bound for every delay-`delay` planner.
+func runOfflineBatched(ctx context.Context, trace arrivals.Trace, horizon float64, st Settings) (float64, map[string]float64, error) {
+	if err := checkDelay(st); err != nil {
+		return 0, nil, err
+	}
+	return solveOffline(ctx, trace.Clip(horizon).BatchTimes(st.Delay), st)
+}
+
+func solveOffline(ctx context.Context, times []float64, st Settings) (float64, map[string]float64, error) {
+	res, err := offline.SolveGuarded(ctx, times, st.MediaLength, st.MaxArrivals, st.MemoryBudget)
+	if err != nil {
+		return 0, nil, err
+	}
+	return res.NormalizedCost(), nil, nil
+}
+
+// runDyadic is immediate-service dyadic stream merging.
+func runDyadic(_ context.Context, trace arrivals.Trace, horizon float64, st Settings) (float64, map[string]float64, error) {
+	if err := checkMedia(st); err != nil {
+		return 0, nil, err
+	}
+	cost, err := dyadic.TotalCost(trace.Clip(horizon), st.MediaLength, dyadic.Golden(st.Poisson, st.SlotsPerMedia()))
+	return cost, nil, err
+}
+
+// runDyadicBatched is batched dyadic stream merging: arrivals wait until
+// the end of their slot, and only occupied slots start streams.
+func runDyadicBatched(_ context.Context, trace arrivals.Trace, horizon float64, st Settings) (float64, map[string]float64, error) {
+	if err := checkDelay(st); err != nil {
+		return 0, nil, err
+	}
+	cost, err := dyadic.TotalBatchedCost(trace.Clip(horizon), st.MediaLength, st.Delay, dyadic.Golden(st.Poisson, st.SlotsPerMedia()))
+	return cost, nil, err
+}
+
+// runBatching is merging-free batching: one full stream per occupied slot.
+func runBatching(_ context.Context, trace arrivals.Trace, horizon float64, st Settings) (float64, map[string]float64, error) {
+	if err := checkDelay(st); err != nil {
+		return 0, nil, err
+	}
+	return batching.BatchedCost(trace.Clip(horizon), st.Delay), nil, nil
 }
 
 // runHybrid runs the Section 5 hybrid and reports, beyond the cost, the
 // fraction of the horizon served in delay-guaranteed mode and what each
 // pure strategy would have cost.
 func runHybrid(ctx context.Context, trace arrivals.Trace, horizon float64, st Settings) (float64, map[string]float64, error) {
+	if err := checkDelay(st); err != nil {
+		return 0, nil, err
+	}
 	res, err := hybrid.Run(trace.Clip(horizon), horizon, hybrid.DefaultConfig(st.MediaLength, st.Delay))
 	if err != nil {
 		return 0, nil, err
@@ -77,87 +173,97 @@ func runHybrid(ctx context.Context, trace arrivals.Trace, horizon float64, st Se
 	}, nil
 }
 
-// builtinPolicy maps a built-in planner name and settings onto the policy
-// layer.  Compare uses it too, so a Plan and a Compare entry for the same
-// name are produced by the same underlying computation.
-func builtinPolicy(name string, st Settings) (policy.Policy, error) {
-	switch name {
-	case "online":
-		return policy.DelayGuaranteed(st.MediaLength, st.Delay), nil
-	case "offline":
-		return policy.OfflineOptimalOpts(st.MediaLength, offlineOptions(st)), nil
-	case "offline-batched":
-		return policy.OfflineOptimalBatchedOpts(st.MediaLength, st.Delay, offlineOptions(st)), nil
-	case "dyadic":
-		return policy.ImmediateDyadic(st.MediaLength, dyadicParams(st)), nil
-	case "dyadic-batched":
-		return policy.BatchedDyadic(st.MediaLength, st.Delay, dyadicParams(st)), nil
-	case "batching":
-		return policy.PureBatching(st.MediaLength, st.Delay), nil
-	case "hybrid":
-		return policy.Hybrid(hybrid.DefaultConfig(st.MediaLength, st.Delay)), nil
-	case "unicast":
-		return policy.Unicast(), nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownPlanner, name)
-}
-
-func offlineOptions(st Settings) policy.OfflineOptions {
-	return policy.OfflineOptions{
-		MaxArrivals:   st.MaxArrivals,
-		MaxTableBytes: st.MemoryBudget,
-	}
-}
-
-// dyadicParams mirrors policy.Standard's parameter choice: golden-ratio
-// thresholds tuned for Poisson arrivals, or the Section 4.2 constant-rate
-// tuning for the planner's slots-per-media.
-func dyadicParams(st Settings) dyadic.Params {
-	if st.Poisson {
-		return dyadic.GoldenPoisson()
-	}
-	return dyadic.GoldenConstantRate(st.SlotsPerMedia())
+// runUnicast is the no-sharing strawman: a private full stream per client.
+func runUnicast(_ context.Context, trace arrivals.Trace, horizon float64, _ Settings) (float64, map[string]float64, error) {
+	return batching.ImmediateUnicastCost(trace.Clip(horizon)), nil, nil
 }
 
 // Compare plans the same instance with several built-in planners at once,
-// spreading the work across WithWorkers goroutines (the policy layer's
-// CompareParallel pool), and returns the costs keyed by planner name.  The
-// costs — and the option semantics, including WithChannelCap — are
-// identical to calling Plan per name.  Cancelling ctx aborts the sweep,
-// including a mid-flight off-line DP, and returns an error wrapping
-// ErrCanceled.
+// spreading the work across WithWorkers goroutines (0 means GOMAXPROCS, 1
+// runs them one after another and stops at the first failure), and
+// returns the costs keyed by planner name.  The costs — and the option
+// semantics, including WithChannelCap — are identical to calling Plan per
+// name.  A failing planner is reported as the first failure in names
+// order.  Cancelling ctx stops dispatching, aborts the in-flight planners
+// (a mid-flight off-line DP included), joins every worker and returns an
+// error wrapping ErrCanceled.
 //
-// Compare resolves names against the built-in set only; planners added via
-// Register have no policy-layer mapping, so plan them with Plan directly.
+// Compare resolves names against the built-in set only; a planner added
+// via Register runs through its own Plan.
 func Compare(ctx context.Context, names []string, inst Instance, opts ...Option) (map[string]float64, error) {
 	st := ResolveSettings(opts...)
 	trace, horizon, err := resolveInstance(inst, st)
 	if err != nil {
 		return nil, fmt.Errorf("mod: compare: %w", err)
 	}
-	pols := make([]policy.Policy, len(names))
+	runs := make([]runFunc, len(names))
 	for i, name := range names {
-		if pols[i], err = builtinPolicy(name, st); err != nil {
+		if runs[i], err = builtinRun(name); err != nil {
 			return nil, fmt.Errorf("mod: compare: %w", err)
 		}
 	}
-	costs, err := policy.CompareParallel(ctx, pols, trace, horizon, st.Workers)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("mod: compare: %w: %w", ErrCanceled, err)
+	costs := make([]float64, len(names))
+	errs := make([]error, len(names))
+	run := func(i int) { costs[i], _, errs[i] = runs[i](ctx, trace, horizon, st) }
+	workers := st.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers <= 1 || len(names) <= 1 {
+		for i := range names {
+			if ctx.Err() != nil {
+				break
+			}
+			if run(i); errs[i] != nil {
+				break
+			}
 		}
-		return nil, fmt.Errorf("mod: compare: %w", err)
+	} else {
+		comparePool(ctx, min(workers, len(names)), len(names), run)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("mod: compare: %w: %w", ErrCanceled, err)
+	}
+	for i, name := range names {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("mod: compare: planner %q: %w", name, errs[i])
+		}
 	}
 	out := make(map[string]float64, len(names))
 	for i, name := range names {
-		cost := costs[pols[i].Name()]
-		// Enforce the channel cap exactly like Plan does, so swapping a
-		// Plan loop for Compare never loses the capacity guard.
-		if avg := cost * st.MediaLength / horizon; st.ChannelCap > 0 && avg > float64(st.ChannelCap) {
-			return nil, fmt.Errorf("mod: compare: planner %q: %w: plan needs %.2f average channels, cap is %d",
-				name, ErrCapacity, avg, st.ChannelCap)
+		if err := checkCap(st, costs[i]*st.MediaLength/horizon); err != nil {
+			return nil, fmt.Errorf("mod: compare: planner %q: %w", name, err)
 		}
-		out[name] = cost
+		out[name] = costs[i]
 	}
 	return out, nil
+}
+
+// comparePool runs run(0..n-1) on the given number of goroutines and
+// returns once every one of them has exited.  A done ctx stops the
+// dispatch, and the workers skip what was already handed to them.
+func comparePool(ctx context.Context, workers, n int, run func(int)) {
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if ctx.Err() == nil {
+					run(i)
+				}
+			}
+		}()
+	}
+dispatch:
+	for i := 0; i < n; i++ {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(next)
+	wg.Wait()
 }
