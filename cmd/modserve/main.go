@@ -18,8 +18,10 @@
 // every admission is WAL-logged before its ticket is acknowledged and
 // shards snapshot their full scheduler state every -snapshot-epochs
 // epochs (POST /v1/admin/snapshot forces one); -restore warm-restarts
-// from the directory's latest snapshots plus WAL tails, resuming ticket
-// numbering where the previous process stopped.  -sync picks the WAL
+// from the directory's latest snapshots, resuming ticket numbering where
+// the previous process stopped.  A SIGINT/SIGTERM shutdown checkpoints
+// every shard, so its restart replays no WAL; after kill -9 the restore
+// replays the WAL tail logged since the last snapshot.  -sync picks the WAL
 // group-commit barrier: "os" (the default) flushes to the operating
 // system before acknowledging and survives process kill, "full" also
 // fsyncs — one fsync per group commit, shared by every acknowledgement

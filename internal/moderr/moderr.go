@@ -7,8 +7,8 @@
 // identically whichever layer raised it.  So the sentinel *values* live
 // here, below everything; the mod facade re-exports them, and every layer
 // wraps them with %w.  The errwrap analyzer (internal/analysis) enforces
-// the wrapping discipline; the message texts keep their original
-// "policy:" prefixes so no pinned output changes.
+// the wrapping discipline.  The texts name no layer: the wrapping layers
+// already prefix their own.
 package moderr
 
 import "errors"
@@ -17,9 +17,9 @@ import "errors"
 // non-positive horizon, length, or delay, a delay exceeding the media
 // length, an unsorted or non-finite arrival trace, an invalid catalog
 // object.
-var ErrBadInstance = errors.New("policy: invalid instance")
+var ErrBadInstance = errors.New("invalid instance")
 
 // ErrInstanceTooLarge marks instances the exact off-line DP refuses up
 // front: more arrivals than the configured cap, or banded DP tables that
 // would exceed the configured memory budget.
-var ErrInstanceTooLarge = errors.New("policy: instance too large")
+var ErrInstanceTooLarge = errors.New("instance too large")

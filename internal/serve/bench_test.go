@@ -57,7 +57,7 @@ func BenchmarkShardAdmit(b *testing.B) {
 	t := 0.0
 	for i := 0; i < b.N; i++ {
 		t += 0.003
-		sh.admitCore(st, t)
+		sh.admitCore(st, t, sh.srv.cfg.MeterStages)
 	}
 }
 

@@ -8,6 +8,7 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -87,7 +88,7 @@ func TestServerStateBounded(t *testing.T) {
 // started after everything submitted so far.  It hands the settler three
 // wake-ups through its one-slot channel: the third send goes through
 // only once the run the first one started has ended.
-func settlerCatchUp(t *testing.T, s *Server) {
+func settlerCatchUp(t testing.TB, s *Server) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
 		select {
@@ -99,61 +100,105 @@ func settlerCatchUp(t *testing.T, s *Server) {
 }
 
 // BenchmarkServerRestore times a restart after a 150k-request history
-// on a file store at the default sync level (the wire-durable set-up
-// without HTTP): each op copies the prepared store directory untimed,
-// then times New with Restore plus one Submit.  It reports the mean
-// snapshot size per shard.
+// on a file store at the default sync level, with stage metering on (the
+// wire-durable set-up without HTTP): each op copies a prepared store
+// image untimed, then times New with Restore plus one Submit.  One
+// server run prepares both images:
+//
+//   - clean: the store as Close left it.  Close checkpoints every shard,
+//     so the restore loads snapshots and replays no WAL record.
+//   - crash: the store copied from the still-running server after a
+//     forced Snapshot at 147,000 requests and a 3,000-request tail, what
+//     a SIGKILL leaves.  The tail is under one snapshot cadence, so no
+//     snapshot races the copy, and the restore replays it record by
+//     record.
+//
+// Each case reports the mean snapshot size per shard and the WAL records
+// a restore replays.
 func BenchmarkServerRestore(b *testing.B) {
-	const history, shards = 150000, 2
+	const history, tail, shards = 150000, 3000, 2
 	cat := multiobject.ZipfCatalog(64, 1, 0.02, 1)
 	reqs := zipfHistory(b, cat, history+1)
-	prep := filepath.Join(b.TempDir(), "prepared")
-	fs, err := store.NewFile(prep)
+	root := b.TempDir()
+	clean, crash := filepath.Join(root, "clean"), filepath.Join(root, "crash")
+	fs, err := store.NewFile(clean)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{Catalog: cat, Shards: shards, DefaultStrategy: "online", Store: fs, OwnStore: true}
+	cfg := Config{Catalog: cat, Shards: shards, DefaultStrategy: "online", MeterStages: true, Store: fs, OwnStore: true}
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	submitChunked(b, s, reqs[:history])
-	s.Close()
-	if fs, err = store.NewFile(prep); err != nil {
+	submitChunked(b, s, reqs[:history-tail])
+	// A settled kept set makes the forced snapshot, and so the crash
+	// restore's work, the same in every run.
+	settlerCatchUp(b, s)
+	if err := s.Snapshot(); err != nil {
 		b.Fatal(err)
 	}
-	snapBytes := 0
+	forced, _ := storeImage(b, clean, shards)
+	submitChunked(b, s, reqs[history-tail:history])
+	copyStoreDir(b, clean, crash)
+	s.Close()
+	if snaps, _ := storeImage(b, crash, shards); !reflect.DeepEqual(snaps, forced) {
+		b.Fatal("a snapshot raced the crash image's copy")
+	}
+	cfg.Restore = true
+	for _, image := range []struct{ name, dir string }{{"clean", clean}, {"crash", crash}} {
+		b.Run(image.name, func(b *testing.B) {
+			snaps, records := storeImage(b, image.dir, shards)
+			snapBytes := 0
+			for _, blob := range snaps {
+				snapBytes += len(blob)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := filepath.Join(b.TempDir(), "restore")
+				copyStoreDir(b, image.dir, dir)
+				runtime.GC()
+				b.StartTimer()
+				if cfg.Store, err = store.NewFile(dir); err != nil {
+					b.Fatal(err)
+				}
+				s, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Submit(reqs[history]); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				s.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(snapBytes)/shards, "snapshot-B/shard")
+			b.ReportMetric(float64(records), "wal-records")
+		})
+	}
+}
+
+// storeImage reads a store directory's snapshots, one per shard, and
+// counts the WAL records a restore from it would replay.
+func storeImage(tb testing.TB, dir string, shards int) (snaps [][]byte, records int) {
+	tb.Helper()
+	fs, err := store.NewFile(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer fs.Close()
 	for i := 0; i < shards; i++ {
 		blob, err := fs.LoadSnapshot(i)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		snapBytes += len(blob)
+		snaps = append(snaps, blob)
+		if err := fs.ReplayWAL(i, func([]byte) error { records++; return nil }); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	fs.Close()
-	cfg.Restore = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := filepath.Join(b.TempDir(), "restore")
-		copyStoreDir(b, prep, dir)
-		runtime.GC()
-		b.StartTimer()
-		if cfg.Store, err = store.NewFile(dir); err != nil {
-			b.Fatal(err)
-		}
-		s, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Submit(reqs[history]); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		s.Close()
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(snapBytes)/shards, "snapshot-B/shard")
+	return snaps, records
 }
 
 // copyStoreDir copies the regular files of a store directory.

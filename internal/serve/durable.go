@@ -51,7 +51,9 @@ import (
 // stalls admission for the encode.  The file backend's crash window
 // between snapshot rename and WAL truncation is closed by sequence
 // numbers instead: replay skips records below the snapshot's next
-// sequence.
+// sequence.  Close sends one last walSnapshot per shard once the loops
+// have exited (checkpoint), so a restart after a clean stop loads it and
+// replays nothing; only a crash leaves a WAL tail to replay.
 //
 // Store failures favor availability over durability: the writer counts
 // them (Stats.WALFailures) and still acknowledges, so a full disk
@@ -279,9 +281,10 @@ func (s *Server) appendRun(sh *shard, w *walCommit) {
 // writeSnapshot runs the snapshot codec on the writer goroutine — the
 // loop only captured plain state — with a pooled Encoder, then saves the
 // blob and recycles the capture buffer back to the shard's free list.
-// Only once the save succeeded does it publish the frontier captured with
-// the snapshot, which may advance the durable settle point, and wake the
-// settler.  It reports whether the save succeeded.
+// Only once the save succeeded does it publish the frontier and ticket
+// sequence captured with the snapshot, which may advance the durable
+// settle point, and wake the settler.  It reports whether the save
+// succeeded.
 func (s *Server) writeSnapshot(sh *shard, m *walMsg) bool {
 	if s.walEnc[sh.id] == nil {
 		s.walEnc[sh.id] = store.NewEncoder()
@@ -291,7 +294,7 @@ func (s *Server) writeSnapshot(sh *shard, m *walMsg) bool {
 	enc := s.walEnc[sh.id]
 	encodeSnapshotState(enc, m.snap)
 	err := s.cfg.Store.SaveSnapshot(sh.id, enc.Finish())
-	frontier := m.snap.frontier
+	frontier, seq := m.snap.frontier, m.snap.ticketSeq
 	sh.releaseSnapState(m.snap)
 	if err != nil {
 		s.walFailures.Add(1)
@@ -300,6 +303,7 @@ func (s *Server) writeSnapshot(sh *shard, m *walMsg) bool {
 		}
 	} else {
 		s.saved[sh.id].Store(math.Float64bits(frontier))
+		s.savedSeq[sh.id].Store(seq)
 		select {
 		case s.settle <- struct{}{}:
 		default:
@@ -371,6 +375,22 @@ func (sh *shard) maybeSnapshot() {
 	}
 	sh.walCh <- walMsg{kind: walSnapshot, snap: sh.captureSnapshot()}
 	sh.nextSnap = sh.now + sh.snapEvery
+}
+
+// checkpoint hands the writer the shard's final state as one more
+// snapshot, so the next restore finds an empty WAL tail.  Close calls it
+// after the loop has exited and before closing walCh: the writer lands
+// every pending record, saves the capture and only then exits.  A drained
+// shard is skipped, since a restore after Drain must reproduce the
+// pre-drain state, and so is a shard whose last successful save covers
+// its every admission.  A failed save covers nothing, so the checkpoint
+// also repairs a log a failed append left gapped; a save still queued
+// behind the loop's exit has not been published yet and is saved again.
+func (sh *shard) checkpoint() {
+	if sh.drained || sh.srv.savedSeq[sh.id].Load() == sh.ticketSeq {
+		return
+	}
+	sh.walCh <- walMsg{kind: walSnapshot, snap: sh.captureSnapshot()}
 }
 
 // encodeTotals appends a live.Totals to the snapshot.
@@ -819,23 +839,25 @@ func (sh *shard) restoreScheduler(obj multiobject.Object, strategy string, delay
 }
 
 // restore loads the shard's latest snapshot and replays the WAL tail
-// through the ordinary admit path.  It runs during New, before the shard
-// loop or WAL writer exist, so it owns all shard state.  Replay calls
-// handleSubmit directly — the loop's logSubmit step is deliberately
-// absent, since the records being applied are already in the log.  It
-// returns the shard's frontier as of the snapshot, its saved frontier.
-func (sh *shard) restore() (float64, error) {
+// through the admit path's state transition.  It runs during New, before
+// the shard loop or WAL writer exist, so it owns all shard state.  Replay
+// calls apply directly, unmetered — the loop's logSubmit step is
+// deliberately absent, since the records being applied are already in
+// the log, and no ticket is built, since nobody waits for one.  It
+// returns the shard's frontier and ticket sequence as of the snapshot:
+// its saved frontier and saved sequence.
+func (sh *shard) restore() (saved float64, savedSeq int64, err error) {
 	st := sh.srv.cfg.Store
 	blob, err := st.LoadSnapshot(sh.id)
 	if err != nil {
-		return 0, fmt.Errorf("serve: load snapshot for shard %d: %w", sh.id, err)
+		return 0, 0, fmt.Errorf("serve: load snapshot for shard %d: %w", sh.id, err)
 	}
 	if blob != nil {
 		if err := sh.decodeSnapshot(blob); err != nil {
-			return 0, fmt.Errorf("serve: restore shard %d: %w", sh.id, err)
+			return 0, 0, fmt.Errorf("serve: restore shard %d: %w", sh.id, err)
 		}
 	}
-	saved := sh.frontier()
+	saved, savedSeq = sh.frontier(), sh.ticketSeq
 	err = st.ReplayWAL(sh.id, func(rec []byte) error {
 		if len(rec) != walRecSize {
 			return fmt.Errorf("%w: WAL record of %d bytes (want %d)", store.ErrCorruptSnapshot, len(rec), walRecSize)
@@ -854,22 +876,24 @@ func (sh *shard) restore() (float64, error) {
 			return fmt.Errorf("%w: WAL record for catalog index %d (catalog has %d)", store.ErrCorruptSnapshot, objIdx, len(sh.srv.cfg.Catalog))
 		}
 		name := sh.srv.cfg.Catalog[objIdx].Name
-		if sh.byName[name] == nil {
+		obj := sh.byName[name]
+		if obj == nil {
 			return fmt.Errorf("%w: WAL record for object %q not routed to shard %d", store.ErrCorruptSnapshot, name, sh.id)
 		}
-		sh.handleSubmit(Request{Object: name, T: t}, -1)
+		sh.apply(obj, t, false)
 		return nil
 	})
 	if err != nil {
-		return 0, fmt.Errorf("serve: replay WAL for shard %d: %w", sh.id, err)
+		return 0, 0, fmt.Errorf("serve: replay WAL for shard %d: %w", sh.id, err)
 	}
-	return saved, nil
+	return saved, savedSeq, nil
 }
 
 // Snapshot forces an immediate snapshot of every shard and waits until
 // each is saved.  It is the synchronous form of the periodic cadence —
-// the HTTP layer exposes it as POST /v1/admin/snapshot for warm
-// restarts: snapshot, stop the process, start it with Restore.
+// the HTTP layer exposes it as POST /v1/admin/snapshot — and bounds the
+// WAL tail a crash restart replays.  A graceful stop needs none: Close
+// checkpoints every shard itself.
 //
 // The request fans out to all shards concurrently before collecting any
 // reply, so the wall time is one shard's capture+encode+save, not the

@@ -164,10 +164,12 @@ type Config struct {
 	// with Store set.
 	SyncMode store.SyncMode
 	// Restore makes New load each shard's latest snapshot from Store and
-	// replay its WAL tail through the ordinary admit path before serving,
+	// replay its WAL tail through the admit path before serving,
 	// recovering the pre-crash state exactly (ticket IDs continue past
-	// the WAL high-water mark; totals converge bit for bit).  Corrupted
-	// snapshot or WAL bytes fail New with store.ErrCorruptSnapshot.
+	// the WAL high-water mark; totals converge bit for bit).  Close
+	// checkpoints every shard, so only a crash leaves a tail to replay.
+	// Corrupted snapshot or WAL bytes fail New with
+	// store.ErrCorruptSnapshot.
 	Restore bool
 	// OwnStore transfers Store's ownership to the server: Close also
 	// closes the store.  The facade sets it for stores it opened itself.
@@ -471,6 +473,10 @@ type Server struct {
 	// without a store): the frontier captured with its last snapshot the
 	// store saved, published by its WAL writer after the save.
 	saved []atomic.Uint64
+	// savedSeq holds each shard's ticket sequence as of that snapshot (nil
+	// without a store), published with saved: Close checkpoints a shard
+	// only when admissions came after it.
+	savedSeq []atomic.Int64
 	// settle wakes the settler goroutine (one slot, non-blocking sends):
 	// a shard's kept set has grown past its trigger, or a WAL writer
 	// published a saved frontier.  settles counts the settler's completed
@@ -629,15 +635,16 @@ func New(cfg Config) (*Server, error) {
 		s.walRepair = make([]atomic.Bool, len(s.shards))
 		s.walEnc = make([]*store.Encoder, len(s.shards))
 		s.saved = make([]atomic.Uint64, len(s.shards))
+		s.savedSeq = make([]atomic.Int64, len(s.shards))
 		var resume settlePoint
 		for _, sh := range s.shards {
 			sh.walCh = make(chan walMsg, cfg.QueueDepth)
 			sh.snapFree = make(chan *shardSnapshotState, 2)
 			sh.snapEvery = float64(cfg.SnapshotEpochs*cfg.EpochSlots) * sh.minDelay
-			saved := sh.frontier()
+			saved, seq := sh.frontier(), int64(0)
 			if cfg.Restore {
 				var err error
-				if saved, err = sh.restore(); err != nil {
+				if saved, seq, err = sh.restore(); err != nil {
 					s.cancel()
 					return nil, err
 				}
@@ -646,6 +653,7 @@ func New(cfg Config) (*Server, error) {
 				}
 			}
 			s.saved[sh.id].Store(math.Float64bits(saved))
+			s.savedSeq[sh.id].Store(seq)
 			sh.nextSnap = sh.now + sh.snapEvery
 		}
 		s.peak.resume(resume)
@@ -1087,12 +1095,13 @@ func (r *DrainResult) AverageChannels() float64 {
 // virtual-clock runs, after which the server should be Closed.
 //
 // Drain is not durable.  It advances scheduler state outside the
-// WAL/snapshot discipline — nothing it does is logged or snapshotted —
-// so on a durable server a restore after Drain reproduces the pre-drain
-// state, not the drained one.  That is intentional: Drain reports a
-// finished run; it is not an admission whose effects need replaying.
-// Callers who want the post-restart server to skip the drained work
-// should Snapshot before draining and discard the store afterwards.
+// WAL/snapshot discipline — nothing it does is logged or snapshotted,
+// and Close does not checkpoint a drained shard — so on a durable server
+// a restore after Drain reproduces the pre-drain state, not the drained
+// one.  That is intentional: Drain reports a finished run; it is not an
+// admission whose effects need replaying.  Callers who want the
+// post-restart server to skip the drained work should Snapshot before
+// draining and discard the store afterwards.
 func (s *Server) Drain(horizon float64) (*DrainResult, error) {
 	if horizon <= 0 || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
 		return nil, fmt.Errorf("%w: drain horizon must be positive and finite, got %g", ErrBadRequest, horizon)
@@ -1170,10 +1179,15 @@ func (s *Server) assemble(snaps []shardSnapshot, peak int) Stats {
 }
 
 // Close stops every shard event loop.  In-flight Submits return ErrClosed.
-// With durability on, the WAL writers drain after the loops (their only
-// senders) exit, so every record of an acknowledged request reaches the
-// store before Close returns; a store the server owns (Config.OwnStore)
-// is then closed too.
+// With durability on, each shard is then checkpointed: its final state
+// goes down the WAL channel as one more snapshot, and the WAL writers
+// drain after the loops (their only senders) exit.  So every record of an
+// acknowledged request reaches the store before Close returns, and the
+// saved snapshot truncates the log: a restore after a clean Close replays
+// no WAL tail.  A drained shard is not checkpointed (see Drain), nor one
+// whose last successful save covers its every admission; a failed
+// checkpoint leaves the log for the next start to replay.  A store the
+// server owns (Config.OwnStore) is then closed too.
 func (s *Server) Close() {
 	select {
 	case <-s.quit:
@@ -1184,6 +1198,7 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	for _, sh := range s.shards {
 		if sh.walCh != nil {
+			sh.checkpoint()
 			close(sh.walCh)
 		}
 	}

@@ -181,6 +181,9 @@ type shard struct {
 	ends []endEvent
 	// now is the shard's monotone virtual clock.
 	now float64
+	// drained is set once Drain has finalized the shard's objects, state
+	// no log record or snapshot may carry (see checkpoint).
+	drained bool
 	// minDelay is the smallest initial object delay on the shard (delays
 	// only grow under degradation), the slot unit of the MaxSlotJump guard.
 	minDelay float64
@@ -446,14 +449,14 @@ func (sh *shard) handle(m any, q *shardQueue) bool {
 	return true
 }
 
-// handleSubmit clamps and guards the request's timestamp, runs the admit
-// hot path, and materializes the ticket (the one step that allocates: the
-// receiving program is copied out of the scheduler's buffer so the caller
-// can hold it).  A non-negative queueNS is the request's measured queue
-// wait: it is observed into the shard's stage histograms together with
-// the plan/replan split admitCore leaves behind, and stamped on the
-// ticket (requests that never reach admitCore — unknown objects, slot
-// jumps — record no stage samples).
+// handleSubmit runs one request's state transition (apply) and
+// materializes its ticket (the one step that allocates: the receiving
+// program is copied out of the scheduler's buffer so the caller can hold
+// it).  A non-negative queueNS is the request's measured queue wait: it
+// is observed into the shard's stage histograms together with the
+// plan/replan split admitCore leaves behind, and stamped on the ticket
+// (requests that never reach admitCore — unknown objects, slot jumps —
+// record no stage samples).
 func (sh *shard) handleSubmit(req Request, queueNS int64) Ticket {
 	return sh.handleSubmitFor(sh.byName[req.Object], req, queueNS)
 }
@@ -468,26 +471,11 @@ func (sh *shard) handleSubmitFor(st *objectState, req Request, queueNS int64) Ti
 		sh.srv.unknown.Add(1)
 		return Ticket{Object: req.Object, Decision: Rejected, T: req.T}
 	}
-	// Every known-object request — including rejections, which mutate
-	// counters — consumes one sequence number, matching its WAL record.
 	id := sh.ticketSeq*int64(sh.total) + int64(sh.id) + 1
-	sh.ticketSeq++
-	// The shard clock is monotone: a request stamped earlier than the
-	// latest event is served as if it arrived now.
-	t := req.T
-	if t < sh.now {
-		t = sh.now
-	}
-	// Guard the event loop: a timestamp absurdly far in the future would
-	// make the oblivious plan start an unbounded number of streams before
-	// this request could be answered.  Reject it without advancing.
-	if (t-sh.now)/sh.minDelay > float64(sh.srv.cfg.MaxSlotJump) {
-		st.rejected++
-		sh.rejectedL++
-		sh.srv.rejected.Add(1)
+	t, adm, decision, ran := sh.apply(st, req.T, sh.srv.cfg.MeterStages)
+	if !ran {
 		return Ticket{ID: id, Object: st.obj.Name, Decision: Rejected, T: req.T, Epoch: st.epoch, Strategy: st.strategy, Delay: st.delay}
 	}
-	adm, decision := sh.admitCore(st, t)
 	tk := Ticket{
 		ID:       id,
 		Object:   st.obj.Name,
@@ -520,6 +508,35 @@ func (sh *shard) handleSubmitFor(st *objectState, req Request, queueNS int64) Ti
 	return tk
 }
 
+// apply is the state transition of one known-object request, all that
+// WAL replay needs: it consumes the request's sequence number, clamps its
+// timestamp t to the shard clock, and either rejects a slot jump without
+// advancing (ran false) or runs admitCore, metered when meter is set.  It
+// returns the clamped time and admitCore's outcome.
+//
+//modlint:noalloc
+func (sh *shard) apply(st *objectState, t float64, meter bool) (float64, live.Admission, Decision, bool) {
+	// Every known-object request — including rejections, which mutate
+	// counters — consumes one sequence number, matching its WAL record.
+	sh.ticketSeq++
+	// The shard clock is monotone: a request stamped earlier than the
+	// latest event is served as if it arrived now.
+	if t < sh.now {
+		t = sh.now
+	}
+	// Guard the event loop: a timestamp absurdly far in the future would
+	// make the oblivious plan start an unbounded number of streams before
+	// this request could be answered.  Reject it without advancing.
+	if (t-sh.now)/sh.minDelay > float64(sh.srv.cfg.MaxSlotJump) {
+		st.rejected++
+		sh.rejectedL++
+		sh.srv.rejected.Add(1)
+		return t, live.Admission{}, Rejected, false
+	}
+	adm, decision := sh.admitCore(st, t, meter)
+	return t, adm, decision, true
+}
+
 // admitBatch runs the admit path for a whole batch: every entry goes
 // through exactly the same handleSubmit as a single submit, so tickets
 // are byte-identical to sequential submission — the only difference is
@@ -548,15 +565,15 @@ func (sh *shard) admitBatch(reqs []Request, out []Ticket, queueNS int64) {
 // in steady state (BenchmarkShardAdmit and a CI guard pin this); the
 // Admission's Program references the scheduler's buffer.
 //
-// With Config.MeterStages set it also splits the call's wall time into a
-// plan share and the requested object's replan share (the delta of its
-// metered ReplanStats across the call; epoch replans of *other* objects
-// triggered by the same clock advance are accounted to plan), leaving
-// both in the shard's scratch fields for the ticket materialization.
+// With meter set (Config.MeterStages, off for WAL replay) it also splits
+// the call's wall time into a plan share and the requested object's
+// replan share (the delta of its metered ReplanStats across the call;
+// epoch replans of *other* objects triggered by the same clock advance
+// are accounted to plan), leaving both in the shard's scratch fields for
+// the ticket materialization.
 //
 //modlint:noalloc
-func (sh *shard) admitCore(st *objectState, t float64) (live.Admission, Decision) {
-	meter := sh.srv.cfg.MeterStages
+func (sh *shard) admitCore(st *objectState, t float64, meter bool) (live.Admission, Decision) {
 	var t0, r0 int64
 	if meter {
 		t0 = sh.srv.nowNanos()
@@ -614,6 +631,7 @@ func (sh *shard) advanceAll(t float64) {
 // advance and scheduler mutations are deliberately outside the
 // WAL/snapshot discipline — see Server.Drain for the durability caveat.
 func (sh *shard) drain(horizon float64) {
+	sh.drained = true
 	if horizon > sh.now {
 		sh.now = horizon
 	}

@@ -19,9 +19,10 @@
 //     already covers — a crash between the snapshot rename and the WAL
 //     truncation can never double-apply a request.
 //   - On restart the serve layer loads the latest snapshot and replays the
-//     WAL tail through the ordinary admit path, converging bit for bit to
-//     the state of an uninterrupted run (the crash-recovery equivalence
-//     tests in internal/serve pin this for every strategy).
+//     WAL tail through the admit path, converging bit for bit to the
+//     state of an uninterrupted run (the crash-recovery equivalence tests
+//     in internal/serve pin this for every strategy).  A graceful stop
+//     saves a final snapshot per shard, so only a crash leaves a tail.
 //
 // All decoding is defensive: truncated or corrupted bytes surface an error
 // wrapping ErrCorruptSnapshot, never a panic.  A torn final WAL frame —

@@ -186,6 +186,23 @@ func TestCompareStopsOnError(t *testing.T) {
 	}
 }
 
+// TestSentinelTexts pins the shared sentinels' texts: they name no
+// layer, so a classified error reads as the path of the layers that
+// wrapped it.
+func TestSentinelTexts(t *testing.T) {
+	if got := mod.ErrBadInstance.Error(); got != "invalid instance" {
+		t.Errorf("ErrBadInstance reads %q", got)
+	}
+	if got := mod.ErrInstanceTooLarge.Error(); got != "instance too large" {
+		t.Errorf("ErrInstanceTooLarge reads %q", got)
+	}
+	_, err := mod.Compare(context.Background(), []string{"offline"},
+		mod.Instance{Arrivals: []float64{0.1, 0.2, 0.3}, Horizon: 1}, mod.WithMaxArrivals(2))
+	if want := `mod: compare: planner "offline": instance too large: `; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("Compare error %v, want it to start with %q", err, want)
+	}
+}
+
 // TestOfflineDefaultCapRaised: the default arrival cap lets the offline
 // planner take traces an order of magnitude beyond the old 5000-arrival
 // cap; 6000 arrivals over 100 media lengths stays tiny.
@@ -206,16 +223,13 @@ func TestOfflineDefaultCapRaised(t *testing.T) {
 // TestPlannersRefuseBadInstances: each planner refuses, with
 // ErrBadInstance, exactly the settings its algorithm cannot run with —
 // a delay outside (0, media length] for the planners that serve clients
-// at slot ends, a non-positive media length for every merging planner —
-// and every planner refuses an unsorted trace and a missing horizon.
+// at slot ends, a non-positive media length for every planner, since
+// AverageChannels scales every cost by it — and every planner refuses an
+// unsorted trace and a missing horizon.
 func TestPlannersRefuseBadInstances(t *testing.T) {
 	ctx := context.Background()
 	inst := mod.Instance{Arrivals: []float64{0.1, 0.2, 0.3}, Horizon: 1}
 	usesDelay := map[string]bool{"online": true, "offline-batched": true, "dyadic-batched": true, "batching": true, "hybrid": true}
-	usesMedia := map[string]bool{"offline": true, "dyadic": true}
-	for k := range usesDelay {
-		usesMedia[k] = true
-	}
 	for _, name := range mod.Planners() {
 		for _, c := range []struct {
 			what   string
@@ -224,7 +238,8 @@ func TestPlannersRefuseBadInstances(t *testing.T) {
 		}{
 			{"delay 0", mod.WithDelay(0), usesDelay[name]},
 			{"delay > media length", mod.WithDelay(2), usesDelay[name]},
-			{"media length 0", mod.WithMediaLength(0), usesMedia[name]},
+			{"media length 0", mod.WithMediaLength(0), true},
+			{"media length -1", mod.WithMediaLength(-1), true},
 		} {
 			_, err := mod.MustNew(name).Plan(ctx, inst, c.opt)
 			if c.refuse && !errors.Is(err, mod.ErrBadInstance) {

@@ -68,9 +68,11 @@ type Settings struct {
 	// slots of a shard's smallest delay); 0 selects the serving default of
 	// one.  Batch planning ignores it.
 	SnapshotEpochs int
-	// Restore makes the server rebuild its state from the Store's latest
-	// snapshots and WAL tails before serving, resuming ticket numbering
-	// past the WAL high-water mark.  Batch planning ignores it.
+	// Restore makes the server rebuild its state from the Store before
+	// serving: each shard's latest snapshot, plus the WAL tail a crash
+	// left after it (a graceful Close checkpoints, leaving none), resuming
+	// ticket numbering past the WAL high-water mark.  Batch planning
+	// ignores it.
 	Restore bool
 	// SyncMode is the WAL group-commit barrier: SyncOS (the zero value)
 	// commits to the operating system before acknowledging, SyncFull
@@ -187,8 +189,9 @@ func WithDurability(dir string) Option { return func(s *Settings) { s.SnapshotDi
 func WithSnapshotEpochs(n int) Option { return func(s *Settings) { s.SnapshotEpochs = n } }
 
 // WithRestore makes the live server rebuild its state from the store's
-// latest snapshots and WAL tails before serving — the warm-restart flag.
-// Batch planning ignores it.
+// latest snapshots, plus the WAL tails a crash left after them, before
+// serving — the warm-restart flag.  A server stopped with Close leaves
+// no tail.  Batch planning ignores it.
 func WithRestore(on bool) Option { return func(s *Settings) { s.Restore = on } }
 
 // WithSync sets the durability barrier of each WAL group commit: SyncOS

@@ -174,7 +174,12 @@ func runHybrid(ctx context.Context, trace arrivals.Trace, horizon float64, st Se
 }
 
 // runUnicast is the no-sharing strawman: a private full stream per client.
-func runUnicast(_ context.Context, trace arrivals.Trace, horizon float64, _ Settings) (float64, map[string]float64, error) {
+// Its cost counts streams, but AverageChannels scales it by the media
+// length, so a non-positive one is refused like everywhere else.
+func runUnicast(_ context.Context, trace arrivals.Trace, horizon float64, st Settings) (float64, map[string]float64, error) {
+	if err := checkMedia(st); err != nil {
+		return 0, nil, err
+	}
 	return batching.ImmediateUnicastCost(trace.Clip(horizon)), nil, nil
 }
 
