@@ -288,7 +288,7 @@ func (s *epochSched) closeEpoch(relHorizon float64) {
 			s.sink.StreamTrimmed(closeAbs, est)
 		}
 	}
-	s.provisional = s.provisional[:0]
+	s.provisional = fit(s.provisional, len(s.provisional))
 	var t0 int64
 	if s.now != nil {
 		t0 = s.now()
@@ -317,7 +317,18 @@ func (s *epochSched) closeEpoch(relHorizon float64) {
 	s.totals.FinalizedStreams += int64(len(out.Streams))
 	s.totals.BusyTime += out.Busy
 	s.totals.Cost += out.Cost
-	s.times = s.times[:0]
+	s.times = fit(s.times, len(s.times))
+}
+
+// fit empties a per-epoch buffer that the closing epoch filled to n
+// entries, replacing it with one of capacity n when it holds more than
+// twice that, so a flash epoch's capacity does not outlive the first
+// smaller epoch.
+func fit[S ~[]E, E any](s S, n int) S {
+	if cap(s) > 2*n {
+		return make(S, 0, n)
+	}
+	return s[:0]
 }
 
 // runReplan answers one epoch close: from the retained tables when they

@@ -21,10 +21,12 @@ type onlinePlan struct {
 
 // Cache shares onlinePlan state by media length L, so a thousand-object
 // Zipf catalog with a shared delay builds the merge template once per
-// shard, not once per object.  It is not safe for concurrent use; each
-// serving shard owns one.
+// shard, not once per object, and the plan buffer of warm off-line closes
+// (tablesWarm.replan), which a close consumes before the next one starts.
+// It is not safe for concurrent use; each serving shard owns one.
 type Cache struct {
-	plans map[int64]*onlinePlan
+	plans   map[int64]*onlinePlan
+	streams []Stream
 }
 
 // NewCache returns an empty plan cache.

@@ -19,8 +19,10 @@ import (
 // warm replan either reproduces the batch replanner's PlanOutcome (and
 // errors) exactly, or declines with handled == false and the batch
 // replanner runs untouched.  Consecutive epochs have disjoint
-// epoch-relative traces, so the tables never outlive their epoch — the
-// scheduler resets them at every close (and hence at drain).
+// epoch-relative traces, so the tables' contents never outlive their
+// epoch: the scheduler resets them at every close (and hence at drain).
+// Their storage does: offline.Tables.Reset keeps what the epoch reached,
+// so each object grows one table for its whole life.
 //
 // Every other epoch strategy runs its batch planner at the close: their
 // planners are single passes over the epoch's arrivals with no
@@ -29,8 +31,9 @@ import (
 
 // tablesWarm is the resumable off-line replanner (offline and
 // offline-batched): it grows one retained offline.Tables handle by
-// Extend as arrivals are absorbed, so SolveForest at the close costs only
-// the tail.  All methods run on the shard event loop, single-goroutine.
+// Extend as arrivals are absorbed, so the close costs only the tail and
+// the walk of the split table.  All methods run on the shard event loop,
+// single-goroutine.
 type tablesWarm struct {
 	p       PlanParams
 	batched bool // offline-batched: the DP input is occupied slot ends
@@ -74,8 +77,9 @@ func (w *tablesWarm) observe(rel float64) {
 
 // absorb extends the retained table (creating it on first use) over the
 // pending deduplicated suffix.  Any failure — over budget, cancelled
-// context — marks the state dead for the rest of the epoch; the batch
-// close then reproduces exactly what it would have done alone.
+// context — marks the state dead for the rest of the epoch and drops the
+// table with its storage; the batch close then reproduces exactly what it
+// would have done alone.
 func (w *tablesWarm) absorb() {
 	if offline.BandBytes(w.starts, w.p.MediaLength) > warmAbsorbBudget {
 		w.kill()
@@ -136,7 +140,16 @@ func (w *tablesWarm) replan(times []float64, relHorizon float64, rs *ReplanStats
 			return PlanOutcome{}, false, nil
 		}
 	}
-	f, err := w.tab.SolveForest(w.p.MediaLength)
+	// The streams come off the split table in the order appendForestStreams
+	// walks SolveForest's trees, with the same float expressions, so the
+	// finalization order, and with it the busy-time sum, is the batch
+	// replanner's.  They go into the shard's shared plan buffer, which the
+	// returned outcome aliases until the shard's next warm close.
+	streams := w.p.Cache.streams[:0]
+	busy, err := w.tab.ForestStreams(w.p.MediaLength, func(start, length float64) {
+		streams = append(streams, Stream{Start: start, Length: length})
+	})
+	w.p.Cache.streams = streams
 	rs.WarmReplans++
 	rs.CellsReused += reused
 	rs.CellsRecomputed += w.tab.Cells() - reused
@@ -145,17 +158,22 @@ func (w *tablesWarm) replan(times []float64, relHorizon float64, rs *ReplanStats
 		// error so the close falls back exactly like a batch failure.
 		return PlanOutcome{}, true, err
 	}
+	// Forest.NormalizedCost's division: the cost in media streams.
 	return PlanOutcome{
-		Cost:    f.NormalizedCost(),
-		Busy:    f.Cost,
-		Streams: appendForestStreams(nil, f.Forest),
+		Cost:    busy / w.p.MediaLength,
+		Busy:    busy,
+		Streams: streams,
 	}, true, nil
 }
 
-// reset discards all per-epoch state (retained capacity is kept).
+// reset discards all per-epoch state.  The table keeps the storage the
+// epoch reached (offline.Tables.Reset), and starts its capacity unless
+// that is more than twice what the epoch reached.
 func (w *tablesWarm) reset() {
-	w.starts = w.starts[:0]
-	w.tab = nil
+	w.starts = fit(w.starts, len(w.starts))
+	if w.tab != nil {
+		w.tab.Reset()
+	}
 	w.absorbed = 0
 	w.dead = false
 }

@@ -8,9 +8,13 @@ package live
 // accounting itself.
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/offline"
 )
 
 // sinkEvent is one recorded Sink call; floats are compared exactly, so
@@ -216,5 +220,80 @@ func TestReplanStatsAccumulate(t *testing.T) {
 	want := ReplanStats{Replans: 5, WarmReplans: 4, CellsReused: 17, CellsRecomputed: 7, ReplanNanos: 150, MaxReplanNanos: 80}
 	if a.Replan != want {
 		t.Fatalf("accumulated replan stats = %+v, want %+v", a.Replan, want)
+	}
+}
+
+// TestWarmStreamsMatchTreeWalk pins the warm close's plan, walked off the
+// split table, against appendForestStreams over the forest SolveForest
+// builds: the same streams in the same order, bit for bit, and the same
+// cost, on flash-density, calm and tie-collapsed traces, from a fresh
+// table and from one table Reset between the traces.  Order matters:
+// the shard sums busy time in finalization order.
+func TestWarmStreamsMatchTreeWalk(t *testing.T) {
+	const L, delay = 1.0, 0.02
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(11))
+	poisson := func(n int, perWindow float64) []float64 {
+		out, at := make([]float64, n), 0.0
+		for i := range out {
+			at += rng.ExpFloat64() / perWindow
+			out[i] = at
+		}
+		return out
+	}
+	// Ties collapsed the way tablesWarm.observe collapses them: raw times
+	// for offline, slot ends for offline-batched.
+	var tied, slotEnds []float64
+	for _, at := range warmTrace(rng, 3000, 10) {
+		tied = offline.AppendDistinct(tied, at)
+		slotEnds = offline.AppendDistinct(slotEnds, float64(int64(math.Floor(at/delay))+1)*delay)
+	}
+	reused, err := offline.ComputeTables(ctx, nil, offline.ReceiveTwo, L, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		times []float64
+	}{
+		{"flash", poisson(4400, 880)},
+		{"calm", poisson(1100, 220)},
+		{"tie-collapsed", tied},
+		{"slot-ends", slotEnds},
+	} {
+		fresh, err := offline.ComputeTables(ctx, tc.times, offline.ReceiveTwo, L, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fresh.SolveForest(L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := appendForestStreams(nil, f.Forest)
+		reused.Reset()
+		if err := reused.Extend(ctx, tc.times, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, tab := range []*offline.Tables{fresh, reused} {
+			var got []Stream
+			cost, err := tab.ForestStreams(L, func(start, length float64) {
+				got = append(got, Stream{Start: start, Length: length})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(cost) != math.Float64bits(f.Cost) {
+				t.Fatalf("%s: cost %v, want %v", tc.name, cost, f.Cost)
+			}
+			if len(got) != len(want) || len(got) != len(tc.times) {
+				t.Fatalf("%s: %d streams, want %d over %d arrivals", tc.name, len(got), len(want), len(tc.times))
+			}
+			for k := range want {
+				if math.Float64bits(got[k].Start) != math.Float64bits(want[k].Start) ||
+					math.Float64bits(got[k].Length) != math.Float64bits(want[k].Length) {
+					t.Fatalf("%s: stream %d = %+v, want %+v", tc.name, k, got[k], want[k])
+				}
+			}
+		}
 	}
 }

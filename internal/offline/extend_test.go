@@ -3,16 +3,44 @@ package offline
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/moderr"
 )
 
+// costLog holds every cost column of a table as its fill made it final,
+// column j at index j, so tests can compare costs the live band has since
+// dropped.
+type costLog [][]float64
+
+// capture installs a hook on tab that records each cost column into log
+// as it is filled, overwriting what an earlier fill recorded at the same
+// column.
+func capture(tab *Tables, log *costLog) {
+	tab.onColumn = func(j int, costs []float64) {
+		for len(*log) <= j {
+			*log = append(*log, nil)
+		}
+		(*log)[j] = slices.Clone(costs)
+	}
+}
+
+// capturing returns an empty table of the given model and window that
+// records its cost columns into the returned log.
+func capturing(model Model, window float64) (*Tables, *costLog) {
+	tab, log := &Tables{model: model, window: window}, &costLog{}
+	capture(tab, log)
+	return tab, log
+}
+
 // sameCells fails the test unless warm and cold agree on every structural
-// field and every in-band cell, bit for bit.
-func sameCells(t *testing.T, warm, cold *Tables, label string) {
+// field, every split and every cost in the live band, bit for bit, and,
+// given both cost logs, on every cost column either fill recorded.
+func sameCells(t *testing.T, warm, cold *Tables, warmCosts, coldCosts *costLog, label string) {
 	t.Helper()
 	if warm.N() != cold.N() {
 		t.Fatalf("%s: n = %d, want %d", label, warm.N(), cold.N())
@@ -26,11 +54,31 @@ func sameCells(t *testing.T, warm, cold *Tables, label string) {
 			t.Fatalf("%s: limit(%d) = %d, want %d", label, i, warm.Limit(i), cold.Limit(i))
 		}
 		for j := i; j <= cold.Limit(i); j++ {
-			if warm.MC(i, j) != cold.MC(i, j) {
-				t.Fatalf("%s: mc(%d,%d) = %v, want %v", label, i, j, warm.MC(i, j), cold.MC(i, j))
-			}
 			if warm.Split(i, j) != cold.Split(i, j) {
 				t.Fatalf("%s: split(%d,%d) = %d, want %d", label, i, j, warm.Split(i, j), cold.Split(i, j))
+			}
+			if i >= cold.first(n-1) && math.Float64bits(warm.MC(i, j)) != math.Float64bits(cold.MC(i, j)) {
+				t.Fatalf("%s: live mc(%d,%d) = %v, want %v", label, i, j, warm.MC(i, j), cold.MC(i, j))
+			}
+		}
+	}
+	if !slices.Equal(warm.best, cold.best) || !slices.Equal(warm.choice, cold.choice) {
+		t.Fatalf("%s: partition differs", label)
+	}
+	if warmCosts == nil || coldCosts == nil {
+		return
+	}
+	if len(*warmCosts) != n || len(*coldCosts) != n {
+		t.Fatalf("%s: %d and %d cost columns recorded, want %d", label, len(*warmCosts), len(*coldCosts), n)
+	}
+	for j := 0; j < n; j++ {
+		w, c := (*warmCosts)[j], (*coldCosts)[j]
+		if len(w) != len(c) || len(c) != j-cold.first(j)+1 {
+			t.Fatalf("%s: cost column %d has %d and %d cells, want %d", label, j, len(w), len(c), j-cold.first(j)+1)
+		}
+		for k := range c {
+			if math.Float64bits(w[k]) != math.Float64bits(c[k]) {
+				t.Fatalf("%s: mc(%d,%d) = %v, want %v", label, j-k, j, w[k], c[k])
 			}
 		}
 	}
@@ -54,13 +102,13 @@ func TestExtendMatchesColdExactly(t *testing.T) {
 		if trial%3 == 2 {
 			model = ReceiveAll
 		}
-		cold, err := ComputeTables(ctx, times, model, window, 1)
-		if err != nil {
+		cold, coldCosts := capturing(model, window)
+		if err := cold.Extend(ctx, times, 1); err != nil {
 			t.Fatal(err)
 		}
 		// Grow the same table in K random chunks (some possibly empty).
 		chunks := 1 + rng.Intn(6)
-		warm := &Tables{model: model, window: window}
+		warm, warmCosts := capturing(model, window)
 		at := 0
 		for c := 0; c < chunks; c++ {
 			end := at + rng.Intn(n-at+1)
@@ -72,16 +120,16 @@ func TestExtendMatchesColdExactly(t *testing.T) {
 			}
 			at = end
 		}
-		sameCells(t, warm, cold, "chunked")
+		sameCells(t, warm, cold, warmCosts, coldCosts, "chunked")
 		// One-by-one extends stress the one-column-per-chunk path.
 		if n <= 60 {
-			one := &Tables{model: model, window: window}
+			one, oneCosts := capturing(model, window)
 			for i := 0; i < n; i++ {
 				if err := one.Extend(ctx, times[i:i+1], 1); err != nil {
 					t.Fatalf("Extend one-by-one at %d: %v", i, err)
 				}
 			}
-			sameCells(t, one, cold, "one-by-one")
+			sameCells(t, one, cold, oneCosts, coldCosts, "one-by-one")
 		}
 	}
 }
@@ -159,29 +207,32 @@ func TestExtendValidation(t *testing.T) {
 }
 
 // TestCloneIndependent checks a clone can be extended without disturbing
-// the original — the pattern the replan benchmarks rely on.
+// the original — the pattern the replan benchmarks rely on — and that the
+// clone's new cost columns match a cold build's.
 func TestCloneIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ctx := context.Background()
 	times := randomTimes(rng, 80, 20)
-	base, err := ComputeTables(ctx, times[:50], ReceiveTwo, 4, 1)
-	if err != nil {
+	base, baseCosts := capturing(ReceiveTwo, 4)
+	if err := base.Extend(ctx, times[:50], 1); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ComputeTables(ctx, times[:50], ReceiveTwo, 4, 1)
-	if err != nil {
+	want, wantCosts := capturing(ReceiveTwo, 4)
+	if err := want.Extend(ctx, times[:50], 1); err != nil {
 		t.Fatal(err)
 	}
 	cl := base.Clone()
+	clCosts := slices.Clone(*baseCosts)
+	capture(cl, &clCosts)
 	if err := cl.Extend(ctx, times[50:], 1); err != nil {
 		t.Fatal(err)
 	}
-	sameCells(t, base, want, "original after clone-extend")
-	cold, err := ComputeTables(ctx, times, ReceiveTwo, 4, 1)
-	if err != nil {
+	sameCells(t, base, want, baseCosts, wantCosts, "original after clone-extend")
+	cold, coldCosts := capturing(ReceiveTwo, 4)
+	if err := cold.Extend(ctx, times, 1); err != nil {
 		t.Fatal(err)
 	}
-	sameCells(t, cl, cold, "extended clone")
+	sameCells(t, cl, cold, &clCosts, coldCosts, "extended clone")
 }
 
 // liveCadence returns the chunk ends at which warm epoch replanning extends
@@ -234,15 +285,15 @@ func TestExtendLiveCadenceMatchesCold(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			times := replanArrivals(tc.n, 1/tc.perWindow)
-			cold, err := ComputeTables(ctx, times, ReceiveTwo, tc.window, 1)
-			if err != nil {
+			cold, coldCosts := capturing(ReceiveTwo, tc.window)
+			if err := cold.Extend(ctx, times, 1); err != nil {
 				t.Fatal(err)
 			}
-			warm := &Tables{model: ReceiveTwo, window: tc.window}
+			warm, warmCosts := capturing(ReceiveTwo, tc.window)
 			if err := absorbLive(ctx, warm, times); err != nil {
 				t.Fatal(err)
 			}
-			sameCells(t, warm, cold, tc.name)
+			sameCells(t, warm, cold, warmCosts, coldCosts, tc.name)
 		})
 	}
 }

@@ -19,19 +19,21 @@
 // reference (MergeCostTable), a split-monotonicity accelerated variant
 // (Knuth-style bounds, MergeCostTableFast) that runs in O(n^2) in practice,
 // and the production path ComputeTables, which runs the same accelerated
-// recurrence column by column in column-major, append-only storage — 12
-// bytes per cell instead of 32 — on the caller's goroutine.  Given a media
-// length as its window it builds forest tables, which solve the group
-// partition in the same pass and store a column only from the row the
-// partition can still start a group at; the merge cost satisfies the
-// quadrangle inequality, so that row never moves left, and at high
-// arrival density about half the window band is stored.  The package
-// starts no goroutines; callers that want parallelism run independent
-// instances side by side.  The tables are resumable: Tables.Extend appends
-// an arrival suffix to an existing solve as new columns, writing each cell
-// once and never moving an old one, bit-identical to a cold ComputeTables
-// over the concatenation — the warm-start substrate of the live layer's
-// epoch replanning, whose closes call SolveForest to rebuild the forest.
+// recurrence column by column in column-major storage on the caller's
+// goroutine: 4-byte splits, append-only, and merge costs kept only while
+// the fill can still read them.  Given a media length as its window it
+// builds forest tables, which solve the group partition in the same pass
+// and store a column only from the row the partition can still start a
+// group at; the merge cost satisfies the quadrangle inequality, so that
+// row never moves left, and at high arrival density about half the window
+// band is stored.  The package starts no goroutines; callers that want
+// parallelism run independent instances side by side.  The tables are
+// resumable: Tables.Extend appends an arrival suffix to an existing solve
+// as new columns, never recomputing an old split, bit-identical to a cold
+// ComputeTables over the concatenation.  They are reusable: Tables.Reset
+// empties one for an unrelated sequence and keeps its storage.  Together
+// they are the warm-start substrate of the live layer's epoch replanning,
+// whose closes walk the split table with Tables.ForestStreams.
 // The test suite cross-validates all variants cell for cell on random
 // instances, the forest against a full-window partition scan, and both
 // against the closed forms of the slotted case.  The package is used as

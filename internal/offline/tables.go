@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -11,17 +12,29 @@ import (
 	"repro/internal/moderr"
 )
 
-// Tables is the interval merge-cost dynamic program in column-major,
-// append-only storage.  Column j holds the cells (i, j) for i from j down
-// to its first stored row first(j), at index j - i, as one []float64 of
-// costs and one []int32 of splits.  Compared with the [][]float64 +
-// [][]int tables of MergeCostTableFast this representation
+// Tables is the interval merge-cost dynamic program in column-major
+// storage.  Column j covers the cells (i, j) for i from j down to its
+// first stored row first(j), cell (i, j) at index j - i of the column.
+// Compared with the [][]float64 + [][]int tables of MergeCostTableFast it
+// stores only the upper triangle (the DP never reads i > j) and int32
+// splits, and it keeps a cell's split and merge cost apart, because they
+// are read over different spans:
 //
-//   - stores only the upper triangle (the DP never reads i > j), and
-//   - uses int32 splits (4 bytes instead of 8),
+//   - Splits (4 bytes a cell) are append-only.  Each column's are carved
+//     from chunks the table owns and stay until Reset: SolveForest and
+//     ForestStreams rebuild trees from them.
+//   - Merge costs (8 bytes a cell) are read only by the column fill, which
+//     reads rows from the new column's first stored row r up, and by the
+//     partition step, which reads the new column.  Because r never
+//     decreases, they live in a band buffer that holds just the live band,
+//     the triangle r <= i <= c <= j for the last column j; when the buffer
+//     is full the live band moves to its front (or into a buffer half as
+//     large again as the band).
+//   - Columns are located by integer offsets, so the table holds no
+//     per-column slice headers for the garbage collector to scan.
 //
-// which together cut memory to 6 n^2 bytes from 16 n^2 — 37.5% — for the
-// unbanded case (window <= 0 or +Inf), where first(j) = 0.
+// Unbanded tables (window <= 0 or +Inf) have first(j) = 0: they store the
+// whole triangle and keep every cost.
 //
 // Tables with a finite window w > 0 are forest tables: they solve the
 // group partition of OptimalForest (each group's first arrival starts a
@@ -38,71 +51,118 @@ import (
 // cell a stored cell reads, and every group SolveForest rebuilds, is
 // stored; each stored cell is bit-identical to the unbanded table's.
 //
-// Tables are append-only and resumable: Extend appends arrivals to an
-// already-solved table as new columns — the only cells whose interval
-// touches the appended suffix — carved from chunks the table owns.  A
-// cell, once written, is never copied, moved or zeroed again, so an epoch
-// replanner absorbing arrivals incrementally pays only for the cells it
-// adds (see Extend and SolveForest).  A Tables value is not safe for
-// concurrent use.
+// Tables are resumable: Extend appends arrivals to an already-solved table
+// as new columns, the only cells whose interval touches the appended
+// suffix, so an epoch replanner absorbing arrivals incrementally pays only
+// for the cells it adds (see Extend and SolveForest).  They are also
+// reusable: Reset empties a table for an unrelated arrival sequence but
+// keeps the storage its last fill reached, so a replanner that resets one
+// table at every epoch close allocates only when an epoch outgrows the one
+// before.  A Tables value is not safe for concurrent use.
 type Tables struct {
 	model  Model
 	window float64
 	// times is the table's own copy of the covered arrival times (Extend
 	// appends to it; callers keep ownership of the slices they pass in).
 	times []float64
-	// mc[j] and split[j] are column j: cell (i, j) at index j - i.  Each
-	// column is a view into a chunk; mcFree and splitFree are the unused
-	// tail of the latest one.
-	mc        [][]float64
-	split     [][]int32
-	mcFree    []float64
-	splitFree []int32
-	cells     int64
+
+	// cols[j] locates column j's splits and records its first stored row.
+	cols []column
+	// chunks hold the splits in carve order: chunks[:next] have been
+	// carved from since the last Reset, free is the unused tail of
+	// chunks[next-1], and the chunks after it are storage a Reset kept.
+	chunks [][]int32
+	next   int
+	free   []int32
+
+	// band holds the live band's merge costs: cost column c starts at
+	// band[ring[c&(len(ring)-1)]], cell (i, c) at offset c - i.  bandEnd
+	// is the first cell no column uses, and widest the widest column since
+	// the last Reset, whose live band is the largest.
+	band    []float64
+	ring    []int
+	bandEnd int
+	widest  int
+
+	cells int64
 
 	// Forest partition (forest tables only): best[j] and choice[j] for
 	// j <= N().
 	best   []float64
 	choice []int32
+
+	// walk is ForestStreams' stack, kept for the next call.
+	walk []merge
+
+	// onColumn, when a test installs it, sees every cost column as soon as
+	// it is final: costs[k] is cell (j-k, j).
+	onColumn func(j int, costs []float64)
+}
+
+// column locates column j's splits: cell (i, j), for i from first up to
+// j, is chunks[chunk][off+j-i].
+type column struct {
+	off   int
+	chunk int32
+	first int32
 }
 
 // N returns the number of arrivals the tables cover.
-func (t *Tables) N() int { return len(t.mc) }
+func (t *Tables) N() int { return len(t.cols) }
 
 // Limit returns the largest j for which (i, j) is stored.  Row i is stored
 // in columns i..Limit(i), because first(j) never decreases.
 func (t *Tables) Limit(i int) int {
-	return sort.Search(len(t.mc), func(j int) bool { return t.first(j) > i }) - 1
+	return sort.Search(len(t.cols), func(j int) bool { return t.first(j) > i }) - 1
 }
 
-// InBand reports whether the interval [i, j] is stored.
+// InBand reports whether the interval [i, j] is stored: its split is
+// readable.  For forest tables its cost is readable only inside the live
+// band (see MC).
 func (t *Tables) InBand(i, j int) bool {
-	return 0 <= i && i <= j && j < len(t.mc) && t.first(j) <= i
+	return 0 <= i && i <= j && j < len(t.cols) && t.first(j) <= i
 }
 
 // MC returns the optimal merge cost of a single tree over the arrivals
-// i..j (rooted at i).  The interval must be in band.
-func (t *Tables) MC(i, j int) float64 { return t.mc[j][j-i] }
+// i..j (rooted at i).  Unbanded tables keep every cost.  Forest tables
+// keep a cost only while the column fill can still read it: inside the
+// live band, i at or above the first stored row of the last column.  MC
+// panics outside it.
+func (t *Tables) MC(i, j int) float64 {
+	if !t.InBand(i, j) || i < t.first(len(t.cols)-1) {
+		panic(fmt.Sprintf("offline: MC(%d, %d) outside the live band of %d columns", i, j, len(t.cols)))
+	}
+	return t.band[t.ring[j&(len(t.ring)-1)]+j-i]
+}
 
 // Split returns the last merge h chosen for the interval [i, j] (0 when
 // i == j).  The interval must be in band.
-func (t *Tables) Split(i, j int) int { return int(t.split[j][j-i]) }
+func (t *Tables) Split(i, j int) int {
+	c := t.cols[j]
+	return int(t.chunks[c.chunk][c.off+j-i])
+}
 
 // Cells returns the number of stored DP cells.
 func (t *Tables) Cells() int64 { return t.cells }
 
-// MemoryBytes returns the size of the stored cells in bytes (cellBytes per
-// cell: a float64 cost and an int32 split).  The unused tail of the
-// latest chunk is not counted; carve keeps it no larger than the stored
-// cells (or one minChunk).
+// MemoryBytes returns the stored cells in bytes under the model the memory
+// guards use, cellBytes per cell.  The table itself holds less: 4 bytes a
+// cell for the splits, and merge costs only for the live band.
 func (t *Tables) MemoryBytes() int64 { return t.cells * cellBytes }
 
-// cellBytes is the storage cost of one DP cell: a float64 cost plus an
-// int32 split.
+// cellBytes is the guards' storage model of one DP cell: a float64 cost
+// plus an int32 split.
 const cellBytes = 12
 
 // first returns the first row stored in column j.
-func (t *Tables) first(j int) int { return j + 1 - len(t.mc[j]) }
+func (t *Tables) first(j int) int { return int(t.cols[j].first) }
+
+// splits returns column j's splits, w cells from row j down.
+func (t *Tables) splits(j int) []int32 {
+	c := t.cols[j]
+	w := j - int(c.first) + 1
+	return t.chunks[c.chunk][c.off : c.off+w : c.off+w]
+}
 
 // forest reports whether t is a forest table (finite window w > 0).
 func (t *Tables) forest() bool { return t.window > 0 && !math.IsInf(t.window, 1) }
@@ -138,9 +198,11 @@ func BandCells(times []float64, window float64) int64 {
 	return cells
 }
 
-// BandBytes returns BandCells in bytes, in O(n) time: the size of unbanded
-// tables and an upper bound on the stored size of forest tables.  Callers
-// use it to bound memory before committing to the computation.
+// BandBytes returns BandCells in bytes, in O(n) time, under the 12-byte
+// cell model: the size unbanded tables had when they stored a cost and a
+// split per cell, and an upper bound on forest tables, which store about
+// a third of that.  Callers use it to bound memory before committing to
+// the computation.
 func BandBytes(times []float64, window float64) int64 {
 	return BandCells(times, window) * cellBytes
 }
@@ -150,8 +212,9 @@ func BandBytes(times []float64, window float64) int64 {
 // caller's goroutine; a finite window w > 0 makes forest tables (see
 // Tables), window <= 0 or +Inf the full triangle, and a NaN window is
 // ErrBadInstance.  Each cell is computed by exactly the same float
-// operations in the same order as MergeCostTableFast, so the resulting mc
-// and split tables are bit-identical to it for every stored cell.
+// operations in the same order as MergeCostTableFast, so every stored
+// split, and every cost as its column's fill writes it, is bit-identical
+// to it.
 //
 // The DP can run for seconds at large n, so it honors ctx: cancellation is
 // observed between columns, and the error wraps ctx.Err() so callers can
@@ -182,8 +245,8 @@ func ComputeTables(ctx context.Context, times []float64, model Model, window flo
 
 // Extend appends newTimes to the table's arrivals and fills only the cells
 // whose interval touches the appended suffix (and, for forest tables, the
-// partition over the new prefixes), reusing every previously computed cell
-// in place.  The result is bit-identical, cell for cell, to a cold
+// partition over the new prefixes), reusing every previously computed
+// cell.  The result is bit-identical, cell for cell, to a cold
 // ComputeTables run over the concatenated arrivals: old cells are never
 // recomputed (a cell (i, j) depends only on times[i..j], and the rows a
 // column stores only on earlier columns), and new cells run the same
@@ -213,28 +276,82 @@ func (t *Tables) Extend(ctx context.Context, newTimes []float64, _ int) error {
 	return t.grow(ctx, newTimes)
 }
 
+// Reset empties the table, keeping its model and window, so the next
+// Extend starts an unrelated arrival sequence as if on a fresh table: every
+// cell, partition entry and forest comes out bit-identical.  It keeps the
+// storage the fill since the last Reset reached and drops the rest:
+//
+//   - split chunks it carved from stay, later ones go;
+//   - the band is reallocated at the size the fill's largest live band
+//     grows it to (bandSize) when it is smaller than that or more than
+//     twice as large, so the same fill again never grows it, and the ring
+//     at the fill's widest column when it is longer;
+//   - per-arrival arrays whose capacity exceeds twice the arrivals the
+//     fill reached are reallocated at that count.
+//
+// So an epoch of the size of the last one allocates next to nothing, and
+// a flash epoch's storage is released by the first smaller epoch's Reset.
+func (t *Tables) Reset() {
+	n := len(t.cols)
+	t.times = fit(t.times, n)
+	t.cols = fit(t.cols, n)
+	t.best = fit(t.best, n+1)
+	t.choice = fit(t.choice, n+1)
+	// Chunks past next were not reached; clearing the whole tail, up to
+	// the capacity, lets the collector free them.
+	clear(t.chunks[t.next:cap(t.chunks)])
+	t.chunks = t.chunks[:t.next]
+	t.next, t.free = 0, nil
+	want := t.widest * (t.widest + 1) / 2
+	if t.forest() {
+		want = bandSize(want)
+	}
+	if len(t.band) < want || len(t.band) > 2*want {
+		t.band = make([]float64, want)
+	}
+	if len(t.ring) > ringLen(t.widest) {
+		t.ring = make([]int, ringLen(t.widest))
+	}
+	t.bandEnd, t.widest, t.cells = 0, 0, 0
+}
+
+// fit empties s for a fill that last reached n entries, replacing it with
+// an array of capacity n when it holds more than twice that.
+func fit[S ~[]E, E any](s S, n int) S {
+	if cap(s) > 2*n {
+		return make(S, 0, n)
+	}
+	return s[:0]
+}
+
 // Clone returns a deep copy of the table sharing no storage with t, so a
 // benchmark or test can Extend the copy while keeping the original intact.
-// The copy's columns are packed into one exact-size chunk, and the copy
-// does not inherit t's unused chunk tail.
+// The copy's splits are packed into one exact-size chunk and its band
+// holds only the live band; it inherits none of t's spare storage.
 func (t *Tables) Clone() *Tables {
-	c := *t
-	c.times = slices.Clone(t.times)
-	c.best = slices.Clone(t.best)
-	c.choice = slices.Clone(t.choice)
-	c.mc = make([][]float64, len(t.mc))
-	c.split = make([][]int32, len(t.split))
-	c.mcFree, c.splitFree = nil, nil
-	mc := make([]float64, 0, t.cells)
-	split := make([]int32, 0, t.cells)
-	for j := range t.mc {
-		a := len(mc)
-		mc = append(mc, t.mc[j]...)
-		split = append(split, t.split[j]...)
-		c.mc[j] = mc[a:len(mc):len(mc)]
-		c.split[j] = split[a:len(split):len(split)]
+	c := &Tables{
+		model:  t.model,
+		window: t.window,
+		times:  slices.Clone(t.times),
+		cols:   make([]column, len(t.cols)),
+		cells:  t.cells,
+		widest: t.widest,
+		best:   slices.Clone(t.best),
+		choice: slices.Clone(t.choice),
 	}
-	return &c
+	split := make([]int32, 0, t.cells)
+	for j, col := range t.cols {
+		c.cols[j] = column{off: len(split), first: col.first}
+		split = append(split, t.splits(j)...)
+	}
+	c.chunks, c.next = [][]int32{split}, 1
+	if n := len(t.cols); n > 0 {
+		w := n - t.first(n-1)
+		c.band = make([]float64, w*(w+1)/2)
+		c.ring = make([]int, len(t.ring))
+		c.bandEnd = t.moveBand(c.band, c.ring, t.first(n-1), n)
+	}
+	return c
 }
 
 // grow appends newTimes (already validated as continuing t.times) as new
@@ -243,17 +360,21 @@ func (t *Tables) Clone() *Tables {
 // one), which is what makes warm and cold results bit-identical by
 // construction.
 func (t *Tables) grow(ctx context.Context, newTimes []float64) error {
-	m := len(t.mc)
+	m := len(t.cols)
 	n := m + len(newTimes)
 	t.times = append(t.times, newTimes...)
 	times := t.times
-	t.mc = slices.Grow(t.mc, n-m)
-	t.split = slices.Grow(t.split, n-m)
+	t.cols = slices.Grow(t.cols, n-m)
 	forest := t.forest()
 	if forest && m == 0 {
 		// Serving no arrivals costs nothing.
 		t.best = append(t.best[:0], 0)
 		t.choice = append(t.choice[:0], 0)
+	}
+	if need := n * (n + 1) / 2; !forest && (need > len(t.band) || n > len(t.ring)) {
+		// An unbanded table keeps every cost: size the band once for the
+		// call's last column.
+		t.relocate(m, 0, need, n)
 	}
 	r := 0
 	if m > 0 {
@@ -272,50 +393,135 @@ func (t *Tables) grow(ctx context.Context, newTimes []float64) error {
 		if forest {
 			r = max(r, int(t.choice[j]))
 		}
-		t.carve(times, j, j-r+1, n-j)
+		cost, split := t.carve(times, j, r, n-j)
 		if j-2 >= r {
-			t.fillColumn(times, j, j-2, r)
+			t.fillColumn(times, j, r, cost, split)
+		}
+		if t.onColumn != nil {
+			t.onColumn(j, cost)
 		}
 		if forest {
-			t.partition(j, r)
+			t.partition(j, r, cost)
 		}
 	}
 	return nil
 }
 
-// minChunk is the smallest chunk, in cells, that carve allocates.
+// minChunk is the smallest split chunk, and the smallest forest band, in
+// cells, that the table allocates.
 const minChunk = 64
 
-// carve appends column j, w cells wide, to the table and seeds its
-// length-2 cell (split(j-1, j) = j, like MergeCostTableFast; the length-1
-// cell (j, j) stays zero).  A column's width is known only once the
-// column before it is done, so columns are carved from chunks: when the
-// current one runs out, the next is sized for the rest columns the grow
-// call still adds at width w, but never above the cells already stored,
-// so however the widths change the unused tail stays below the table.
-func (t *Tables) carve(times []float64, j, w, rest int) {
-	if len(t.mcFree) < w {
-		size := max(minChunk, min(int64(rest)*int64(w), t.cells), int64(w))
-		t.mcFree = make([]float64, size)
-		t.splitFree = make([]int32, size)
+// carve appends column j, stored from row r, to the table and returns its
+// costs and splits: the splits from the current chunk, the costs at the
+// end of the band.  It seeds the two cells fillColumn does not write: the
+// length-1 cell (j, j), whose cost and split are 0, and the length-2 cell
+// (j-1, j), whose split is j (like MergeCostTableFast).  Storage a Reset
+// kept holds stale values, so every cell is written before it is read.
+func (t *Tables) carve(times []float64, j, r, rest int) ([]float64, []int32) {
+	w := j - r + 1
+	if len(t.free) < w {
+		t.nextChunk(w, rest)
 	}
-	mc, split := t.mcFree[:w:w], t.splitFree[:w:w]
-	t.mcFree, t.splitFree = t.mcFree[w:], t.splitFree[w:]
+	t.cols = append(t.cols, column{off: len(t.chunks[t.next-1]) - len(t.free), chunk: int32(t.next - 1), first: int32(r)})
+	split := t.free[:w:w]
+	t.free = t.free[w:]
+
+	// The live band after this column: rows r..c of every column c in
+	// [r, j].
+	t.widest = max(t.widest, w)
+	if t.bandEnd+w > len(t.band) || w > len(t.ring) {
+		t.relocate(j, r, bandSize(w*(w+1)/2), w)
+	}
+	off := t.bandEnd
+	t.bandEnd += w
+	t.ring[j&(len(t.ring)-1)] = off
+	cost := t.band[off : off+w : off+w]
+
+	cost[0], split[0] = 0, 0
 	if w >= 2 {
-		mc[1] = edgeCost(times, j-1, j, j, t.model)
+		cost[1] = edgeCost(times, j-1, j, j, t.model)
 		split[1] = int32(j)
 	}
-	t.mc = append(t.mc, mc)
-	t.split = append(t.split, split)
 	t.cells += int64(w)
+	return cost, split
+}
+
+// nextChunk makes free a chunk of at least w cells: the next one a Reset
+// kept (skipping any too narrow for the column), else a new one.  A
+// column's width is known only once the column before it is done, so a new
+// chunk is sized for the rest columns the grow call still adds at width w,
+// but never above an eighth of the cells stored since the last Reset: the
+// chunk a smaller fill stops in wastes at most that share.
+func (t *Tables) nextChunk(w, rest int) {
+	for t.next < len(t.chunks) {
+		c := t.chunks[t.next]
+		t.next++
+		if len(c) >= w {
+			t.free = c
+			return
+		}
+	}
+	size := max(minChunk, min(int64(rest)*int64(w), t.cells/8), int64(w))
+	t.free = make([]int32, size)
+	t.chunks = append(t.chunks, t.free)
+	t.next++
+}
+
+// bandSize is the band a live band of need cells gets when the band must
+// grow: half as large again, so each move of the live band is followed by
+// at least half as many new cells as it copied.  The live band is usually
+// far below its peak, so on flash- and calm-density epochs a cell is
+// copied about half a time on average (a move is a memmove of 8 bytes a
+// cell, next to the tens of nanoseconds the fill spends on it).
+func bandSize(need int) int { return max(minChunk, need+need/2) }
+
+// ringLen is the ring length for columns up to w cells wide: the live
+// band spans at most w columns, and a power of two makes the slot of
+// column c the mask c&(len-1).
+func ringLen(w int) int {
+	if w == 0 {
+		return 0
+	}
+	return 1 << bits.Len(uint(w-1))
+}
+
+// relocate moves the live band of columns [r, j) to the front of the band,
+// making the band at least size cells and the ring at least cols columns
+// long.  Each column c keeps rows r..c, the head of its storage; the rest
+// can no longer be read.
+func (t *Tables) relocate(j, r, size, cols int) {
+	band, ring := t.band, t.ring
+	if size > len(band) {
+		band = make([]float64, size)
+	}
+	if cols > len(ring) {
+		ring = make([]int, ringLen(cols))
+	}
+	t.bandEnd = t.moveBand(band, ring, r, j)
+	t.band, t.ring = band, ring
+}
+
+// moveBand copies rows r..c of every column c in [r, j) from t's band into
+// band, packed from offset 0 in column order, records where each column
+// went in ring, and returns the end.  band and ring may be t's own: a
+// column never moves up, and memmove handles the overlap.
+func (t *Tables) moveBand(band []float64, ring []int, r, j int) int {
+	at := 0
+	for c := r; c < j; c++ {
+		src := t.ring[c&(len(t.ring)-1)]
+		h := c - r + 1
+		copy(band[at:at+h], t.band[src:src+h])
+		ring[c&(len(ring)-1)] = at
+		at += h
+	}
+	return at
 }
 
 // partition appends best[j+1] and choice[j+1] once column j, stored from
-// row r, is filled: the last group of an optimal forest over arrivals
-// 0..j starts at some i in [r, j], scanned from j down with ties kept at
-// the latest start.
-func (t *Tables) partition(j, r int) {
-	col := t.mc[j]
+// row r with costs col, is filled: the last group of an optimal forest
+// over arrivals 0..j starts at some i in [r, j], scanned from j down with
+// ties kept at the latest start.
+func (t *Tables) partition(j, r int, col []float64) {
 	L := t.window
 	best, pick := t.best[j]+L+col[0], j
 	for i := j - 1; i >= r; i-- {
@@ -334,22 +540,22 @@ func canceled(err error) error {
 	return fmt.Errorf("offline: interval DP canceled: %w", err)
 }
 
-// fillColumn fills the cells (i, j) of column j for i from iHi down to iLo
-// (iHi <= j-2).  The cells (iHi+1 .. j, j) and the columns left of j must
-// already be final.  The float operations per cell match MergeCostTableFast
-// exactly (same expressions, same order), so the output is bit-identical to
-// the [][] reference; only the indexing is column-major.
-func (t *Tables) fillColumn(times []float64, j, iHi, iLo int) {
-	cols := t.mc
-	colJ := cols[j]
-	splitJ := t.split[j]
+// fillColumn fills the cells (i, j) of column j, whose costs are colJ and
+// splits splitJ, for i from j-2 down to iLo.  The cells (j-1, j) and (j, j)
+// and the columns left of j must already be final.  The float operations
+// per cell match MergeCostTableFast exactly (same expressions, same order),
+// so the output is bit-identical to the [][] reference; only the indexing
+// is column-major.
+func (t *Tables) fillColumn(times []float64, j, iLo int, colJ []float64, splitJ []int32) {
+	band, ring := t.band, t.ring
+	mask := len(ring) - 1
 	// split(i, j-1) and split(i+1, j) both sit at offset j-1-i: the former
 	// in the previous column, the latter in this one, just written.
-	splitPrev := t.split[j-1]
+	splitPrev := t.splits(j - 1)
 	receiveAll := t.model == ReceiveAll
 	tj := times[j]
 	tj2 := 2 * tj
-	for i := iHi; i >= iLo; i-- {
+	for i := j - 2; i >= iLo; i-- {
 		// Knuth bounds: only splits between the optima of [i, j-1] and
 		// [i+1, j] need examining.
 		sLo := int(splitPrev[j-1-i])
@@ -366,18 +572,19 @@ func (t *Tables) fillColumn(times []float64, j, iHi, iLo int) {
 		best := math.Inf(1)
 		bestH := sLo
 		ti := times[i]
+		// Cell (i, h-1) of column h-1 sits at offset h-1-i of its storage.
 		if receiveAll {
 			// edgeCost is times[j] - times[i], independent of h.
 			e := tj - ti
 			for h := sLo; h <= sHi; h++ {
-				c := cols[h-1][h-1-i] + colJ[j-h] + e
+				c := band[ring[(h-1)&mask]+h-1-i] + colJ[j-h] + e
 				if c < best {
 					best, bestH = c, h
 				}
 			}
 		} else {
 			for h := sLo; h <= sHi; h++ {
-				c := cols[h-1][h-1-i] + colJ[j-h] + (tj2 - times[h] - ti)
+				c := band[ring[(h-1)&mask]+h-1-i] + colJ[j-h] + (tj2 - times[h] - ti)
 				if c < best {
 					best, bestH = c, h
 				}
@@ -399,4 +606,57 @@ func (t *Tables) BuildTree(times []float64, i, j int) *mergetree.RTree {
 	right := t.BuildTree(times, h, j)
 	left.AddChild(right)
 	return left
+}
+
+// merge is one pending step of ForestStreams' walk: node h, the last merge
+// of the interval [h, last] into parent (-1 for a root), and then the
+// merges into h within [h, last].
+type merge struct {
+	parent, node, last int32
+}
+
+// ForestStreams emits the transmissions of the forest SolveForest rebuilds
+// without building it: emit(start, length) runs once per arrival, in the
+// order mergetree.RTree.Walk visits SolveForest's trees taken in root
+// order.  A root i transmits its full stream, (times[i], L).  The split h
+// of an interval [i, j] is the last merge into i over it, and it transmits
+// for 2*times[j] - times[h] - times[i], the receive-two length of a node
+// whose subtree ends at arrival j: the walk emits i, the merges into i
+// within [i, h-1], then h and the merges into h within [h, j].  It returns
+// SolveForest's Forest.Cost.  L must be the tables' window (see
+// AdvancePartition).  The walk's stack is kept in the table, so once it
+// has grown a call allocates nothing.
+func (t *Tables) ForestStreams(L float64, emit func(start, length float64)) (float64, error) {
+	if err := t.AdvancePartition(L); err != nil {
+		return 0, err
+	}
+	n := t.N()
+	if n == 0 {
+		return 0, nil
+	}
+	times := t.times
+	// The groups, last first, so that they pop in arrival order.
+	stack := t.walk[:0]
+	for j := n; j > 0; j = int(t.choice[j]) {
+		stack = append(stack, merge{parent: -1, node: t.choice[j], last: int32(j - 1)})
+	}
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		a, b := int(m.node), int(m.last)
+		if m.parent < 0 {
+			emit(times[a], L)
+		} else {
+			emit(times[a], 2*times[b]-times[a]-times[m.parent])
+		}
+		// The merges into a within [a, b], latest first, so that they pop
+		// earliest first.
+		for a < b {
+			h := t.Split(a, b)
+			stack = append(stack, merge{parent: int32(a), node: int32(h), last: int32(b)})
+			b = h - 1
+		}
+	}
+	t.walk = stack
+	return t.best[n], nil
 }

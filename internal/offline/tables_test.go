@@ -39,9 +39,10 @@ func TestTablesMatchFastExactly(t *testing.T) {
 }
 
 // TestTablesBandedMatchesFull checks that forest tables agree with the
-// full computation on every stored cell, store nothing outside the window
-// band (so BandCells bounds them), and store every row the partition can
-// still use: each (i, j) with i >= max(lo(j), choice[j]).
+// full computation on every stored cell — splits as stored, costs as each
+// column's fill left them — store nothing outside the window band (so
+// BandCells bounds them), and store every row the partition can still
+// use: each (i, j) with i >= max(lo(j), choice[j]).
 func TestTablesBandedMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
@@ -52,8 +53,8 @@ func TestTablesBandedMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		banded, err := ComputeTables(context.Background(), times, ReceiveTwo, window, 1)
-		if err != nil {
+		banded, costs := capturing(ReceiveTwo, window)
+		if err := banded.Extend(context.Background(), times, 1); err != nil {
 			t.Fatal(err)
 		}
 		if got, bound := banded.Cells(), BandCells(times, window); got > bound {
@@ -76,7 +77,7 @@ func TestTablesBandedMatchesFull(t *testing.T) {
 				if !in {
 					continue
 				}
-				if banded.MC(i, j) != full.MC(i, j) || banded.Split(i, j) != full.Split(i, j) {
+				if (*costs)[j][j-i] != full.MC(i, j) || banded.Split(i, j) != full.Split(i, j) {
 					t.Fatalf("banded cell (%d,%d) diverges from full", i, j)
 				}
 			}

@@ -246,8 +246,17 @@ func newShard(id int, srv *Server) *shard {
 const settleFloor = 1 << 12
 
 // StreamStarted implements live.Sink: a new transmission raises the live
-// channel gauge, with a retirement event at its estimated end.
+// channel gauge, with a retirement event at its estimated end.  A stream
+// that has already ended by the shard clock — most of the streams an
+// epoch close splices in — changes nothing: the event would be popped at
+// once, by this admission's popEnds or the next one's, before any
+// admission decision reads the gauge.
+//
+//modlint:noalloc
 func (sh *shard) StreamStarted(estEnd float64) {
+	if estEnd <= sh.now {
+		return
+	}
 	sh.pushEnd(estEnd, -1)
 	sh.srv.gauge.Add(1)
 }
@@ -287,10 +296,22 @@ func (sh *shard) StreamFinalized(start, length float64) {
 }
 
 // StreamTrimmed implements live.Sink: truncation cut a stream short, so
-// retire it at the true end and cancel the stale estimate.
+// retire it at the true end and cancel the stale estimate.  Events at or
+// before the shard clock are applied at once instead of queued: a true
+// end that has passed retires the stream now, and when the stale
+// estimate has passed too the pair cancels out.
+//
+//modlint:noalloc
 func (sh *shard) StreamTrimmed(end, staleEnd float64) {
-	sh.pushEnd(end, -1)
-	sh.pushEnd(staleEnd, +1)
+	switch {
+	case staleEnd <= sh.now:
+	case end <= sh.now:
+		sh.srv.gauge.Add(-1)
+		sh.pushEnd(staleEnd, +1)
+	default:
+		sh.pushEnd(end, -1)
+		sh.pushEnd(staleEnd, +1)
+	}
 }
 
 // newScheduler builds the live scheduler for a strategy over obj with the
