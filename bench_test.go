@@ -378,7 +378,7 @@ func BenchmarkOnlineCostClosed(b *testing.B) {
 }
 
 // offlineBenchTimes builds a deterministic pseudo-random strictly-increasing
-// arrival sequence for the offline DP benchmarks.
+// arrival sequence for the offline DP benchmark.
 func offlineBenchTimes(n int) []float64 {
 	times := make([]float64, n)
 	t := 0.0
@@ -389,30 +389,6 @@ func offlineBenchTimes(n int) []float64 {
 		times[i] = t
 	}
 	return times
-}
-
-// BenchmarkOfflineDP pits the flattened (triangular, int32-split) interval
-// DP against the [][]-based Knuth-accelerated reference at n=10000; both
-// produce bit-identical tables (see internal/offline tests).  B/op shows the
-// memory halving.
-func BenchmarkOfflineDP(b *testing.B) {
-	times := offlineBenchTimes(10000)
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := offline.ComputeTables(context.Background(), times, offline.ReceiveTwo, 0, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reference-fast", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := offline.MergeCostTableFast(times, offline.ReceiveTwo); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkOfflineForest measures the banded end-to-end optimum (the

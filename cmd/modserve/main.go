@@ -376,7 +376,6 @@ func bench(cfg mod.ServeConfig, load mod.LoadConfig, grid benchGrid, strategies 
 		Seed:       load.Seed,
 		EpochSlots: cfg.EpochSlots,
 	}
-	cfg.MeterReplanNanos = true
 	// The stage columns need the server's own decomposition; metering is
 	// observation only (cost totals are pinned bit-identical), so forcing
 	// it on keeps every published grid comparable.

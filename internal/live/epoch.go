@@ -85,7 +85,8 @@ type epochStrategy struct {
 	perArrival bool
 	replan     Replanner
 	// resumable: the close resumes forest tables absorbed mid-epoch
-	// (the off-line pair, warm.go) instead of running replan from scratch.
+	// (the off-line pair, warm.go) instead of running replan, which then
+	// serves only as BatchReference's oracle.
 	resumable bool
 }
 
@@ -265,7 +266,7 @@ func (s *epochSched) Admit(t float64) Admission {
 		// advances the clock, so without this bound the epoch (and its
 		// replan instance) would grow without limit.  Close at the end of
 		// the last occupied slot and continue in a fresh epoch.
-		s.closeAt((math.Floor(rel/s.delay) + 1) * s.delay)
+		s.closeAt(slotEndAfter(rel, s.delay))
 	}
 	return adm
 }
@@ -331,18 +332,16 @@ func fit[S ~[]E, E any](s S, n int) S {
 	return s[:0]
 }
 
-// runReplan answers one epoch close: from the retained tables when they
-// reproduce the batch planner bit for bit, from the batch planner
-// otherwise.  The tables never outlive their epoch — consecutive epochs
-// have disjoint epoch-relative traces — so they are reset at every
-// close, which also drops the retained handle at drains.
+// runReplan answers one epoch close: from the retained tables for the
+// off-line pair, which reproduce the batch planner bit for bit, from the
+// batch planner for every other strategy.  The tables never outlive their
+// epoch — consecutive epochs have disjoint epoch-relative traces — so
+// they are reset at every close.
 func (s *epochSched) runReplan(relHorizon float64) (PlanOutcome, error) {
 	s.totals.Replan.Replans++
 	if s.warm != nil {
 		defer s.warm.reset()
-		if out, handled, err := s.warm.replan(s.times, relHorizon, &s.totals.Replan); handled {
-			return out, err
-		}
+		return s.warm.replan(s.times, &s.totals.Replan)
 	}
 	return s.st.replan(s.times, relHorizon, s.p)
 }
@@ -350,6 +349,19 @@ func (s *epochSched) runReplan(relHorizon float64) (PlanOutcome, error) {
 // maxEpochArrivals bounds how many arrivals one epoch may collect before
 // it is pressure-closed (a variable so tests can lower it).
 var maxEpochArrivals = 1 << 17
+
+// slotEndAfter returns where a close after the epoch-relative arrival rel
+// may end without clipping it: the end of the slot Admit counts it in,
+// (floor(rel/delay)+1)·delay, or the next slot boundary when rounding puts
+// that end on rel itself (0.58 at delay 0.02, say).  Every replanner clips
+// arrivals at or after its horizon.
+func slotEndAfter(rel, delay float64) float64 {
+	k := math.Floor(rel/delay) + 1
+	if k*delay <= rel {
+		k++
+	}
+	return k * delay
+}
 
 // closeAt closes the current epoch at the epoch-relative time relEnd and
 // re-bases the scheduler there, returning the absolute end.
@@ -375,9 +387,7 @@ func (s *epochSched) Drain(horizon float64) float64 {
 		rel = 0
 	}
 	if n := len(s.times); n > 0 {
-		if end := (math.Floor(s.times[n-1]/s.delay) + 1) * s.delay; end > rel {
-			rel = end
-		}
+		rel = max(rel, slotEndAfter(s.times[n-1], s.delay))
 	}
 	return s.closeAt(rel)
 }
@@ -422,7 +432,10 @@ func clip(times []float64, horizon float64) arrivals.Trace {
 }
 
 // replanOffline is the exact off-line optimum (the banded interval DP),
-// the guarded solve the facade's offline planner runs.
+// the guarded solve the facade's offline planner runs.  Live closes
+// answer from the retained tables (tablesWarm.replan); this and
+// replanOfflineBatched are their reference, through BatchReference and a
+// scheduler whose tables are nil.
 func replanOffline(times []float64, horizon float64, p PlanParams) (PlanOutcome, error) {
 	return offlineOutcome(clip(times, horizon), p)
 }
@@ -433,10 +446,11 @@ func replanOfflineBatched(times []float64, horizon float64, p PlanParams) (PlanO
 	return offlineOutcome(clip(times, horizon).BatchTimes(p.Delay), p)
 }
 
-// offlineOutcome runs the guarded solve with the default caps, so a live
-// epoch never runs a DP the batch facade would refuse.  An over-cap epoch
-// falls back to unicast streams (counted in ReplanFailures) instead of
-// stalling the shard event loop on a multi-GB allocation.
+// offlineOutcome runs the guarded solve with the default caps, the caps
+// tablesWarm applies too, so neither runs a DP the batch facade would
+// refuse: an over-cap epoch falls back to unicast streams (counted in
+// ReplanFailures) instead of stalling the shard event loop on a multi-GB
+// allocation.
 func offlineOutcome(times []float64, p PlanParams) (PlanOutcome, error) {
 	res, err := offline.SolveGuarded(p.Ctx, times, p.MediaLength, 0, 0)
 	if err != nil {

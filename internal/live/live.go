@@ -135,9 +135,10 @@ type Totals struct {
 type ReplanStats struct {
 	// Replans counts epoch closes that ran a replan.
 	Replans int64 `json:"replans"`
-	// WarmReplans counts replans answered from the resumable forest
-	// tables of offline and offline-batched instead of a batch-planner
-	// run; every other strategy reports 0.
+	// WarmReplans counts the closes of offline and offline-batched
+	// answered from their resumable forest tables: every one that did
+	// not fail (ReplanFailures counts those).  Every other strategy
+	// reports 0.
 	WarmReplans int64 `json:"warm_replans"`
 	// CellsReused and CellsRecomputed count stored off-line DP cells at
 	// warm closes: cells carried over from mid-epoch absorption versus

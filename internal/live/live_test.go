@@ -258,6 +258,46 @@ func TestEpochPressureClose(t *testing.T) {
 	}
 }
 
+// TestCloseAfterSlotBoundaryArrival pins where a close after an arrival
+// on a float slot boundary ends.  At delay 0.02, floor(0.58/0.02) puts
+// 0.58 in slot 28, but that slot's end, 29·0.02, computes to 0.58 itself,
+// and every replanner clips arrivals at or after its horizon: a close
+// there would leave an admitted client no stream serves.  The drain and
+// the pressure close must both end past the arrival and plan it, for
+// every epoch strategy.
+func TestCloseAfterSlotBoundaryArrival(t *testing.T) {
+	delay, at := 0.02, 29*0.02
+	if end := (math.Floor(at/delay) + 1) * delay; end != at {
+		t.Fatalf("the end of %v's slot is %v: the case no longer rounds onto the arrival", at, end)
+	}
+	old := maxEpochArrivals
+	defer func() { maxEpochArrivals = old }()
+	for _, st := range epochStrategies {
+		for _, kind := range []string{"drain", "pressure"} {
+			t.Run(st.name+"/"+kind, func(t *testing.T) {
+				maxEpochArrivals = old
+				if kind == "pressure" {
+					maxEpochArrivals = 1
+				}
+				s, err := New(st.name, Config{Object: testObject(delay)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Admit(at)
+				end := s.Frontier()
+				if kind == "drain" {
+					end = s.Drain(0.5)
+				}
+				tot := s.Totals()
+				if end <= at || tot.Clients != 1 || tot.Streams == 0 || tot.Cost <= 0 {
+					t.Fatalf("close at %v after an arrival at %v: %d clients, %d streams, cost %v; want the client planned",
+						end, at, tot.Clients, tot.Streams, tot.Cost)
+				}
+			})
+		}
+	}
+}
+
 // TestProvisionalGaugePlaceholders: every distinct client of an
 // epoch-replanned strategy occupies one provisional gauge channel
 // immediately at admission (the unicast upper bound), and the epoch

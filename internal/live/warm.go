@@ -15,14 +15,18 @@ import (
 // before it.  tablesWarm instead absorbs arrivals into resumable forest
 // tables (offline.Tables.Extend, which advances the partition DP with the
 // columns) as they are admitted (observe), so the close (replan) pays
-// only for the un-absorbed tail.  The contract is strict bit-identity: a
-// warm replan either reproduces the batch replanner's PlanOutcome (and
-// errors) exactly, or declines with handled == false and the batch
-// replanner runs untouched.  Consecutive epochs have disjoint
-// epoch-relative traces, so the tables' contents never outlive their
-// epoch: the scheduler resets them at every close (and hence at drain).
-// Their storage does: offline.Tables.Reset keeps what the epoch reached,
-// so each object grows one table for its whole life.
+// only for the un-absorbed tail.  It is the off-line pair's only close,
+// and the contract is strict bit-identity with the batch replanners
+// (replanOffline, replanOfflineBatched), which remain as BatchReference's
+// oracle: the same PlanOutcome, and a failure exactly where they fail.
+// Both refuse an epoch through offline.CheckSize, the close on the batch
+// replanner's own inputs and mid-epoch absorption on the starts so far, a
+// subset of them, so an epoch refused mid-epoch is refused at the close
+// too; and both fail on a cancelled context.  Consecutive epochs have
+// disjoint epoch-relative traces, so the tables' contents never outlive
+// their epoch: the scheduler resets them at every close (and hence at
+// drain).  Their storage does: offline.Tables.Reset keeps what the epoch
+// reached, so each object grows one table for its whole life.
 //
 // Every other epoch strategy runs its batch planner at the close: their
 // planners are single passes over the epoch's arrivals with no
@@ -44,21 +48,17 @@ type tablesWarm struct {
 	// (the guarded solve's tie handling; equal slot ends are one slot).
 	starts []float64
 
-	tab      *offline.Tables
-	absorbed int  // prefix of starts already extended into tab
-	dead     bool // absorption failed or over budget: batch close this epoch
+	// tab covers the first tab.N() starts (nil until the first absorb).
+	tab *offline.Tables
+	// tried is len(starts) at the last mid-epoch absorption, whether or
+	// not the caps let it run.
+	tried int
 }
 
 // warmAbsorbMin batches absorption: a chunk is worth an Extend once it
-// reaches max(warmAbsorbMin, absorbed/8) deduplicated arrivals, keeping
+// reaches max(warmAbsorbMin, tried/8) deduplicated arrivals, keeping
 // per-arrival overhead O(1) amortized while the close's tail stays small.
 const warmAbsorbMin = 32
-
-// warmAbsorbBudget caps mid-epoch table growth at 2/3 of the batch
-// replanner's table cap: epochs headed past it are left to the batch
-// close (which re-checks its own caps on its own inputs and falls back
-// identically with or without retained tables).
-const warmAbsorbBudget = offline.DefaultMaxTableBytes * 2 / 3
 
 // observe absorbs one admitted arrival (epoch-relative, nondecreasing;
 // exactly the values appended to the scheduler's trace).
@@ -70,75 +70,58 @@ func (w *tablesWarm) observe(rel float64) {
 	if w.starts = offline.AppendDistinct(w.starts, rel); len(w.starts) == n {
 		return
 	}
-	if !w.dead && len(w.starts)-w.absorbed >= warmAbsorbMin+w.absorbed/8 {
-		w.absorb()
+	if n = len(w.starts); n-w.tried >= warmAbsorbMin+w.tried/8 {
+		w.tried = n
+		if offline.CheckSize(w.starts, w.p.MediaLength, 0, 0) == nil {
+			// Whatever fails here fails the close too, which reports it.
+			_ = w.absorb()
+		}
 	}
 }
 
-// absorb extends the retained table (creating it on first use) over the
-// pending deduplicated suffix.  Any failure — over budget, cancelled
-// context — marks the state dead for the rest of the epoch and drops the
-// table with its storage; the batch close then reproduces exactly what it
-// would have done alone.
-func (w *tablesWarm) absorb() {
-	if offline.BandBytes(w.starts, w.p.MediaLength) > warmAbsorbBudget {
-		w.kill()
-		return
-	}
+// absorb extends the tables (creating them on first use) over the pending
+// starts.  A failed Extend leaves them part-filled, so it empties them.
+func (w *tablesWarm) absorb() error {
 	if w.tab == nil {
 		tab, err := offline.ComputeTables(w.p.Ctx, nil, offline.ReceiveTwo, w.p.MediaLength, 1)
 		if err != nil {
-			w.kill()
-			return
+			return err
 		}
 		w.tab = tab
 	}
-	if err := w.tab.Extend(w.p.Ctx, w.starts[w.absorbed:], 1); err != nil {
-		w.kill()
-		return
+	if err := w.tab.Extend(w.p.Ctx, w.starts[w.tab.N():], 1); err != nil {
+		w.tab.Reset()
+		return err
 	}
-	w.absorbed = len(w.starts)
+	return nil
 }
 
-func (w *tablesWarm) kill() {
-	w.dead = true
-	w.tab = nil
-}
-
-// replan answers an epoch close over the full recorded trace.  When
-// handled is true the outcome (or error) is bit-identical to the batch
-// replanner's on the same inputs, and the close's reuse accounting is
-// added to rs; when false the caller must run the batch replanner.
-// Either way the caller resets the state afterwards.
-func (w *tablesWarm) replan(times []float64, relHorizon float64, rs *ReplanStats) (out PlanOutcome, handled bool, err error) {
-	if w.dead || len(times) == 0 {
-		return PlanOutcome{}, false, nil
-	}
-	if times[len(times)-1] >= relHorizon {
-		// Clipping would drop arrivals; only the batch replanner does that
-		// (never reached by the epoch scheduler, whose closes always
-		// cover the recorded trace — defensive).
-		return PlanOutcome{}, false, nil
-	}
-	// Re-check the batch replanner's instance caps on its exact inputs —
-	// raw times for offline, batched slot ends (== starts) for
-	// offline-batched — so both paths refuse the same epochs.
+// replan answers an epoch close over the full recorded trace, which the
+// close covers (it ends after the last arrival).  The outcome, or the
+// failure, is the batch replanner's on the same inputs, bit for bit, and
+// the close's reuse accounting is added to rs.  The caller resets the
+// state afterwards.
+func (w *tablesWarm) replan(times []float64, rs *ReplanStats) (PlanOutcome, error) {
+	// The batch replanner's instance caps on its exact inputs: raw times
+	// for offline, batched slot ends (== starts) for offline-batched.
 	batchIn := times
 	if w.batched {
 		batchIn = w.starts
 	}
-	if offline.CheckSize(batchIn, w.p.MediaLength, 0, 0) != nil {
-		return PlanOutcome{}, false, nil
+	if err := offline.CheckSize(batchIn, w.p.MediaLength, 0, 0); err != nil {
+		return PlanOutcome{}, err
+	}
+	// Its DP fails on a cancelled context even when no start is pending
+	// here.
+	if err := w.p.Ctx.Err(); err != nil {
+		return PlanOutcome{}, err
 	}
 	var reused int64
 	if w.tab != nil {
 		reused = w.tab.Cells()
 	}
-	if w.tab == nil || w.absorbed < len(w.starts) {
-		w.absorb()
-		if w.dead {
-			return PlanOutcome{}, false, nil
-		}
+	if err := w.absorb(); err != nil {
+		return PlanOutcome{}, err
 	}
 	// The streams come off the split table in the order appendForestStreams
 	// walks SolveForest's trees, with the same float expressions, so the
@@ -150,20 +133,18 @@ func (w *tablesWarm) replan(times []float64, relHorizon float64, rs *ReplanStats
 		streams = append(streams, Stream{Start: start, Length: length})
 	})
 	w.p.Cache.streams = streams
+	if err != nil {
+		return PlanOutcome{}, err
+	}
 	rs.WarmReplans++
 	rs.CellsReused += reused
 	rs.CellsRecomputed += w.tab.Cells() - reused
-	if err != nil {
-		// The batch DP fails identically on this instance; report the
-		// error so the close falls back exactly like a batch failure.
-		return PlanOutcome{}, true, err
-	}
 	// Forest.NormalizedCost's division: the cost in media streams.
 	return PlanOutcome{
 		Cost:    busy / w.p.MediaLength,
 		Busy:    busy,
 		Streams: streams,
-	}, true, nil
+	}, nil
 }
 
 // reset discards all per-epoch state.  The table keeps the storage the
@@ -174,6 +155,5 @@ func (w *tablesWarm) reset() {
 	if w.tab != nil {
 		w.tab.Reset()
 	}
-	w.absorbed = 0
-	w.dead = false
+	w.tried = 0
 }

@@ -176,6 +176,81 @@ func TestWarmAbsorbsMidEpoch(t *testing.T) {
 	}
 }
 
+// TestWarmRefusalsMatchBatch drives the off-line closes that fail, with
+// the retained tables and with them nil: epochs whose starts pass
+// offline.DefaultMaxArrivals (arrivals two media lengths apart, a band of
+// one cell each, so only the arrival cap refuses them), one arrival over
+// and a fifth over, and epochs whose context is cancelled mid-epoch, with
+// arrivals after the cancel and with every start already absorbed when
+// it lands.  Each must fall back the same way: every sink event and every
+// total equal, with one replan failure.  Mid-epoch absorption stops at
+// the cap: the tables never hold more starts than it allows.
+func TestWarmRefusalsMatchBatch(t *testing.T) {
+	spaced := func(n int, gap float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = gap * float64(i)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		times []float64
+		// cancelAt is the number of admissions before the context is
+		// cancelled (-1: never).
+		cancelAt int
+	}{
+		{"one-over-arrival-cap", spaced(offline.DefaultMaxArrivals+1, 2), -1},
+		{"far-over-arrival-cap", spaced(offline.DefaultMaxArrivals*6/5, 2), -1},
+		{"cancelled-mid-epoch", spaced(100, 0.13), 40},
+		{"cancelled-all-absorbed", spaced(warmAbsorbMin, 0.13), warmAbsorbMin},
+	} {
+		for _, name := range []string{"offline", "offline-batched"} {
+			run := func(cold bool) (*recordSink, Totals) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				sink := &recordSink{}
+				s, err := New(name, Config{Object: testObject(0.125), Sink: sink, Ctx: ctx})
+				if err != nil {
+					t.Fatal(err)
+				}
+				es := s.(*epochSched)
+				if cold {
+					es.warm = nil
+				}
+				for i, at := range tc.times {
+					if i == tc.cancelAt {
+						cancel()
+					}
+					s.Admit(at)
+				}
+				if tc.cancelAt == len(tc.times) {
+					if w := es.warm; w != nil && (w.tab == nil || w.tab.N() != len(w.starts)) {
+						t.Fatalf("%s/%s: the tables hold a prefix of the starts before the cancel", tc.name, name)
+					}
+					cancel()
+				}
+				if w := es.warm; w != nil && w.tab != nil && w.tab.N() > offline.DefaultMaxArrivals {
+					t.Fatalf("%s/%s: the tables absorbed %d starts, over the %d-arrival cap",
+						tc.name, name, w.tab.N(), offline.DefaultMaxArrivals)
+				}
+				s.Drain(tc.times[len(tc.times)-1] + 1)
+				return sink, s.Totals()
+			}
+			warmSink, warmTot := run(false)
+			coldSink, coldTot := run(true)
+			if !reflect.DeepEqual(warmSink.events, coldSink.events) {
+				t.Fatalf("%s/%s: sink event streams diverge (%d with tables vs %d without)",
+					tc.name, name, len(warmSink.events), len(coldSink.events))
+			}
+			if warmTot != coldTot || warmTot.ReplanFailures != 1 {
+				t.Fatalf("%s/%s: totals, want equal with one replan failure:\nwith tables %+v\nwithout     %+v",
+					tc.name, name, warmTot, coldTot)
+			}
+		}
+	}
+}
+
 // TestReplanLatencyMetering: an injected NowNanos clock meters replan
 // wall time into the totals; without one the counters stay zero.
 func TestReplanLatencyMetering(t *testing.T) {

@@ -23,7 +23,7 @@ func runCanceled(t *testing.T) (error, time.Duration) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ComputeTables(ctx, times, ReceiveTwo, 0, 1)
+		_, err := ComputeTables(ctx, times, ReceiveTwo, wide, 1)
 		errc <- err
 	}()
 	time.Sleep(time.Millisecond)
@@ -73,7 +73,7 @@ func TestComputeTablesPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	times := randomTimes(rand.New(rand.NewSource(6)), 50, 10)
-	if _, err := ComputeTables(ctx, times, ReceiveTwo, 0, 1); !errors.Is(err, context.Canceled) {
+	if _, err := ComputeTables(ctx, times, ReceiveTwo, wide, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled ComputeTables error = %v, want context.Canceled", err)
 	}
 }

@@ -38,8 +38,9 @@ func capturing(model Model, window float64) (*Tables, *costLog) {
 }
 
 // sameCells fails the test unless warm and cold agree on every structural
-// field, every split and every cost in the live band, bit for bit, and,
-// given both cost logs, on every cost column either fill recorded.
+// field (each column's first stored row included), every split and every
+// cost in the live band, bit for bit, and, given both cost logs, on every
+// cost column either fill recorded.
 func sameCells(t *testing.T, warm, cold *Tables, warmCosts, coldCosts *costLog, label string) {
 	t.Helper()
 	if warm.N() != cold.N() {
@@ -49,11 +50,11 @@ func sameCells(t *testing.T, warm, cold *Tables, warmCosts, coldCosts *costLog, 
 		t.Fatalf("%s: cells = %d, want %d", label, warm.Cells(), cold.Cells())
 	}
 	n := cold.N()
-	for i := 0; i < n; i++ {
-		if warm.Limit(i) != cold.Limit(i) {
-			t.Fatalf("%s: limit(%d) = %d, want %d", label, i, warm.Limit(i), cold.Limit(i))
+	for j := 0; j < n; j++ {
+		if warm.first(j) != cold.first(j) {
+			t.Fatalf("%s: column %d stored from row %d, want %d", label, j, warm.first(j), cold.first(j))
 		}
-		for j := i; j <= cold.Limit(i); j++ {
+		for i := cold.first(j); i <= j; i++ {
 			if warm.Split(i, j) != cold.Split(i, j) {
 				t.Fatalf("%s: split(%d,%d) = %d, want %d", label, i, j, warm.Split(i, j), cold.Split(i, j))
 			}
@@ -94,7 +95,7 @@ func TestExtendMatchesColdExactly(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(120)
 		times := randomTimes(rng, n, 40)
-		window := 0.0 // unbanded
+		window := wide
 		if trial%2 == 1 {
 			window = 1 + rng.Float64()*12
 		}
@@ -183,7 +184,7 @@ func TestSolveForestResumable(t *testing.T) {
 // with a canceled context reports the cancellation without mutating n.
 func TestExtendValidation(t *testing.T) {
 	ctx := context.Background()
-	tab, err := ComputeTables(ctx, []float64{1, 2, 3}, ReceiveTwo, 0, 1)
+	tab, err := ComputeTables(ctx, []float64{1, 2, 3}, ReceiveTwo, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,35 +207,6 @@ func TestExtendValidation(t *testing.T) {
 	}
 }
 
-// TestCloneIndependent checks a clone can be extended without disturbing
-// the original — the pattern the replan benchmarks rely on — and that the
-// clone's new cost columns match a cold build's.
-func TestCloneIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ctx := context.Background()
-	times := randomTimes(rng, 80, 20)
-	base, baseCosts := capturing(ReceiveTwo, 4)
-	if err := base.Extend(ctx, times[:50], 1); err != nil {
-		t.Fatal(err)
-	}
-	want, wantCosts := capturing(ReceiveTwo, 4)
-	if err := want.Extend(ctx, times[:50], 1); err != nil {
-		t.Fatal(err)
-	}
-	cl := base.Clone()
-	clCosts := slices.Clone(*baseCosts)
-	capture(cl, &clCosts)
-	if err := cl.Extend(ctx, times[50:], 1); err != nil {
-		t.Fatal(err)
-	}
-	sameCells(t, base, want, baseCosts, wantCosts, "original after clone-extend")
-	cold, coldCosts := capturing(ReceiveTwo, 4)
-	if err := cold.Extend(ctx, times, 1); err != nil {
-		t.Fatal(err)
-	}
-	sameCells(t, cl, cold, &clCosts, coldCosts, "extended clone")
-}
-
 // liveCadence returns the chunk ends at which warm epoch replanning extends
 // its tables over n arrivals: each time 32 + absorbed/8 arrivals are
 // pending (internal/live's absorption rule), then once for the tail at the
@@ -255,8 +227,8 @@ func liveCadence(n int) []int {
 }
 
 // absorbLive grows tab over times the way warm epoch replanning does: an
-// Extend at each liveCadence chunk end (forest tables advance their
-// partition with the columns; unbanded tables carry none).
+// Extend at each liveCadence chunk end (the tables advance their
+// partition with the columns).
 func absorbLive(ctx context.Context, tab *Tables, times []float64) error {
 	at := 0
 	for _, end := range liveCadence(len(times)) {
@@ -269,9 +241,10 @@ func absorbLive(ctx context.Context, tab *Tables, times []float64) error {
 }
 
 // TestExtendLiveCadenceMatchesCold grows tables at the live absorption
-// cadence and checks they equal a cold build cell for cell, unbanded and
-// banded, on instances large enough that the banded one's late chunks
-// carry several hundred arrivals each.
+// cadence and checks they equal a cold build cell for cell, on a window
+// that keeps the whole triangle ("unbanded") and on a banded one, on
+// instances large enough that the banded one's late chunks carry several
+// hundred arrivals each.
 func TestExtendLiveCadenceMatchesCold(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -280,7 +253,7 @@ func TestExtendLiveCadenceMatchesCold(t *testing.T) {
 		perWindow float64
 		window    float64
 	}{
-		{"unbanded", 1500, 100, 0},
+		{"unbanded", 1500, 100, wide},
 		{"banded", 4800, 40, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -147,12 +147,12 @@ func TestMergeCostQuadrangleInequality(t *testing.T) {
 }
 
 // fullWindowForest is the reference the forest tables are checked
-// against: unbanded tables plus the partition scan over the whole L-window
-// (every group start i with times[j-1] - times[i] < L, scanned from j-1
-// down with ties kept at the latest start).
+// against: MergeCostTableFast plus the partition scan over the whole
+// L-window (every group start i with times[j-1] - times[i] < L, scanned
+// from j-1 down with ties kept at the latest start).
 func fullWindowForest(t *testing.T, times []float64, L float64, model Model) (float64, []int) {
 	t.Helper()
-	full, err := ComputeTables(context.Background(), times, model, 0, 1)
+	mc, _, err := MergeCostTableFast(times, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func fullWindowForest(t *testing.T, times []float64, L float64, model Model) (fl
 		}
 		best[j] = math.MaxFloat64
 		for i := j - 1; i >= p; i-- {
-			if c := best[i] + L + full.MC(i, j-1); c < best[j] {
+			if c := best[i] + L + mc[i][j-1]; c < best[j] {
 				best[j], choice[j] = c, i
 			}
 		}
@@ -237,8 +237,8 @@ func TestForestTablesPruned(t *testing.T) {
 }
 
 // TestSolveForestNeedsForestTables pins the narrowed calls: AdvancePartition
-// and SolveForest accept only forest tables and only their own window, and
-// ComputeTables rejects a NaN window.
+// and SolveForest accept only the tables' own window, and ComputeTables
+// only a window that is positive and finite.
 func TestSolveForestNeedsForestTables(t *testing.T) {
 	ctx := context.Background()
 	times := []float64{0, 0.25, 0.5, 1.5}
@@ -250,9 +250,9 @@ func TestSolveForestNeedsForestTables(t *testing.T) {
 		{1, 0.5, false},
 		{1, 2, false},
 		{1, math.NaN(), false},
-		{0, 1, false},
-		{math.Inf(1), 1, false},
-		{math.Inf(1), math.Inf(1), false},
+		{1, math.Inf(1), false},
+		{2.5, 2.5, true},
+		{2.5, 0, false},
 	} {
 		tab, err := ComputeTables(ctx, times, ReceiveTwo, tc.window, 1)
 		if err != nil {
@@ -269,7 +269,13 @@ func TestSolveForestNeedsForestTables(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ComputeTables(ctx, times, ReceiveTwo, math.NaN(), 1); !errors.Is(err, moderr.ErrBadInstance) {
-		t.Errorf("NaN window: err = %v, want ErrBadInstance", err)
+	// The one table mode: a window that is not positive and finite is
+	// refused, with or without arrivals.
+	for _, window := range []float64{0, -1, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, in := range [][]float64{nil, times} {
+			if tab, err := ComputeTables(ctx, in, ReceiveTwo, window, 1); !errors.Is(err, moderr.ErrBadInstance) || tab != nil {
+				t.Errorf("window %g, %d arrivals: tables %v, err = %v, want ErrBadInstance", window, len(in), tab, err)
+			}
+		}
 	}
 }

@@ -15,18 +15,19 @@
 //     the remaining arrivals merge), and
 //   - the corresponding merge trees.
 //
-// Three implementations of the interval DP are provided: a plain O(n^3)
-// reference (MergeCostTable), a split-monotonicity accelerated variant
-// (Knuth-style bounds, MergeCostTableFast) that runs in O(n^2) in practice,
-// and the production path ComputeTables, which runs the same accelerated
-// recurrence column by column in column-major storage on the caller's
-// goroutine: 4-byte splits, append-only, and merge costs kept only while
-// the fill can still read them.  Given a media length as its window it
-// builds forest tables, which solve the group partition in the same pass
-// and store a column only from the row the partition can still start a
-// group at; the merge cost satisfies the quadrangle inequality, so that
-// row never moves left, and at high arrival density about half the window
-// band is stored.  The package starts no goroutines; callers that want
+// Three implementations of the interval DP are provided.  Two are the
+// [][] test oracles: a plain O(n^3) reference (MergeCostTable) and a
+// split-monotonicity accelerated variant (Knuth-style bounds,
+// MergeCostTableFast) that runs in O(n^2) in practice.  The production
+// path, ComputeTables, runs the same accelerated recurrence column by
+// column in column-major storage on the caller's goroutine: 4-byte
+// splits, append-only, and merge costs kept only while the fill can still
+// read them.  Its one mode is forest tables: given a media length as its
+// window, they solve the group partition in the same pass and store a
+// column only from the row the partition can still start a group at; the
+// merge cost satisfies the quadrangle inequality, so that row never moves
+// left, and at high arrival density about half the window band is
+// stored.  The package starts no goroutines; callers that want
 // parallelism run independent instances side by side.  The tables are
 // resumable: Tables.Extend appends an arrival suffix to an existing solve
 // as new columns, never recomputing an old split, bit-identical to a cold
@@ -313,14 +314,13 @@ func AppendDistinct(starts []float64, t float64) []float64 {
 	return append(starts, t)
 }
 
-// AdvancePartition only validates: forest tables advance the partition in
+// AdvancePartition only validates: the tables advance the partition in
 // the same pass that fills each column, so after any ComputeTables or
 // Extend it is already solved for every arrival.  It returns
-// ErrBadInstance unless t is a forest table (finite window > 0) and L is
-// its window.  It remains because the benchmark module calls it after
-// each Extend (benchmark/layers.go:344).
+// ErrBadInstance unless L is the tables' window.  It remains because the
+// benchmark module calls it after each Extend (benchmark/layers.go:344).
 func (t *Tables) AdvancePartition(L float64) error {
-	if !t.forest() || L != t.window {
+	if L != t.window {
 		return fmt.Errorf("%w: offline: partition of media length %g needs forest tables of that window, have window %g",
 			moderr.ErrBadInstance, L, t.window)
 	}

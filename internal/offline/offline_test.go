@@ -74,16 +74,17 @@ func TestValidateTimes(t *testing.T) {
 	if _, _, err := MergeCostTableFast([]float64{2, 1}, ReceiveTwo); err == nil {
 		t.Errorf("MergeCostTableFast should propagate validation errors")
 	}
-	if _, err := ComputeTables(context.Background(), []float64{2, 1}, ReceiveTwo, 0, 1); err == nil {
+	if _, err := ComputeTables(context.Background(), []float64{2, 1}, ReceiveTwo, 1, 1); err == nil {
 		t.Errorf("ComputeTables should propagate validation errors")
 	}
 }
 
 // optimalTree is the optimal single merge tree over all the arrivals and
-// its merge cost: the root interval of the unbanded tables.
+// its merge cost: the root interval of tables that hold the whole
+// triangle.
 func optimalTree(t *testing.T, times []float64, model Model) (*mergetree.RTree, float64) {
 	t.Helper()
-	tab, err := ComputeTables(context.Background(), times, model, 0, 1)
+	tab, err := ComputeTables(context.Background(), times, model, wide, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,16 +164,16 @@ func TestOptimalTreeMatchesCostAndIsValid(t *testing.T) {
 }
 
 func TestOptimalTreeErrors(t *testing.T) {
-	if _, err := ComputeTables(context.Background(), []float64{3, 1}, ReceiveTwo, 0, 1); err == nil {
+	if _, err := ComputeTables(context.Background(), []float64{3, 1}, ReceiveTwo, 1, 1); err == nil {
 		t.Errorf("unsorted input should fail")
 	}
-	if _, err := ComputeTables(context.Background(), []float64{1, math.NaN()}, ReceiveTwo, 0, 1); err == nil {
+	if _, err := ComputeTables(context.Background(), []float64{1, math.NaN()}, ReceiveTwo, 1, 1); err == nil {
 		t.Errorf("NaN input should fail")
 	}
 }
 
 func TestMergeCostEmptyAndSingle(t *testing.T) {
-	tab, err := ComputeTables(context.Background(), nil, ReceiveTwo, 0, 1)
+	tab, err := ComputeTables(context.Background(), nil, ReceiveTwo, wide, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package offline
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -61,7 +62,8 @@ func forestStreams(t *testing.T, tab *Tables, L float64) ([][2]float64, float64)
 // checks every epoch against a fresh table over the same arrivals: the
 // forest, the partition, every split and every cost cell as its column's
 // fill left it, and the streams ForestStreams emits, all bit for bit.
-// Unbanded tables are reset and compared the same way.
+// Tables that hold the whole triangle are reset and compared the same
+// way.
 func TestResetMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	epochs := [][]float64{calmEpoch(1), flashEpoch(2), calmEpoch(3), flashEpoch(4)}
@@ -96,7 +98,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(8))
-	unbanded, unbandedCosts := capturing(ReceiveAll, 0)
+	unbanded, unbandedCosts := capturing(ReceiveAll, wide)
 	for _, n := range []int{90, 30, 120} {
 		times := randomTimes(rng, n, 40)
 		unbanded.Reset()
@@ -104,7 +106,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		if err := absorbLive(ctx, unbanded, times); err != nil {
 			t.Fatal(err)
 		}
-		fresh, freshCosts := capturing(ReceiveAll, 0)
+		fresh, freshCosts := capturing(ReceiveAll, wide)
 		if err := fresh.Extend(ctx, times, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -173,4 +175,41 @@ func TestResetEpochAllocatesLittle(t *testing.T) {
 		t.Fatalf("the second epoch allocated %d B and Reset with the third %d B, want each under 1%% of the first's %d B",
 			second, third, first)
 	}
+}
+
+// TestResetAfterCanceledExtend checks that Reset repairs a table an Extend
+// left part-filled: cancelled between two columns (deterministically,
+// from the column hook), the table is Reset and absorbs the same epoch
+// again, and must then equal a fresh table cell for cell.
+func TestResetAfterCanceledExtend(t *testing.T) {
+	times := calmEpoch(9)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tab, costs := capturing(ReceiveTwo, 1)
+	hook := tab.onColumn
+	tab.onColumn = func(j int, col []float64) {
+		hook(j, col)
+		if j == len(times)/2 {
+			cancel()
+		}
+	}
+	if err := tab.Extend(ctx, times[:40], 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Extend(ctx, times[40:], 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Extend cancelled mid-fill: err = %v, want context.Canceled", err)
+	}
+	if n := tab.N(); n <= 40 || n >= len(times) {
+		t.Fatalf("the cancelled Extend left %d columns, want it stopped mid-fill", n)
+	}
+	tab.Reset()
+	*costs = (*costs)[:0]
+	if err := absorbLive(context.Background(), tab, times); err != nil {
+		t.Fatal(err)
+	}
+	fresh, freshCosts := capturing(ReceiveTwo, 1)
+	if err := absorbLive(context.Background(), fresh, times); err != nil {
+		t.Fatal(err)
+	}
+	sameCells(t, tab, fresh, costs, freshCosts, "reset after a cancelled Extend")
 }

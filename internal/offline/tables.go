@@ -6,19 +6,37 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/mergetree"
 	"repro/internal/moderr"
 )
 
 // Tables is the interval merge-cost dynamic program in column-major
-// storage.  Column j covers the cells (i, j) for i from j down to its
-// first stored row first(j), cell (i, j) at index j - i of the column.
-// Compared with the [][]float64 + [][]int tables of MergeCostTableFast it
-// stores only the upper triangle (the DP never reads i > j) and int32
-// splits, and it keeps a cell's split and merge cost apart, because they
-// are read over different spans:
+// storage, solved as forest tables: the group partition of OptimalForest
+// (each group's first arrival starts a full stream of length window) runs
+// in the same left-to-right pass that fills the columns.  best[j] is the
+// optimal cost of serving arrivals 0..j-1 and choice[j] the first arrival
+// of its last group.
+//
+// Column j covers the cells (i, j) for i from j down to its first stored
+// row first(j), cell (i, j) at index j - i of the column, and is stored
+// from row max(lo(j), choice[j]) up, lo(j) being the first arrival whose
+// window still covers times[j]: a merge tree rooted at arrival i spans
+// only clients that arrive while the root's full stream is still
+// transmitting, and because the merge cost satisfies the quadrangle
+// inequality (the condition the Knuth split bounds of fillColumn rest on)
+// the last group's start never moves left, so no row below choice[j] can
+// start a group ending at j or later.  The first stored row never
+// decreases, so every cell a stored cell reads, and every group
+// SolveForest rebuilds, is stored; each stored cell is bit-identical to
+// MergeCostTableFast's.  A window wider than every merge cost (1e9 for the
+// test instances) keeps every arrival in the first group, so every column
+// is stored from row 0 and the tables hold the whole triangle.
+//
+// Compared with the [][]float64 + [][]int tables of MergeCostTableFast the
+// tables store only the upper triangle (the DP never reads i > j) and
+// int32 splits, and they keep a cell's split and merge cost apart, because
+// they are read over different spans:
 //
 //   - Splits (4 bytes a cell) are append-only.  Each column's are carved
 //     from chunks the table owns and stay until Reset: SolveForest and
@@ -32,24 +50,6 @@ import (
 //     large again as the band).
 //   - Columns are located by integer offsets, so the table holds no
 //     per-column slice headers for the garbage collector to scan.
-//
-// Unbanded tables (window <= 0 or +Inf) have first(j) = 0: they store the
-// whole triangle and keep every cost.
-//
-// Tables with a finite window w > 0 are forest tables: they solve the
-// group partition of OptimalForest (each group's first arrival starts a
-// full stream of length w) in the same left-to-right pass that fills the
-// columns.  best[j] is the optimal cost of serving arrivals 0..j-1 and
-// choice[j] the first arrival of its last group.  Column j is stored from
-// row max(lo(j), choice[j]) up, lo(j) being the first arrival whose window
-// still covers times[j]: a merge tree rooted at arrival i spans only
-// clients that arrive while the root's full stream is still transmitting,
-// and because the merge cost satisfies the quadrangle inequality (the
-// condition the Knuth split bounds of fillColumn rest on) the last group's
-// start never moves left, so no row below choice[j] can start a group
-// ending at j or later.  The first stored row never decreases, so every
-// cell a stored cell reads, and every group SolveForest rebuilds, is
-// stored; each stored cell is bit-identical to the unbanded table's.
 //
 // Tables are resumable: Extend appends arrivals to an already-solved table
 // as new columns, the only cells whose interval touches the appended
@@ -86,8 +86,7 @@ type Tables struct {
 
 	cells int64
 
-	// Forest partition (forest tables only): best[j] and choice[j] for
-	// j <= N().
+	// Forest partition: best[j] and choice[j] for j <= N().
 	best   []float64
 	choice []int32
 
@@ -110,33 +109,20 @@ type column struct {
 // N returns the number of arrivals the tables cover.
 func (t *Tables) N() int { return len(t.cols) }
 
-// Limit returns the largest j for which (i, j) is stored.  Row i is stored
-// in columns i..Limit(i), because first(j) never decreases.
-func (t *Tables) Limit(i int) int {
-	return sort.Search(len(t.cols), func(j int) bool { return t.first(j) > i }) - 1
-}
-
-// InBand reports whether the interval [i, j] is stored: its split is
-// readable.  For forest tables its cost is readable only inside the live
-// band (see MC).
-func (t *Tables) InBand(i, j int) bool {
-	return 0 <= i && i <= j && j < len(t.cols) && t.first(j) <= i
-}
-
 // MC returns the optimal merge cost of a single tree over the arrivals
-// i..j (rooted at i).  Unbanded tables keep every cost.  Forest tables
-// keep a cost only while the column fill can still read it: inside the
-// live band, i at or above the first stored row of the last column.  MC
-// panics outside it.
+// i..j (rooted at i).  The tables keep a cost only while the column fill
+// can still read it: inside the live band, i at or above the first stored
+// row of the last column.  MC panics outside it.
 func (t *Tables) MC(i, j int) float64 {
-	if !t.InBand(i, j) || i < t.first(len(t.cols)-1) {
-		panic(fmt.Sprintf("offline: MC(%d, %d) outside the live band of %d columns", i, j, len(t.cols)))
+	n := len(t.cols)
+	if j >= n || i > j || i < t.first(n-1) {
+		panic(fmt.Sprintf("offline: MC(%d, %d) outside the live band of %d columns", i, j, n))
 	}
 	return t.band[t.ring[j&(len(t.ring)-1)]+j-i]
 }
 
 // Split returns the last merge h chosen for the interval [i, j] (0 when
-// i == j).  The interval must be in band.
+// i == j).  The interval must be stored: first(j) <= i <= j.
 func (t *Tables) Split(i, j int) int {
 	c := t.cols[j]
 	return int(t.chunks[c.chunk][c.off+j-i])
@@ -164,15 +150,12 @@ func (t *Tables) splits(j int) []int32 {
 	return t.chunks[c.chunk][c.off : c.off+w : c.off+w]
 }
 
-// forest reports whether t is a forest table (finite window w > 0).
-func (t *Tables) forest() bool { return t.window > 0 && !math.IsInf(t.window, 1) }
-
 // bandLo returns the first arrival i >= p with times[j] - times[i] < window
-// (0 when window <= 0 or +Inf, i.e. unbanded).  It is nondecreasing in j,
-// so a sweep over the columns passes the previous column's result as p.
-// It is the single definition of the window band used by both the column
-// fill and BandCells, so the memory guard in CheckSize can never fall
-// below what the tables actually store.
+// (0 when window <= 0 or +Inf: every interval is in the band).  It is
+// nondecreasing in j, so a sweep over the columns passes the previous
+// column's result as p.  It is the single definition of the window band
+// used by both the column fill and BandCells, so the memory guard in
+// CheckSize can never fall below what the tables actually store.
 func bandLo(times []float64, window float64, p, j int) int {
 	if window <= 0 || math.IsInf(window, 1) {
 		return 0
@@ -185,9 +168,8 @@ func bandLo(times []float64, window float64, p, j int) int {
 
 // BandCells returns, in O(n) time and O(1) space, the number of cells in
 // the window band: every interval [i, j] with times[j] - times[i] < window
-// (all of them when window <= 0 or +Inf).  Unbanded tables store exactly
-// these cells; forest tables store a subset, so for them it is an upper
-// bound.
+// (all of them when window <= 0 or +Inf).  Tables store a subset of these
+// cells, so it bounds them.
 func BandCells(times []float64, window float64) int64 {
 	var cells int64
 	p := 0
@@ -199,22 +181,20 @@ func BandCells(times []float64, window float64) int64 {
 }
 
 // BandBytes returns BandCells in bytes, in O(n) time, under the 12-byte
-// cell model: the size unbanded tables had when they stored a cost and a
-// split per cell, and an upper bound on forest tables, which store about
-// a third of that.  Callers use it to bound memory before committing to
-// the computation.
+// cell model the guards use (a cost and a split per cell): an upper bound
+// on the tables, which store about a third of that.  Callers use it to
+// bound memory before committing to the computation.
 func BandBytes(times []float64, window float64) int64 {
 	return BandCells(times, window) * cellBytes
 }
 
 // ComputeTables runs the split-monotonicity (Knuth-accelerated) interval DP
-// of MergeCostTableFast into column storage, column by column on the
-// caller's goroutine; a finite window w > 0 makes forest tables (see
-// Tables), window <= 0 or +Inf the full triangle, and a NaN window is
-// ErrBadInstance.  Each cell is computed by exactly the same float
-// operations in the same order as MergeCostTableFast, so every stored
-// split, and every cost as its column's fill writes it, is bit-identical
-// to it.
+// of MergeCostTableFast into forest tables (see Tables), column by column
+// on the caller's goroutine.  The window is the media length the partition
+// plans with; one that is not positive and finite is ErrBadInstance.  Each
+// cell is computed by exactly the same float operations in the same order
+// as MergeCostTableFast, so every stored split, and every cost as its
+// column's fill writes it, is bit-identical to it.
 //
 // The DP can run for seconds at large n, so it honors ctx: cancellation is
 // observed between columns, and the error wraps ctx.Err() so callers can
@@ -224,8 +204,8 @@ func BandBytes(times []float64, window float64) int64 {
 // module calls ComputeTables with it (benchmark/layers.go:334); callers
 // pass 1.
 func ComputeTables(ctx context.Context, times []float64, model Model, window float64, _ int) (*Tables, error) {
-	if math.IsNaN(window) {
-		return nil, fmt.Errorf("%w: offline: table window is NaN", moderr.ErrBadInstance)
+	if !(window > 0) || math.IsInf(window, 1) {
+		return nil, fmt.Errorf("%w: offline: table window must be positive and finite, got %g", moderr.ErrBadInstance, window)
 	}
 	if err := validateTimes(times); err != nil {
 		return nil, err
@@ -244,18 +224,18 @@ func ComputeTables(ctx context.Context, times []float64, model Model, window flo
 }
 
 // Extend appends newTimes to the table's arrivals and fills only the cells
-// whose interval touches the appended suffix (and, for forest tables, the
-// partition over the new prefixes), reusing every previously computed
-// cell.  The result is bit-identical, cell for cell, to a cold
-// ComputeTables run over the concatenated arrivals: old cells are never
-// recomputed (a cell (i, j) depends only on times[i..j], and the rows a
-// column stores only on earlier columns), and new cells run the same
-// fillColumn float operations in a dependency-respecting order.
-// newTimes must be strictly increasing and start after the table's last
-// arrival.
+// whose interval touches the appended suffix, and the partition over the
+// new prefixes, reusing every previously computed cell.  The result is
+// bit-identical, cell for cell, to a cold ComputeTables run over the
+// concatenated arrivals: old cells are never recomputed (a cell (i, j)
+// depends only on times[i..j], and the rows a column stores only on
+// earlier columns), and new cells run the same fillColumn float
+// operations in a dependency-respecting order.  newTimes must be strictly
+// increasing and start after the table's last arrival.
 //
-// On error — cancellation included — the table may be partially updated and
-// must be discarded; on success it is ready for further Extend calls.
+// On error — cancellation included — the table may be partially updated
+// and must be discarded or Reset; on success it is ready for further
+// Extend calls.
 //
 // The trailing int is ignored, like ComputeTables's; the benchmark module
 // pins it (benchmark/layers.go:340).
@@ -302,10 +282,7 @@ func (t *Tables) Reset() {
 	clear(t.chunks[t.next:cap(t.chunks)])
 	t.chunks = t.chunks[:t.next]
 	t.next, t.free = 0, nil
-	want := t.widest * (t.widest + 1) / 2
-	if t.forest() {
-		want = bandSize(want)
-	}
+	want := bandSize(t.widest * (t.widest + 1) / 2)
 	if len(t.band) < want || len(t.band) > 2*want {
 		t.band = make([]float64, want)
 	}
@@ -324,36 +301,6 @@ func fit[S ~[]E, E any](s S, n int) S {
 	return s[:0]
 }
 
-// Clone returns a deep copy of the table sharing no storage with t, so a
-// benchmark or test can Extend the copy while keeping the original intact.
-// The copy's splits are packed into one exact-size chunk and its band
-// holds only the live band; it inherits none of t's spare storage.
-func (t *Tables) Clone() *Tables {
-	c := &Tables{
-		model:  t.model,
-		window: t.window,
-		times:  slices.Clone(t.times),
-		cols:   make([]column, len(t.cols)),
-		cells:  t.cells,
-		widest: t.widest,
-		best:   slices.Clone(t.best),
-		choice: slices.Clone(t.choice),
-	}
-	split := make([]int32, 0, t.cells)
-	for j, col := range t.cols {
-		c.cols[j] = column{off: len(split), first: col.first}
-		split = append(split, t.splits(j)...)
-	}
-	c.chunks, c.next = [][]int32{split}, 1
-	if n := len(t.cols); n > 0 {
-		w := n - t.first(n-1)
-		c.band = make([]float64, w*(w+1)/2)
-		c.ring = make([]int, len(t.ring))
-		c.bandEnd = t.moveBand(c.band, c.ring, t.first(n-1), n)
-	}
-	return c
-}
-
 // grow appends newTimes (already validated as continuing t.times) as new
 // columns and fills them left to right.  It is the single driver behind
 // both ComputeTables (growing an empty table) and Extend (growing a solved
@@ -365,16 +312,10 @@ func (t *Tables) grow(ctx context.Context, newTimes []float64) error {
 	t.times = append(t.times, newTimes...)
 	times := t.times
 	t.cols = slices.Grow(t.cols, n-m)
-	forest := t.forest()
-	if forest && m == 0 {
+	if m == 0 {
 		// Serving no arrivals costs nothing.
 		t.best = append(t.best[:0], 0)
 		t.choice = append(t.choice[:0], 0)
-	}
-	if need := n * (n + 1) / 2; !forest && (need > len(t.band) || n > len(t.ring)) {
-		// An unbanded table keeps every cost: size the band once for the
-		// call's last column.
-		t.relocate(m, 0, need, n)
 	}
 	r := 0
 	if m > 0 {
@@ -389,10 +330,7 @@ func (t *Tables) grow(ctx context.Context, newTimes []float64) error {
 		if err := ctx.Err(); err != nil {
 			return canceled(err)
 		}
-		r = bandLo(times, t.window, r, j)
-		if forest {
-			r = max(r, int(t.choice[j]))
-		}
+		r = max(bandLo(times, t.window, r, j), int(t.choice[j]))
 		cost, split := t.carve(times, j, r, n-j)
 		if j-2 >= r {
 			t.fillColumn(times, j, r, cost, split)
@@ -400,9 +338,7 @@ func (t *Tables) grow(ctx context.Context, newTimes []float64) error {
 		if t.onColumn != nil {
 			t.onColumn(j, cost)
 		}
-		if forest {
-			t.partition(j, r, cost)
-		}
+		t.partition(j, r, cost)
 	}
 	return nil
 }
@@ -487,8 +423,10 @@ func ringLen(w int) int {
 
 // relocate moves the live band of columns [r, j) to the front of the band,
 // making the band at least size cells and the ring at least cols columns
-// long.  Each column c keeps rows r..c, the head of its storage; the rest
-// can no longer be read.
+// long.  Each column c keeps rows r..c, the head of its storage, packed
+// from offset 0 in column order; the rest can no longer be read.  The band
+// and ring may stay t's own: a column never moves up, and memmove handles
+// the overlap.
 func (t *Tables) relocate(j, r, size, cols int) {
 	band, ring := t.band, t.ring
 	if size > len(band) {
@@ -497,15 +435,6 @@ func (t *Tables) relocate(j, r, size, cols int) {
 	if cols > len(ring) {
 		ring = make([]int, ringLen(cols))
 	}
-	t.bandEnd = t.moveBand(band, ring, r, j)
-	t.band, t.ring = band, ring
-}
-
-// moveBand copies rows r..c of every column c in [r, j) from t's band into
-// band, packed from offset 0 in column order, records where each column
-// went in ring, and returns the end.  band and ring may be t's own: a
-// column never moves up, and memmove handles the overlap.
-func (t *Tables) moveBand(band []float64, ring []int, r, j int) int {
 	at := 0
 	for c := r; c < j; c++ {
 		src := t.ring[c&(len(t.ring)-1)]
@@ -514,7 +443,7 @@ func (t *Tables) moveBand(band []float64, ring []int, r, j int) int {
 		ring[c&(len(ring)-1)] = at
 		at += h
 	}
-	return at
+	t.band, t.ring, t.bandEnd = band, ring, at
 }
 
 // partition appends best[j+1] and choice[j+1] once column j, stored from

@@ -284,3 +284,48 @@ func TestMetricsEquivalence(t *testing.T) {
 		t.Errorf("admission counters diverge: on %+v off %+v", on.Stats, off.Stats)
 	}
 }
+
+// TestReplanMeteringFollowsStages pins the one metering knob: with
+// MeterStages and a fake clock, an offline object's replan wall time is
+// metered at its first epoch close; MeterReplanNanos alone meters
+// nothing.
+func TestReplanMeteringFollowsStages(t *testing.T) {
+	cat := multiobject.Catalog{{Name: "x", Length: 1, Popularity: 1, Delay: 0.125, Strategy: "offline"}}
+	for _, tc := range []struct {
+		name                string
+		stages, replanNanos bool
+		wantMetered         bool
+	}{
+		{"stages", true, false, true},
+		{"replan-nanos-alone", false, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tick atomic.Int64
+			s, err := serve.New(serve.Config{
+				Catalog: cat, Shards: 1, EpochSlots: 4,
+				MeterStages: tc.stages, MeterReplanNanos: tc.replanNanos,
+				NowNanos: func() int64 { return tick.Add(1000) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// The epoch is 4 slots of 0.125; the arrival at 0.7 closes it.
+			for _, at := range []float64{0.05, 0.1, 0.3, 0.7} {
+				if _, err := s.Submit(serve.Request{Object: "x", T: at}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := s.Object("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Replan.Replans != 1 {
+				t.Fatalf("replans = %d, want 1 epoch close", st.Replan.Replans)
+			}
+			if got := st.Replan.ReplanNanos > 0; got != tc.wantMetered {
+				t.Fatalf("replan nanos = %d, want metered = %v", st.Replan.ReplanNanos, tc.wantMetered)
+			}
+		})
+	}
+}

@@ -109,9 +109,9 @@ type Config struct {
 	// the Poisson golden-ratio tuning, matching the facade's WithPoisson
 	// default.
 	ConstantRateTuning bool
-	// MeterReplanNanos injects a monotonic wall clock into each object's
-	// scheduler so ObjectStats.Replan reports replan latency.  Off by
-	// default, keeping deterministic virtual-time replays clock-free.
+	// MeterReplanNanos is ignored: MeterStages meters replan latency too.
+	// It remains only because the benchmark module sets it
+	// (benchmark/batch.go:94, benchmark/runner.go:179).
 	MeterReplanNanos bool
 	// MeterStages decomposes every admission into per-stage timings —
 	// queue wait (submit to shard dequeue), plan (clock advance + gauge
@@ -121,9 +121,11 @@ type Config struct {
 	// histograms, one set per shard per strategy (merged at Metrics
 	// time), plus a respond stage recorded by the HTTP layer around the
 	// ticket write.  The admit hot path stays allocation-free.  Stage
-	// nanos also appear on each Ticket.  Off by default, keeping
-	// deterministic virtual-time replays clock-free; cost totals are
-	// bit-identical either way (the metrics equivalence test pins this).
+	// nanos also appear on each Ticket.  It also injects the clock into
+	// each object's scheduler, so ObjectStats.Replan reports replan
+	// latency.  Off by default, keeping deterministic virtual-time replays
+	// clock-free; cost totals are bit-identical either way (the metrics
+	// equivalence test pins this).
 	MeterStages bool
 	// PressureHighWater enables queue-depth backpressure: when a shard
 	// has this many requests submitted but not yet dequeued by its event
@@ -331,7 +333,7 @@ type ObjectStats struct {
 	// Replan summarizes the object's epoch replans: how many closes were
 	// answered from the off-line strategies' resumable forest tables, the
 	// DP cells reused versus recomputed, and replan wall time (metered
-	// only when Config.MeterReplanNanos is set).
+	// only when Config.MeterStages is set).
 	Replan ReplanStats `json:"replan"`
 }
 
@@ -722,8 +724,9 @@ func (s *Server) Now() float64 {
 	return float64(time.Since(s.start)) / float64(s.cfg.TimeUnit)
 }
 
-// replanClock is the monotonic clock injected into schedulers when
-// Config.MeterReplanNanos is set: nanoseconds since the server started.
+// replanClock is the default stage and replan clock, injected into
+// schedulers when Config.MeterStages is set: nanoseconds since the server
+// started.
 func (s *Server) replanClock() int64 {
 	return int64(time.Since(s.start))
 }

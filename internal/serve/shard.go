@@ -327,7 +327,7 @@ func (sh *shard) newScheduler(obj multiobject.Object, strategy string, delay, ba
 func (sh *shard) liveConfig(obj multiobject.Object, delay float64) live.Config {
 	obj.Delay = delay
 	var nowNanos func() int64
-	if sh.srv.cfg.MeterReplanNanos || sh.srv.cfg.MeterStages {
+	if sh.srv.cfg.MeterStages {
 		nowNanos = sh.srv.nowNanos
 	}
 	return live.Config{

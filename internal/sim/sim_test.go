@@ -9,57 +9,6 @@ import (
 	"repro/internal/schedule"
 )
 
-func TestEventQueueOrdering(t *testing.T) {
-	var q EventQueue
-	var order []int
-	q.Push(&Event{Time: 3, Action: func() { order = append(order, 3) }})
-	q.Push(&Event{Time: 1, Action: func() { order = append(order, 1) }})
-	q.Push(&Event{Time: 2, Action: func() { order = append(order, 2) }})
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	if q.Peek().Time != 1 {
-		t.Errorf("Peek time = %v, want 1", q.Peek().Time)
-	}
-	q.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("events fired out of order: %v", order)
-	}
-	if q.Pop() != nil || q.Peek() != nil {
-		t.Errorf("drained queue should return nil")
-	}
-}
-
-func TestEventQueueTieBreakByPriority(t *testing.T) {
-	var q EventQueue
-	var order []int
-	q.Push(&Event{Time: 1, Priority: 2, Action: func() { order = append(order, 2) }})
-	q.Push(&Event{Time: 1, Priority: 1, Action: func() { order = append(order, 1) }})
-	q.Run()
-	if order[0] != 1 || order[1] != 2 {
-		t.Errorf("priority tie-break failed: %v", order)
-	}
-}
-
-func TestEventQueueCascadingEvents(t *testing.T) {
-	var q EventQueue
-	count := 0
-	var schedule func(t float64)
-	schedule = func(tm float64) {
-		q.Push(&Event{Time: tm, Action: func() {
-			count++
-			if count < 5 {
-				schedule(tm + 1)
-			}
-		}})
-	}
-	schedule(0)
-	q.Run()
-	if count != 5 {
-		t.Errorf("cascading events ran %d times, want 5", count)
-	}
-}
-
 func TestRunForestFig3(t *testing.T) {
 	f := mergetree.NewForest(15)
 	tr, err := mergetree.Parse("0(1 2 3(4) 5(6 7))")
