@@ -104,13 +104,14 @@ var epochStrategies = []epochStrategy{
 	{name: "hybrid", batched: true, replan: replanHybrid},
 }
 
-func init() {
+// epochStrategyNamed looks a family of epochStrategies up by name.
+func epochStrategyNamed(name string) (epochStrategy, bool) {
 	for _, st := range epochStrategies {
-		st := st
-		Register(st.name, func(cfg Config) (Incremental, error) {
-			return newEpochSched(st, cfg), nil
-		})
+		if st.name == name {
+			return st, true
+		}
 	}
+	return epochStrategy{}, false
 }
 
 // epochSched makes a batch planner incremental by epoch-based replanning:
@@ -579,18 +580,16 @@ func BatchReference(strategy string, times []float64, horizon float64, obj multi
 		plan := p.Cache.planFor(p.SlotsPerMedia)
 		return n, float64(plan.onl.CostClosed(n)) / float64(p.SlotsPerMedia), nil
 	}
-	for _, st := range epochStrategies {
-		if st.name != strategy {
-			continue
-		}
-		if len(times) == 0 {
-			return 0, 0, nil
-		}
-		out, err := st.replan(times, horizon, p)
-		if err != nil {
-			return 0, 0, err
-		}
-		return int64(len(out.Streams)), out.Cost, nil
+	st, ok := epochStrategyNamed(strategy)
+	if !ok {
+		return 0, 0, fmt.Errorf("%w %q", ErrUnknownStrategy, strategy)
 	}
-	return 0, 0, fmt.Errorf("%w %q", ErrUnknownStrategy, strategy)
+	if len(times) == 0 {
+		return 0, 0, nil
+	}
+	out, err := st.replan(times, horizon, p)
+	if err != nil {
+		return 0, 0, err
+	}
+	return int64(len(out.Streams)), out.Cost, nil
 }

@@ -27,8 +27,8 @@
 //
 // Schedulers report their transmissions through a Sink (the serving shard
 // turns those events into the live channel gauge and the real-time
-// bandwidth record) and their accounting through Totals.  Registration is
-// by the public planner registry name, so the capability list
+// bandwidth record) and their accounting through Totals.  Schedulers are
+// named by the public planner registry name, so the capability list
 // (Planners()) is the serving layer's answer to "which planners can serve
 // live traffic".
 package live
@@ -261,43 +261,31 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Factory builds a scheduler from a validated configuration.
-type Factory func(cfg Config) (Incremental, error)
-
-var registry = map[string]Factory{}
-
-// Register adds a live adapter under a planner registry name.  Like the
-// public planner registry, duplicate registration is a programming error.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("live: Register with empty name or nil factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("live: adapter %q registered twice", name))
-	}
-	registry[name] = f
-}
-
-// New builds the named strategy's scheduler.  Unknown names fail with an
-// error wrapping ErrUnknownStrategy listing the live-capable planners.
+// New builds the named strategy's scheduler: the native on-line one for
+// "online", epoch replanning for every family in epochStrategies.
+// Unknown names fail with an error wrapping ErrUnknownStrategy listing
+// the live-capable planners.
 func New(name string, cfg Config) (Incremental, error) {
-	f, ok := registry[name]
-	if !ok {
+	st, ok := epochStrategyNamed(name)
+	if !ok && name != "online" {
 		return nil, fmt.Errorf("%w %q (live-capable: %v)", ErrUnknownStrategy, name, Planners())
 	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	return f(cfg)
+	if !ok {
+		return newOnlineSched(cfg), nil
+	}
+	return newEpochSched(st, cfg), nil
 }
 
 // Planners returns the sorted registry names of every planner family with
 // a live adapter — the serving layer's capability list.
 func Planners() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	names := []string{"online"}
+	for _, st := range epochStrategies {
+		names = append(names, st.name)
 	}
 	sort.Strings(names)
 	return names

@@ -50,12 +50,6 @@ func (c *Cache) planFor(L int64) *onlinePlan {
 	return p
 }
 
-func init() {
-	Register("online", func(cfg Config) (Incremental, error) {
-		return newOnlineSched(cfg), nil
-	})
-}
-
 // onlineSched is the native incremental scheduler of the paper's on-line
 // delay-guaranteed algorithm: the oblivious plan starts a (possibly
 // truncated) stream at every slot following the static F_h merge-tree

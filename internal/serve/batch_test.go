@@ -130,9 +130,8 @@ func TestSubmitBatchOneSendPerShard(t *testing.T) {
 				select {
 				case m := <-sh.msgs:
 					sends[i].Add(1)
-					if msg, ok := m.(submitBatchMsg); ok {
-						sh.admitBatch(msg.reqs, msg.out, -1)
-						msg.done <- struct{}{}
+					if msg, ok := m.(*submitMsg); ok {
+						sh.submit(msg)
 					}
 				case <-srv.quit:
 					return
@@ -172,24 +171,19 @@ func TestSubmitBatchClosed(t *testing.T) {
 }
 
 // BenchmarkShardAdmitBatch is the CI allocation guard for the batch
-// admit path: a whole batch through admitBatch on the shard loop's side,
-// with a caller-provided ticket buffer, must not allocate for a
-// program-less strategy.  Stage metering is on (benchShard), and the
-// positive queueNS takes the histogram-observation branch, so the guard
-// covers the fully instrumented path.
+// admit path: a 256-entry message through shard.submit on the shard
+// loop's side, into the message's own ticket buffer, must not allocate
+// for a program-less strategy.  Stage metering is on (benchShard), and
+// the message's enqueue stamp takes the histogram-observation branch,
+// so the guard covers the fully instrumented path.
 func BenchmarkShardAdmitBatch(b *testing.B) {
 	sh, _ := benchShard(b, "batching")
-	const batch = 256
-	reqs := make([]Request, batch)
-	out := make([]Ticket, batch)
-	cat := []string{"hot", "warm", "mild", "cold"}
-	for i := range reqs {
-		reqs[i] = Request{Object: cat[i%len(cat)], T: 0.5}
-	}
+	m := batchMsg(sh, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.admitBatch(reqs, out, 4096)
+		sh.submit(m)
+		<-m.done
 	}
 }
 

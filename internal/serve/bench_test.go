@@ -57,7 +57,7 @@ func BenchmarkShardAdmit(b *testing.B) {
 	t := 0.0
 	for i := 0; i < b.N; i++ {
 		t += 0.003
-		sh.admitCore(st, t, sh.srv.cfg.MeterStages)
+		sh.admitCore(st, t, sh.srv.cfg.MeterStages, "")
 	}
 }
 
@@ -77,53 +77,58 @@ func durableShard(b *testing.B, sh *shard) (stop func()) {
 	}
 }
 
+// batchMsg builds a submission message of n requests at T 0.5 cycling
+// over benchShard's catalog, stamped so the loop meters its queue wait.
+func batchMsg(sh *shard, n int) *submitMsg {
+	m := sh.srv.newSubmitMsg(n)
+	names := []string{"hot", "warm", "mild", "cold"}
+	for i := 0; i < n; i++ {
+		name := names[i%len(names)]
+		m.reqs = append(m.reqs, routed{req: Request{Object: name, T: 0.5}, st: sh.byName[name]})
+	}
+	m.enqueueNS = 1
+	return m
+}
+
 // BenchmarkShardAdmitDurable extends the allocation guard to the durable
-// single-submit path the shard loop runs: submitDurable fills the WAL
-// record, admits, and hands record, ticket and reply channel to the
-// group-commit WAL writer as one walSubmit message; the benchmark then
-// waits for the ack.  The record travels as a fixed-size array inside
-// the channel message, so durability must add zero allocations per
-// admitted request.  The strategy is batching, whose tickets carry no
-// receiving program: the online ticket's program copy is the one
-// intentional per-request allocation, and it would hide any other.
+// single-submit path the shard loop runs: shard.submit admits, fills the
+// WAL record in the message and hands the message to the group-commit
+// WAL writer as one walSubmit; the benchmark then waits for the ack.
+// The record is a fixed-size array inside the submitter's message, so
+// durability must add zero allocations per admitted request.  The
+// strategy is batching, whose tickets carry no receiving program: the
+// online ticket's program copy is the one intentional per-request
+// allocation, and it would hide any other.
 func BenchmarkShardAdmitDurable(b *testing.B) {
 	sh, st := benchShard(b, "batching")
 	stop := durableShard(b, sh)
 	defer stop()
-	q := &sh.srv.queues[sh.id]
-	reply := make(chan Ticket, 1)
+	m := batchMsg(sh, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	t := 0.0
 	for i := 0; i < b.N; i++ {
 		t += 0.003
-		sh.submitDurable(st, Request{Object: "hot", T: t}, 137, reply, q)
-		<-reply
+		m.reqs[0] = routed{req: Request{Object: "hot", T: t}, st: st}
+		sh.submit(m)
+		<-m.done
 	}
 }
 
 // BenchmarkShardAdmitDurableBatch is the batch half of the durable
-// allocation guard: 256 requests through admitBatch (which sends one
-// record-only walSubmit per entry) followed by one walBatchAck commit
+// allocation guard: a 256-entry message through shard.submit, which
+// hands all 256 records to the writer as one walSubmit, and the commit
 // round-trip.  The whole batch must amortize to 0 allocs/op.
 func BenchmarkShardAdmitDurableBatch(b *testing.B) {
 	sh, _ := benchShard(b, "batching")
 	stop := durableShard(b, sh)
 	defer stop()
-	const batch = 256
-	names := []string{"hot", "warm", "mild", "cold"}
-	reqs := make([]Request, batch)
-	out := make([]Ticket, batch)
-	for i := range reqs {
-		reqs[i] = Request{Object: names[i%len(names)], T: 0.5}
-	}
-	done := make(chan struct{}, 1)
+	m := batchMsg(sh, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.admitBatch(reqs, out, 4096)
-		sh.walCh <- walMsg{kind: walBatchAck, done: done}
-		<-done
+		sh.submit(m)
+		<-m.done
 	}
 }
 

@@ -21,7 +21,14 @@ import (
 // uninterrupted runs reqs through a store-less server and drains it.
 func uninterrupted(t *testing.T, strategy string, shards int, reqs []serve.Request, horizon float64) ([]serve.Ticket, *serve.DrainResult) {
 	t.Helper()
-	ref, err := serve.New(crashConfig(strategy, shards, nil, false))
+	return uninterruptedAt(t, crashConfig(strategy, shards, nil, false), reqs, horizon)
+}
+
+// uninterruptedAt submits reqs in order to a server built from cfg and
+// drains it.
+func uninterruptedAt(t *testing.T, cfg serve.Config, reqs []serve.Request, horizon float64) ([]serve.Ticket, *serve.DrainResult) {
+	t.Helper()
+	ref, err := serve.New(cfg)
 	if err != nil {
 		t.Fatalf("New(ref): %v", err)
 	}
@@ -39,7 +46,14 @@ func uninterrupted(t *testing.T, strategy string, shards int, reqs []serve.Reque
 // match the reference bit for bit.
 func checkFinish(t *testing.T, what string, s *serve.Server, reqs []serve.Request, want []serve.Ticket, ref *serve.DrainResult) {
 	t.Helper()
-	for i, tk := range submitAll(t, s, reqs) {
+	checkFinishBy(t, what, s, submitAll, reqs, want, ref)
+}
+
+// checkFinishBy is checkFinish with the requests sent through submit.
+func checkFinishBy(t *testing.T, what string, s *serve.Server, submit func(*testing.T, *serve.Server, []serve.Request) []serve.Ticket,
+	reqs []serve.Request, want []serve.Ticket, ref *serve.DrainResult) {
+	t.Helper()
+	for i, tk := range submit(t, s, reqs) {
 		if !sameTicket(tk, want[i]) {
 			t.Fatalf("%s: ticket %d diverged:\n got %+v\nwant %+v", what, i, tk, want[i])
 		}

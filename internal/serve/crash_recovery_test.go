@@ -186,6 +186,150 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 }
 
+// crashRestart runs reqs[:cut] through submit on a durable server built
+// by mk, takes the store's crash image (a Mem.Clone while the server
+// runs), restores a server from it and requires it to finish reqs[cut:]
+// through submit exactly like the uninterrupted run: tail tickets,
+// drained objects, busy time and peak bits, outcome counters.
+func crashRestart(t *testing.T, mk func(st store.Store, restore bool) serve.Config, reqs []serve.Request, cut int,
+	submit func(*testing.T, *serve.Server, []serve.Request) []serve.Ticket, want []serve.Ticket, ref *serve.DrainResult) {
+	t.Helper()
+	mem := store.NewMem()
+	doomed, err := serve.New(mk(mem, false))
+	if err != nil {
+		t.Fatalf("New(doomed): %v", err)
+	}
+	submit(t, doomed, reqs[:cut])
+	disk := mem.Clone()
+	doomed.Close()
+	restored, err := serve.New(mk(disk, true))
+	if err != nil {
+		t.Fatalf("New(restored): %v", err)
+	}
+	defer restored.Close()
+	checkFinishBy(t, "restored", restored, submit, reqs[cut:], want[cut:], ref)
+}
+
+// TestCappedCrashRecoveryEquivalence: under a channel cap, admission
+// decisions read the server-wide gauge, which a restore cannot rebuild
+// while it replays one shard after another; replay must apply the
+// decisions the WAL logged.  The cap degrades most requests and rejects
+// some, no cadence snapshot lands, so the restore replays the whole head,
+// and every request is submitted serially: under a cap, concurrently
+// running shards would make the decisions timing-dependent.
+func TestCappedCrashRecoveryEquivalence(t *testing.T) {
+	const horizon = 8.0
+	reqs := crashTrace(t)
+	for _, strategy := range serve.LivePlanners() {
+		for _, shards := range []int{1, 2, 5} {
+			capped := func(st store.Store, restore bool) serve.Config {
+				cfg := crashConfig(strategy, shards, st, restore)
+				cfg.MaxChannels = 6
+				cfg.MaxDelayScale = 64
+				cfg.SnapshotEpochs = 1000
+				return cfg
+			}
+			want, ref := uninterruptedAt(t, capped(nil, false), reqs, horizon)
+			if ref.Stats.Degraded == 0 || ref.Stats.Rejected == 0 {
+				t.Fatalf("%s shards=%d: the cap degraded %d and rejected %d requests, want both", strategy, shards, ref.Stats.Degraded, ref.Stats.Rejected)
+			}
+			for _, cut := range []int{45, len(reqs) / 2} {
+				t.Run(fmt.Sprintf("%s/shards=%d/cut=%d", strategy, shards, cut), func(t *testing.T) {
+					crashRestart(t, capped, reqs, cut, submitAll, want, ref)
+				})
+			}
+		}
+	}
+}
+
+// submitBatches pushes requests through SubmitBatch in chunks of 7 and
+// returns the tickets in request order.
+func submitBatches(t *testing.T, s *serve.Server, reqs []serve.Request) []serve.Ticket {
+	t.Helper()
+	out := make([]serve.Ticket, 0, len(reqs))
+	for k := 0; k < len(reqs); k += 7 {
+		for _, res := range s.SubmitBatch(reqs[k:min(k+7, len(reqs))]) {
+			if res.Err != nil {
+				t.Fatalf("SubmitBatch: %v", res.Err)
+			}
+			out = append(out, res.Ticket)
+		}
+	}
+	return out
+}
+
+// TestBatchCrashRecoveryEquivalence restores from records SubmitBatch
+// wrote: a shard's share of a batch reaches the WAL writer as one
+// message, and a writer that dropped any of its records would leave a
+// sequence gap that fails the restore.  No cadence snapshot lands, so
+// the restore replays the whole head.  Without a cap the decisions do
+// not depend on how the shards interleave, so the batched run must match
+// the serial reference.
+func TestBatchCrashRecoveryEquivalence(t *testing.T) {
+	const horizon = 8.0
+	reqs := crashTrace(t)
+	for _, strategy := range serve.LivePlanners() {
+		for _, shards := range []int{1, 2, 5} {
+			want, ref := uninterrupted(t, strategy, shards, reqs, horizon)
+			mk := func(st store.Store, restore bool) serve.Config {
+				cfg := crashConfig(strategy, shards, st, restore)
+				cfg.SnapshotEpochs = 1000
+				return cfg
+			}
+			for _, cut := range []int{len(reqs) / 3, 2 * len(reqs) / 3} {
+				t.Run(fmt.Sprintf("%s/shards=%d/cut=%d", strategy, shards, cut), func(t *testing.T) {
+					crashRestart(t, mk, reqs, cut, submitBatches, want, ref)
+				})
+			}
+		}
+	}
+}
+
+// TestRestoreAppliesLoggedDecisions: replay applies the decision a WAL
+// record carries, not the admission controller's (this server has no
+// cap, so the controller would admit), and refuses a decision byte out
+// of range and a 20-byte record of the layout that logged none.
+func TestRestoreAppliesLoggedDecisions(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		rec       []byte // seq 0, catalog index 0 ("hot"), T 0, then the decision
+		counters  [3]int64
+		corrupted bool
+	}{
+		{name: "admitted", rec: make([]byte, 21), counters: [3]int64{1, 0, 0}},
+		{name: "degraded", rec: append(make([]byte, 20), 1), counters: [3]int64{0, 1, 0}},
+		{name: "rejected", rec: append(make([]byte, 20), 2), counters: [3]int64{0, 0, 1}},
+		{name: "decision-out-of-range", rec: append(make([]byte, 20), 3), corrupted: true},
+		{name: "no-decision", rec: make([]byte, 20), corrupted: true},
+	} {
+		mem := store.NewMem()
+		if err := mem.AppendWAL(0, c.rec); err != nil {
+			t.Fatal(err)
+		}
+		s, err := serve.New(crashConfig("online", 1, mem, true))
+		if c.corrupted {
+			if !errors.Is(err, store.ErrCorruptSnapshot) {
+				t.Errorf("%s: New = %v, want ErrCorruptSnapshot", c.name, err)
+			}
+			if err == nil {
+				s.Close()
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: New: %v", c.name, err)
+		}
+		st, err := s.Stats()
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [3]int64{st.Admitted, st.Degraded, st.Rejected}; got != c.counters {
+			t.Errorf("%s: admitted/degraded/rejected %v, want %v", c.name, got, c.counters)
+		}
+	}
+}
+
 // TestCrashRecoveryAfterForcedSnapshot pins the snapshot-restore path
 // specifically: Snapshot() truncates the WAL, so recovery here rebuilds
 // everything from the codec blob plus only the records logged after it.

@@ -18,11 +18,11 @@ import (
 // routes every admission through a group-commit log-before-ack
 // discipline:
 //
-//  1. For each single submit the loop captures the request's WAL record
-//     (sequence number, catalog index, clamp-free timestamp), runs the
-//     admit path, and sends record, ticket, and reply channel down the
-//     writer channel as ONE walSubmit message.  Batch submits send one
-//     record-only walSubmit per entry followed by a single walBatchAck.
+//  1. For each submission — one Submit's request, or a SubmitBatch's
+//     whole share of the shard — the loop admits every entry and fills
+//     its WAL record (sequence number, catalog index, clamp-free
+//     timestamp, the admission decision taken), then sends the submission
+//     down the writer channel as ONE walSubmit message.
 //  2. The writer drains the channel greedily — a blocking receive, then
 //     non-blocking receives until the channel is empty — appends every
 //     pending record with one AppendWALBatch, performs ONE Flush for the
@@ -51,9 +51,11 @@ import (
 // stalls admission for the encode.  The file backend's crash window
 // between snapshot rename and WAL truncation is closed by sequence
 // numbers instead: replay skips records below the snapshot's next
-// sequence.  Close sends one last walSnapshot per shard once the loops
-// have exited (checkpoint), so a restart after a clean stop loads it and
-// replays nothing; only a crash leaves a WAL tail to replay.
+// sequence.  Replay applies each record's logged decision instead of
+// asking the admission controller, whose server-wide gauge a restore
+// cannot reproduce.  Close sends one last walSnapshot per shard once the
+// loops have exited (checkpoint), so a restart after a clean stop loads
+// it and replays nothing; only a crash leaves a WAL tail to replay.
 //
 // Store failures favor availability over durability: the writer counts
 // them (Stats.WALFailures) and still acknowledges, so a full disk
@@ -67,26 +69,40 @@ import (
 // retries.)
 
 // walRecSize is the fixed WAL record layout: sequence number (8),
-// catalog object index (4), raw request timestamp as float bits (8).
-const walRecSize = 8 + 4 + 8
+// catalog object index (4), raw request timestamp as float bits (8), and
+// the admission decision (1, an index into walDecisions).  Logs of the
+// 20-byte layout without the decision are refused as corrupt.
+const walRecSize = 8 + 4 + 8 + 1
+
+// walDecisions maps a record's decision byte to its Decision.
+var walDecisions = [...]Decision{Admitted, Degraded, Rejected}
 
 // encodeWALRecord lays out one WAL record: the request's shard-local
-// sequence number, its object's catalog index, and its raw timestamp.
+// sequence number, its object's catalog index, its raw timestamp, and
+// the decision its admission took.
 //
 //modlint:noalloc
-func encodeWALRecord(seq int64, objIdx int, t float64) (rec [walRecSize]byte) {
+func encodeWALRecord(seq int64, objIdx int, t float64, d Decision) (rec [walRecSize]byte) {
 	binary.LittleEndian.PutUint64(rec[0:8], uint64(seq))
 	binary.LittleEndian.PutUint32(rec[8:12], uint32(objIdx))
 	binary.LittleEndian.PutUint64(rec[12:20], math.Float64bits(t))
+	for i, w := range walDecisions {
+		if d == w {
+			rec[20] = byte(i)
+		}
+	}
 	return rec
 }
 
 // decodeWALRecord reads back a record encodeWALRecord wrote; rec must be
-// walRecSize bytes long.
-func decodeWALRecord(rec []byte) (seq int64, objIdx int, t float64) {
+// walRecSize bytes long.  A decision byte out of range decodes as "".
+func decodeWALRecord(rec []byte) (seq int64, objIdx int, t float64, d Decision) {
+	if int(rec[20]) < len(walDecisions) {
+		d = walDecisions[rec[20]]
+	}
 	return int64(binary.LittleEndian.Uint64(rec[0:8])),
 		int(binary.LittleEndian.Uint32(rec[8:12])),
-		math.Float64frombits(binary.LittleEndian.Uint64(rec[12:20]))
+		math.Float64frombits(binary.LittleEndian.Uint64(rec[12:20])), d
 }
 
 // walMaxBatch caps one group commit's batch so accretion under sustained
@@ -98,34 +114,24 @@ const walMaxBatch = 1024
 type walKind uint8
 
 const (
-	// walSubmit: one single-submit admission, record and acknowledgement
-	// merged into one message.  When hasRec is set, rec joins the
-	// commit's append run; when reply is non-nil, tk is delivered on it
-	// after the commit.  admitBatch sends record-only walSubmits (reply
-	// nil), acknowledged collectively by one walBatchAck.
+	// walSubmit: one submission the loop admitted; every record of sub
+	// joins the commit's append run, and sub.done is signalled after the
+	// flush.
 	walSubmit walKind = iota
-	// walBatchAck: signal done after the commit (batch submit).
-	walBatchAck
 	// walSnapshot: encode snap and save it as the shard's snapshot
 	// (truncating the WAL); errc, when non-nil, receives the result.
 	walSnapshot
 )
 
-// walMsg is one message from a shard loop to its WAL writer.  The record
-// is a fixed-size array, not a slice, so sending it copies the bytes
-// through the channel without allocating.
+// walMsg is one message from a shard loop to its WAL writer.  A
+// walSubmit carries its submission's records in the submitter's message,
+// whose recs are fixed-size arrays filled in place, so handing them to
+// the writer allocates nothing.
 type walMsg struct {
 	kind walKind
-	rec  [walRecSize]byte
-	// hasRec marks a walSubmit that carries a record (known object, a
-	// sequence number was consumed); unknown-object submits are acked
-	// without logging anything.
-	hasRec bool
-	tk     Ticket
-	reply  chan Ticket
-	done   chan struct{}
-	snap   *shardSnapshotState
-	errc   chan error
+	sub  *submitMsg
+	snap *shardSnapshotState
+	errc chan error
 	// repair marks a walSnapshot forced by a prior append failure; if
 	// saving it fails too, the writer re-arms the shard's repair flag.
 	repair bool
@@ -216,13 +222,9 @@ func (s *Server) commit(sh *shard, w *walCommit) {
 		m := &w.pend[i]
 		switch m.kind {
 		case walSubmit:
-			if m.hasRec {
-				w.recs = append(w.recs, m.rec[:])
+			for j := range m.sub.recs {
+				w.recs = append(w.recs, m.sub.recs[j][:])
 			}
-			if m.reply != nil {
-				acks = true
-			}
-		case walBatchAck:
 			acks = true
 		case walSnapshot:
 			s.appendRun(sh, w)
@@ -248,14 +250,8 @@ func (s *Server) commit(sh *shard, w *walCommit) {
 		w.dirty = false
 	}
 	for i := range w.pend {
-		m := &w.pend[i]
-		switch m.kind {
-		case walSubmit:
-			if m.reply != nil {
-				m.reply <- m.tk
-			}
-		case walBatchAck:
-			m.done <- struct{}{}
+		if m := &w.pend[i]; m.kind == walSubmit {
+			m.sub.done <- struct{}{}
 		}
 	}
 	w.pend = w.pend[:0]
@@ -313,44 +309,6 @@ func (s *Server) writeSnapshot(sh *shard, m *walMsg) bool {
 		m.errc <- err
 	}
 	return err == nil
-}
-
-// logSubmit sends the record-only walSubmit for a request the admit path
-// is about to consume a sequence number for.  Unknown objects consume no
-// sequence number and are not logged (handleSubmit answers them without
-// touching any counter a snapshot covers).  Called by admitBatch
-// immediately before each per-entry admit, so record order equals
-// admission order; the batch's single walBatchAck follows.
-//
-//modlint:noalloc
-func (sh *shard) logSubmit(req Request) {
-	st := sh.byName[req.Object]
-	if st == nil {
-		return
-	}
-	sh.walCh <- walMsg{kind: walSubmit, hasRec: true, rec: encodeWALRecord(sh.ticketSeq, st.index, req.T)}
-}
-
-// submitDurable is the shard loop's durable single-submit path: capture
-// the WAL record at the current sequence number, admit, account the
-// queue, then hand record, ticket, and reply channel to the writer as
-// ONE walSubmit message.  The record must be captured before the admit
-// (which consumes the sequence number) and sent after it (the message
-// carries the ticket); the loop is the channel's only sender, so the
-// interleaving stays admission-ordered.  st is the pre-resolved object
-// state from the router; a nil st is answered without a record, like an
-// unknown object in logSubmit.
-//
-//modlint:noalloc
-func (sh *shard) submitDurable(st *objectState, req Request, queueNS int64, reply chan Ticket, q *shardQueue) {
-	m := walMsg{kind: walSubmit, reply: reply}
-	if st != nil {
-		m.hasRec = true
-		m.rec = encodeWALRecord(sh.ticketSeq, st.index, req.T)
-	}
-	m.tk = sh.handleSubmitFor(st, req, queueNS)
-	q.dequeued.Add(1)
-	sh.walCh <- m
 }
 
 // maybeSnapshot hands the writer a snapshot capture once the shard clock
@@ -841,8 +799,8 @@ func (sh *shard) restoreScheduler(obj multiobject.Object, strategy string, delay
 // restore loads the shard's latest snapshot and replays the WAL tail
 // through the admit path's state transition.  It runs during New, before
 // the shard loop or WAL writer exist, so it owns all shard state.  Replay
-// calls apply directly, unmetered — the loop's logSubmit step is
-// deliberately absent, since the records being applied are already in
+// calls apply directly, unmetered and with each record's logged decision
+// — no record is encoded, since the records being applied are already in
 // the log, and no ticket is built, since nobody waits for one.  It
 // returns the shard's frontier and ticket sequence as of the snapshot:
 // its saved frontier and saved sequence.
@@ -862,7 +820,7 @@ func (sh *shard) restore() (saved float64, savedSeq int64, err error) {
 		if len(rec) != walRecSize {
 			return fmt.Errorf("%w: WAL record of %d bytes (want %d)", store.ErrCorruptSnapshot, len(rec), walRecSize)
 		}
-		seq, objIdx, t := decodeWALRecord(rec)
+		seq, objIdx, t, decision := decodeWALRecord(rec)
 		if seq < sh.ticketSeq {
 			// Superseded by the snapshot: the file backend's crash window
 			// between snapshot rename and WAL truncation leaves these
@@ -880,7 +838,10 @@ func (sh *shard) restore() (saved float64, savedSeq int64, err error) {
 		if obj == nil {
 			return fmt.Errorf("%w: WAL record for object %q not routed to shard %d", store.ErrCorruptSnapshot, name, sh.id)
 		}
-		sh.apply(obj, t, false)
+		if decision == "" {
+			return fmt.Errorf("%w: WAL record %d on shard %d has decision byte %d", store.ErrCorruptSnapshot, seq, sh.id, rec[20])
+		}
+		sh.apply(obj, t, false, decision)
 		return nil
 	})
 	if err != nil {

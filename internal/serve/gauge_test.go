@@ -144,7 +144,7 @@ func TestGaugeMatchesRecount(t *testing.T) {
 				st.sched = sched
 			}
 			for i, req := range reqs {
-				sh.apply(sh.byName[req.Object], req.T, false)
+				sh.apply(sh.byName[req.Object], req.T, false, "")
 				where := fmt.Sprintf("request %d", i)
 				checkHeap(t, sh, where)
 				if g, want := sh.srv.gauge.Load(), tee.recount(sh.now); g != want {
@@ -192,7 +192,7 @@ func TestGaugeCapUnchanged(t *testing.T) {
 		t.Run(strategy, func(t *testing.T) {
 			sh := gaugeShard(t, strategy, 12)
 			for i, req := range reqs {
-				sh.apply(sh.byName[req.Object], req.T, false)
+				sh.apply(sh.byName[req.Object], req.T, false, "")
 				checkHeap(t, sh, fmt.Sprintf("request %d", i))
 			}
 			sh.drain(6)

@@ -168,7 +168,7 @@ func TestGroupCommitCrashPrefix(t *testing.T) {
 			disk, _, _ := gatedScenario(t, mode)
 			var seqs []int64
 			err := disk.ReplayWAL(0, func(rec []byte) error {
-				if len(rec) != 20 {
+				if len(rec) != 21 {
 					return fmt.Errorf("record of %d bytes", len(rec))
 				}
 				seqs = append(seqs, int64(binary.LittleEndian.Uint64(rec[0:8])))

@@ -176,12 +176,6 @@ type Config struct {
 	// OwnStore transfers Store's ownership to the server: Close also
 	// closes the store.  The facade sets it for stores it opened itself.
 	OwnStore bool
-
-	// Context is the base context of the server's shard schedulers (the
-	// net/http BaseContext idiom): cancelling it aborts in-flight epoch
-	// replan DPs.  nil means Background.  Close cancels the derived
-	// per-server context either way.
-	Context context.Context
 }
 
 func (c *Config) withDefaults() Config {
@@ -402,8 +396,8 @@ type Server struct {
 	quit  chan struct{}
 	wg    sync.WaitGroup
 
-	// ctx is derived from Config.Context at New; Close cancels it,
-	// aborting any epoch replan DP still running on a shard loop.
+	// ctx is the shard schedulers' context; Close cancels it, aborting any
+	// epoch replan DP still running on a shard loop.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -448,11 +442,10 @@ type Server struct {
 	// It lives on the Server (not the shard) because both sides touch it.
 	queues []shardQueue
 
-	// submitPool recycles the per-Submit message struct — which owns its
-	// reply channel — keeping the steady-state submit path free of
-	// per-request heap traffic (boxing a submitMsg value into the shard's
-	// any-typed channel allocates; a pooled pointer does not).  A message
-	// is pooled only by the submitter after its ticket was received, so a
+	// submitPool recycles Submit's one-entry messages — each owning its
+	// slices and done channel — keeping the steady-state submit path free
+	// of per-request heap traffic.  A message is pooled only by the
+	// submitter after its ack was received (or its send failed), so a
 	// pooled message's channel is always empty; a Submit abandoned by
 	// shutdown leaves message and channel to the collector.
 	submitPool sync.Pool
@@ -489,8 +482,8 @@ type Server struct {
 
 // route is one catalog object's resolved destination: its shard and its
 // loop-owned state.  Resolving both with a single map lookup at the
-// router lets Submit hand the shard a pre-resolved object pointer, so
-// the admit path never repeats the name lookup.  Submitters only carry
+// router lets Submit and SubmitBatch hand the shard a pre-resolved
+// object pointer, so the admit path never repeats the name lookup.  Submitters only carry
 // the pointer; the shard loop alone dereferences it.
 type route struct {
 	sh *shard
@@ -609,13 +602,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("%w: catalog is empty", ErrBadConfig)
 	}
 	cfg = cfg.withDefaults()
-	base := cfg.Context
-	if base == nil {
-		//modlint:ignore ctxflow nil Config.Context means "never cancelled externally"; the one place the default is rooted
-		base = context.Background()
-	}
 	s := newServerShell(cfg)
-	s.ctx, s.cancel = context.WithCancel(base)
+	//modlint:ignore ctxflow the server owns its schedulers' lifetime; Close cancels this root
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.shards = make([]*shard, cfg.Shards)
 	s.peak = newPeakFold(cfg.Shards)
 	for i := range s.shards {
@@ -692,6 +681,7 @@ func newServerShell(cfg Config) *Server {
 	if s.nowNanos == nil {
 		s.nowNanos = s.replanClock
 	}
+	s.submitPool.New = func() any { return s.newSubmitMsg(1) }
 	return s
 }
 
@@ -744,52 +734,27 @@ func (s *Server) Shards() int {
 // Config.PressureHighWater set, a shard over its queue high-water mark
 // fails fast with a *PressureError instead of blocking.
 func (s *Server) Submit(req Request) (Ticket, error) {
-	if math.IsNaN(req.T) || math.IsInf(req.T, 0) || req.T < 0 {
-		req.T = s.Now()
-	}
-	r, ok := s.byName[req.Object]
-	if !ok {
-		s.unknown.Add(1)
-		return Ticket{}, fmt.Errorf("%w %q", ErrUnknownObject, req.Object)
-	}
-	sh := r.sh
-	if err := s.reserve(sh.id, 1); err != nil {
+	r, err := s.resolve(&req)
+	if err != nil {
 		return Ticket{}, err
 	}
-	msg, _ := s.submitPool.Get().(*submitMsg)
-	if msg == nil {
-		msg = &submitMsg{reply: make(chan Ticket, 1)}
+	m := s.submitPool.Get().(*submitMsg)
+	m.reqs = append(m.reqs[:0], routed{req: req, st: r.st})
+	if err := s.send(r.sh, m); err != nil {
+		s.submitPool.Put(m)
+		return Ticket{}, err
 	}
-	msg.req = req
-	msg.st = r.st
-	msg.enqueueNS = 0
-	if s.cfg.MeterStages {
-		msg.enqueueNS = s.nowNanos()
+	if err := s.wait(m); err != nil {
+		// The loop or writer may still signal m.done; the message is
+		// abandoned to the collector.
+		return Ticket{}, err
 	}
-	// Fast path first: the shard channel is buffered, so under normal
-	// load the non-blocking send lands without the multi-case select.
-	select {
-	case sh.msgs <- msg:
-	default:
-		select {
-		case sh.msgs <- msg:
-		case <-s.quit:
-			s.unreserve(sh.id, 1)
-			s.submitPool.Put(msg)
-			return Ticket{}, ErrClosed
-		}
-	}
-	select {
-	case t := <-msg.reply:
-		// The ack arrived, so the shard and writer are done with the
-		// message; it recycles with its (now empty) reply channel.
-		s.submitPool.Put(msg)
-		return t, nil
-	case <-s.quit:
-		// The loop or writer may still answer on msg.reply; the message
-		// and its channel are abandoned to the collector.
-		return Ticket{}, ErrClosed
-	}
+	// The ack arrived, so the shard and writer are done with the message;
+	// it recycles with an empty done channel and no ticket to keep alive.
+	tk := m.out[0]
+	m.out[0] = Ticket{}
+	s.submitPool.Put(m)
+	return tk, nil
 }
 
 // SubmitResult is one entry of a SubmitBatch answer: the ticket, or the
@@ -802,79 +767,123 @@ type SubmitResult struct {
 // SubmitBatch admits a batch of requests, crossing each shard's message
 // channel once for the whole batch instead of once per entry.  Entries
 // keep their submission order within each shard (and hence per object),
-// and every ticket and error matches what sequential Submit calls would
-// return; shards process their portions concurrently.  The result has
-// one entry per request, in request order.
+// and shards process their portions concurrently.  Without a channel cap
+// every ticket and error matches what sequential Submit calls would
+// return; under Config.MaxChannels an entry's decision reads the
+// server-wide gauge while other shards run, so with more than one shard
+// it depends on their timing.  The result has one entry per request, in
+// request order.
 func (s *Server) SubmitBatch(reqs []Request) []SubmitResult {
 	out := make([]SubmitResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	// Partition by shard, preserving order; wall-clock stamping and
-	// unknown-object errors are resolved here exactly like Submit.
-	perReq := make([][]Request, len(s.shards))
-	perIdx := make([][]int, len(s.shards))
+	// Route every entry first, exactly like Submit, and count each shard's
+	// share, so each shard's message is sized exactly.  ids[i] is entry
+	// i's shard, -1 when it failed to route.
+	ents := make([]routed, len(reqs))
+	ids := make([]int, len(reqs))
+	n := make([]int, len(s.shards))
 	for i, req := range reqs {
-		if math.IsNaN(req.T) || math.IsInf(req.T, 0) || req.T < 0 {
-			req.T = s.Now()
-		}
-		r, ok := s.byName[req.Object]
-		if !ok {
-			s.unknown.Add(1)
-			out[i].Err = fmt.Errorf("%w %q", ErrUnknownObject, req.Object)
+		r, err := s.resolve(&req)
+		if err != nil {
+			out[i].Err, ids[i] = err, -1
 			continue
 		}
-		perReq[r.sh.id] = append(perReq[r.sh.id], req)
-		perIdx[r.sh.id] = append(perIdx[r.sh.id], i)
+		ents[i], ids[i] = routed{req: req, st: r.st}, r.sh.id
+		n[r.sh.id]++
 	}
-	// One send per shard with work; gather only after every send, so the
-	// shard loops run their portions concurrently.
-	type pending struct {
-		id   int
-		tks  []Ticket
-		done chan struct{}
-	}
-	sent := make([]pending, 0, len(s.shards))
-	for id, batch := range perReq {
-		if len(batch) == 0 {
+	msgs := make([]*submitMsg, len(s.shards))
+	for i, id := range ids {
+		if id < 0 {
 			continue
 		}
-		// The whole sub-batch reserves queue slots at once: backpressure
-		// treats it as its occupancy in requests, not channel messages.
-		if err := s.reserve(id, int64(len(batch))); err != nil {
-			for _, i := range perIdx[id] {
-				out[i].Err = err
-			}
-			continue
+		if msgs[id] == nil {
+			msgs[id] = s.newSubmitMsg(n[id])
 		}
-		p := pending{id: id, tks: make([]Ticket, len(batch)), done: make(chan struct{}, 1)}
-		bm := submitBatchMsg{reqs: batch, out: p.tks, done: p.done}
-		if s.cfg.MeterStages {
-			bm.enqueueNS = s.nowNanos()
-		}
-		select {
-		case s.shards[id].msgs <- bm:
-			sent = append(sent, p)
-		case <-s.quit:
-			s.unreserve(id, int64(len(batch)))
-			for _, i := range perIdx[id] {
-				out[i].Err = ErrClosed
-			}
+		msgs[id].reqs = append(msgs[id].reqs, ents[i])
+	}
+	// One send per shard with work; wait only after every send, so the
+	// shard loops run their shares concurrently.
+	errs := make([]error, len(s.shards))
+	for id, m := range msgs {
+		if m != nil {
+			errs[id] = s.send(s.shards[id], m)
 		}
 	}
-	for _, p := range sent {
-		select {
-		case <-p.done:
-			for k, i := range perIdx[p.id] {
-				out[i].Ticket = p.tks[k]
-			}
-		case <-s.quit:
-			for _, i := range perIdx[p.id] {
-				out[i].Err = ErrClosed
+	for id, m := range msgs {
+		if m != nil && errs[id] == nil {
+			errs[id] = s.wait(m)
+		}
+	}
+	// Each shard answered its share in request order.
+	for i, id := range ids {
+		if id >= 0 {
+			if out[i].Err = errs[id]; out[i].Err == nil {
+				out[i].Ticket, msgs[id].out = msgs[id].out[0], msgs[id].out[1:]
 			}
 		}
 	}
 	return out
+}
+
+// resolve stamps a request whose T is negative, NaN or infinite with the
+// wall clock and resolves its object, counting an unknown one.
+func (s *Server) resolve(req *Request) (route, error) {
+	if math.IsNaN(req.T) || math.IsInf(req.T, 0) || req.T < 0 {
+		req.T = s.Now()
+	}
+	r, ok := s.byName[req.Object]
+	if !ok {
+		s.unknown.Add(1)
+		return route{}, fmt.Errorf("%w %q", ErrUnknownObject, req.Object)
+	}
+	return r, nil
+}
+
+// newSubmitMsg builds a submission message for n entries: reqs empty with
+// room for n, out and, on a durable server, recs of length n.
+func (s *Server) newSubmitMsg(n int) *submitMsg {
+	m := &submitMsg{reqs: make([]routed, 0, n), out: make([]Ticket, n), done: make(chan struct{}, 1)}
+	if s.cfg.Store != nil {
+		m.recs = make([][walRecSize]byte, n)
+	}
+	return m
+}
+
+// send hands m to sh's loop after reserving a queue slot per entry:
+// backpressure counts requests, not channel messages.  The shard channel
+// is buffered, so under normal load the non-blocking send lands without
+// the multi-case select.
+func (s *Server) send(sh *shard, m *submitMsg) error {
+	k := int64(len(m.reqs))
+	if err := s.reserve(sh.id, k); err != nil {
+		return err
+	}
+	m.enqueueNS = 0
+	if s.cfg.MeterStages {
+		m.enqueueNS = s.nowNanos()
+	}
+	select {
+	case sh.msgs <- m:
+		return nil
+	default:
+	}
+	select {
+	case sh.msgs <- m:
+		return nil
+	case <-s.quit:
+		s.unreserve(sh.id, k)
+		return ErrClosed
+	}
+}
+
+// wait blocks until the shard answered m — on a durable server, after the
+// WAL writer committed its records — or the server closes.
+func (s *Server) wait(m *submitMsg) error {
+	select {
+	case <-m.done:
+		return nil
+	case <-s.quit:
+		return ErrClosed
+	}
 }
 
 // Pause parks one shard's event loop until the returned release function

@@ -11,27 +11,24 @@ import (
 	"repro/internal/stats"
 )
 
-// submitMsg asks the shard to admit one request.  enqueueNS carries the
-// submit-side clock reading when stage metering is on (0 = unmetered),
-// so the loop can observe the queue-wait stage at dequeue.
-type submitMsg struct {
-	req   Request
-	reply chan Ticket
-	// st is the request's pre-resolved object state (set by Submit from
-	// the router's route entry), saving the loop a second name lookup;
-	// only the shard loop dereferences it.
-	st        *objectState
-	enqueueNS int64
+// routed is one submission entry: a request and its object's state as
+// the router resolved it (see route).
+type routed struct {
+	req Request
+	st  *objectState
 }
 
-// submitBatchMsg asks the shard to admit a batch of requests in order —
-// one channel send for the whole batch.  The caller owns both slices;
-// the shard writes out[i] for reqs[i] and signals done exactly once.
-// enqueueNS is the batch's submit-side clock reading (0 = unmetered);
-// every entry shares the batch's queue wait.
-type submitBatchMsg struct {
-	reqs      []Request
+// submitMsg asks the shard to admit its entries in order: one channel
+// send for a Submit's single request or a SubmitBatch's whole share of
+// the shard.  The submitter owns the message; the shard writes out[i]
+// (and, on a durable server, the WAL record recs[i]) for reqs[i] and
+// signals done exactly once, after the WAL writer's flush when durable.
+// enqueueNS is the submit-side clock reading (0 = unmetered); every
+// entry shares the message's queue wait.
+type submitMsg struct {
+	reqs      []routed
 	out       []Ticket
+	recs      [][walRecSize]byte
 	done      chan struct{}
 	enqueueNS int64
 }
@@ -372,7 +369,6 @@ func (sh *shard) addObject(o multiobject.Object, index int, strategy string) err
 // writer's group commits whole cohorts at a time).
 func (sh *shard) loop() {
 	defer sh.srv.wg.Done()
-	q := &sh.srv.queues[sh.id]
 	for {
 		var m any
 		select {
@@ -381,7 +377,7 @@ func (sh *shard) loop() {
 			return
 		}
 		for {
-			if !sh.handle(m, q) {
+			if !sh.handle(m) {
 				return
 			}
 			m = nil
@@ -412,41 +408,10 @@ func (sh *shard) loop() {
 
 // handle processes one dequeued loop message; false tells the loop to
 // exit (shutdown observed while parked).
-func (sh *shard) handle(m any, q *shardQueue) bool {
+func (sh *shard) handle(m any) bool {
 	switch msg := m.(type) {
 	case *submitMsg:
-		queueNS := int64(-1)
-		if msg.enqueueNS != 0 {
-			queueNS = sh.srv.nowNanos() - msg.enqueueNS
-		}
-		// The submitter owns the message and recycles it after the ack;
-		// the loop only reads it, and only before the ack is sent.
-		req, reply, st := msg.req, msg.reply, msg.st
-		// Capture the record before admit, send record and ack as
-		// one message after: the durable log stays an exact prefix
-		// of the acked requests, at one channel send per request.
-		if sh.walCh != nil {
-			sh.submitDurable(st, req, queueNS, reply, q)
-			sh.maybeSnapshot()
-		} else {
-			tk := sh.handleSubmitFor(st, req, queueNS)
-			q.dequeued.Add(1)
-			reply <- tk
-		}
-	case submitBatchMsg:
-		queueNS := int64(-1)
-		if msg.enqueueNS != 0 {
-			queueNS = sh.srv.nowNanos() - msg.enqueueNS
-		}
-		sh.admitBatch(msg.reqs, msg.out, queueNS)
-		n := int64(len(msg.reqs))
-		q.dequeued.Add(n)
-		if sh.walCh != nil {
-			sh.walCh <- walMsg{kind: walBatchAck, done: msg.done}
-			sh.maybeSnapshot()
-		} else {
-			msg.done <- struct{}{}
-		}
+		sh.submit(msg)
 	case snapshotMsg:
 		if sh.walCh == nil {
 			msg.reply <- fmt.Errorf("%w: shard %d has no durability store", ErrBadConfig, sh.id)
@@ -470,30 +435,50 @@ func (sh *shard) handle(m any, q *shardQueue) bool {
 	return true
 }
 
+// submit admits a message's entries in order, each through handleSubmit,
+// so a batch's tickets are byte-identical to sequential submission.  On
+// a durable server each entry's WAL record carries the sequence number
+// its admit consumed and the decision it took, and the whole message
+// reaches the WAL writer as ONE walSubmit, acknowledged after the flush:
+// the durable log stays an exact prefix of the acked requests.  The loop
+// never allocates (the four BenchmarkShardAdmit* and the CI guard pin 0
+// allocs/op for program-less strategies); handleSubmit's
+// receiving-program copy is the one intentional per-ticket allocation.
+//
+//modlint:noalloc
+func (sh *shard) submit(m *submitMsg) {
+	queueNS := int64(-1)
+	if m.enqueueNS != 0 {
+		queueNS = sh.srv.nowNanos() - m.enqueueNS
+	}
+	for i := range m.reqs {
+		e := &m.reqs[i]
+		seq := sh.ticketSeq
+		m.out[i] = sh.handleSubmit(e.st, e.req, queueNS)
+		if m.recs != nil {
+			m.recs[i] = encodeWALRecord(seq, e.st.index, e.req.T, m.out[i].Decision)
+		}
+	}
+	sh.srv.queues[sh.id].dequeued.Add(int64(len(m.reqs)))
+	if sh.walCh == nil {
+		m.done <- struct{}{}
+		return
+	}
+	sh.walCh <- walMsg{kind: walSubmit, sub: m}
+	sh.maybeSnapshot()
+}
+
 // handleSubmit runs one request's state transition (apply) and
 // materializes its ticket (the one step that allocates: the receiving
 // program is copied out of the scheduler's buffer so the caller can hold
 // it).  A non-negative queueNS is the request's measured queue wait: it
 // is observed into the shard's stage histograms together with the
 // plan/replan split admitCore leaves behind, and stamped on the ticket
-// (requests that never reach admitCore — unknown objects, slot jumps —
-// record no stage samples).
-func (sh *shard) handleSubmit(req Request, queueNS int64) Ticket {
-	return sh.handleSubmitFor(sh.byName[req.Object], req, queueNS)
-}
-
-// handleSubmitFor is handleSubmit with the object already resolved, so
-// the durable path's record capture and admit share one map lookup.
-func (sh *shard) handleSubmitFor(st *objectState, req Request, queueNS int64) Ticket {
-	if st == nil {
-		// The router should never send a foreign object here; answer a
-		// rejection rather than wedging the caller.  No sequence number:
-		// unknown requests touch no snapshotted state and are not logged.
-		sh.srv.unknown.Add(1)
-		return Ticket{Object: req.Object, Decision: Rejected, T: req.T}
-	}
+// (slot-jump rejections never reach admitCore and record no stage
+// samples).
+func (sh *shard) handleSubmit(st *objectState, req Request, queueNS int64) Ticket {
 	id := sh.ticketSeq*int64(sh.total) + int64(sh.id) + 1
-	t, adm, decision, ran := sh.apply(st, req.T, sh.srv.cfg.MeterStages)
+	t, adm, decision, ran := sh.apply(st, req.T, sh.srv.cfg.MeterStages, "")
 	if !ran {
 		return Ticket{ID: id, Object: st.obj.Name, Decision: Rejected, T: req.T, Epoch: st.epoch, Strategy: st.strategy, Delay: st.delay}
 	}
@@ -529,16 +514,18 @@ func (sh *shard) handleSubmitFor(st *objectState, req Request, queueNS int64) Ti
 	return tk
 }
 
-// apply is the state transition of one known-object request, all that
-// WAL replay needs: it consumes the request's sequence number, clamps its
-// timestamp t to the shard clock, and either rejects a slot jump without
-// advancing (ran false) or runs admitCore, metered when meter is set.  It
-// returns the clamped time and admitCore's outcome.
+// apply is the state transition of one request, all that WAL replay
+// needs: it consumes the request's sequence number, clamps its timestamp
+// t to the shard clock, and either rejects a slot jump without advancing
+// (ran false) or runs admitCore, metered when meter is set.  logged is
+// the decision admitCore takes without asking the admission controller:
+// replay passes the one its WAL record carries, the admit path passes ""
+// (see admitCore).  It returns the clamped time and admitCore's outcome.
 //
 //modlint:noalloc
-func (sh *shard) apply(st *objectState, t float64, meter bool) (float64, live.Admission, Decision, bool) {
-	// Every known-object request — including rejections, which mutate
-	// counters — consumes one sequence number, matching its WAL record.
+func (sh *shard) apply(st *objectState, t float64, meter bool, logged Decision) (float64, live.Admission, Decision, bool) {
+	// Every request — including rejections, which mutate counters —
+	// consumes one sequence number, matching its WAL record.
 	sh.ticketSeq++
 	// The shard clock is monotone: a request stamped earlier than the
 	// latest event is served as if it arrived now.
@@ -547,37 +534,16 @@ func (sh *shard) apply(st *objectState, t float64, meter bool) (float64, live.Ad
 	}
 	// Guard the event loop: a timestamp absurdly far in the future would
 	// make the oblivious plan start an unbounded number of streams before
-	// this request could be answered.  Reject it without advancing.
+	// this request could be answered.  Reject it without advancing.  The
+	// guard reads only shard-local state, so replay re-derives it.
 	if (t-sh.now)/sh.minDelay > float64(sh.srv.cfg.MaxSlotJump) {
 		st.rejected++
 		sh.rejectedL++
 		sh.srv.rejected.Add(1)
 		return t, live.Admission{}, Rejected, false
 	}
-	adm, decision := sh.admitCore(st, t, meter)
+	adm, decision := sh.admitCore(st, t, meter, logged)
 	return t, adm, decision, true
-}
-
-// admitBatch runs the admit path for a whole batch: every entry goes
-// through exactly the same handleSubmit as a single submit, so tickets
-// are byte-identical to sequential submission — the only difference is
-// that the batch crossed the shard channel once.  The loop itself never
-// allocates (BenchmarkShardAdmitBatch and the CI guard pin 0 allocs/op
-// for program-less strategies); handleSubmit's receiving-program copy
-// remains the one intentional per-ticket allocation.
-//
-// Every entry shares the batch's queue wait (queueNS; negative =
-// unmetered), since the batch crossed the channel as one message.
-//
-//modlint:noalloc
-func (sh *shard) admitBatch(reqs []Request, out []Ticket, queueNS int64) {
-	durable := sh.walCh != nil
-	for i := range reqs {
-		if durable {
-			sh.logSubmit(reqs[i])
-		}
-		out[i] = sh.handleSubmit(reqs[i], queueNS)
-	}
 }
 
 // admitCore is the shard admit hot path: advance every scheduler to t,
@@ -585,6 +551,13 @@ func (sh *shard) admitBatch(reqs []Request, out []Ticket, queueNS int64) {
 // the arrival into its scheduler.  It performs no per-request allocation
 // in steady state (BenchmarkShardAdmit and a CI guard pin this); the
 // Admission's Program references the scheduler's buffer.
+//
+// The admission controller reads the server-wide gauge, which WAL replay
+// cannot reproduce (New restores the shards one after another), so a
+// non-empty logged decision replaces it: Degraded degrades the object by
+// one DegradeStep exactly as the controller did, Admitted and Rejected
+// are taken as they stand.  The admit path passes "" to ask the
+// controller.
 //
 // With meter set (Config.MeterStages, off for WAL replay) it also splits
 // the call's wall time into a plan share and the requested object's
@@ -594,7 +567,7 @@ func (sh *shard) admitBatch(reqs []Request, out []Ticket, queueNS int64) {
 // the ticket materialization.
 //
 //modlint:noalloc
-func (sh *shard) admitCore(st *objectState, t float64, meter bool) (live.Admission, Decision) {
+func (sh *shard) admitCore(st *objectState, t float64, meter bool, logged Decision) (live.Admission, Decision) {
 	var t0, r0 int64
 	if meter {
 		t0 = sh.srv.nowNanos()
@@ -605,7 +578,13 @@ func (sh *shard) admitCore(st *objectState, t float64, meter bool) (live.Admissi
 	sh.popEnds(t)
 
 	var adm live.Admission
-	decision := sh.admit(st, t)
+	decision := logged
+	switch decision {
+	case "":
+		decision = sh.admit(st, t)
+	case Degraded:
+		sh.degrade(st, st.scale*sh.srv.cfg.DegradeStep)
+	}
 	if decision == Rejected {
 		st.rejected++
 		sh.rejectedL++
