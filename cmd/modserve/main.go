@@ -19,7 +19,8 @@
 // shards snapshot their full scheduler state every -snapshot-epochs
 // epochs (POST /v1/admin/snapshot forces one); -restore warm-restarts
 // from the directory's latest snapshots, resuming ticket numbering where
-// the previous process stopped.  A SIGINT/SIGTERM shutdown checkpoints
+// the previous process stopped, and without -restore the directory must
+// hold no snapshot or WAL record.  A SIGINT/SIGTERM shutdown checkpoints
 // every shard, so its restart replays no WAL; after kill -9 the restore
 // replays the WAL tail logged since the last snapshot.  -sync picks the WAL
 // group-commit barrier: "os" (the default) flushes to the operating
@@ -91,7 +92,7 @@ func main() {
 	zipf := flag.Float64("zipf", 1.0, "Zipf popularity exponent")
 	length := flag.Float64("length", 1.0, "media length in time units")
 	delayPct := flag.Float64("delay", 2.0, "guaranteed start-up delay as %% of media length")
-	capacity := flag.Int("cap", 0, "channel cap for the admission controller (0 = unlimited)")
+	capacity := flag.Int("cap", 0, "soft channel cap on the admission gauge: degraded requests are still admitted past it, and an epoch strategy's gauge counts a full-length placeholder per arrival not yet planned (0 = unlimited)")
 	shards := flag.Int("shards", 0, "scheduler shards (0 = GOMAXPROCS)")
 	step := flag.Float64("step", 1.25, "delay scale step on degradation")
 	maxScale := flag.Float64("maxscale", 8, "maximum delay scale before rejecting")
@@ -115,7 +116,7 @@ func main() {
 	snapDir := flag.String("snapshot-dir", "", "durability directory (snapshot + WAL per shard); empty = no durability (serve/smoke)")
 	snapEpochs := flag.Int("snapshot-epochs", 0, "snapshot cadence in epochs (0 = server default)")
 	syncFlag := flag.String("sync", "os", "WAL group-commit barrier: none | os | full (with -snapshot-dir)")
-	restore := flag.Bool("restore", false, "warm-restart: restore state from -snapshot-dir before serving")
+	restore := flag.Bool("restore", false, "warm-restart: restore state from -snapshot-dir before serving; without it the directory must hold no snapshot or WAL record")
 	maxReqs := flag.Int("maxreqs", 0, "load: replay at most N requests of the trace (0 = all)")
 	skipReqs := flag.Int("skipreqs", 0, "load: skip the first N requests of the trace")
 	flag.Parse()

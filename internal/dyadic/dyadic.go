@@ -76,7 +76,7 @@ func GoldenConstantRate(slotsPerMedia int64) Params {
 
 // Golden returns the Section 4.2 tuning for the arrival type: GoldenPoisson
 // for Poisson arrivals, GoldenConstantRate(slotsPerMedia) for constant-rate
-// ones.  The dyadic planners and their live epochs both use it.
+// ones.  The dyadic planners use it; live epochs use GoldenPoisson.
 func Golden(poisson bool, slotsPerMedia int64) Params {
 	if poisson {
 		return GoldenPoisson()

@@ -553,14 +553,6 @@ func AllWithWorkers(ctx context.Context, workers int) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ext6, err := Backpressure(ctx, DefaultBackpressure())
-	if err != nil {
-		return nil, err
-	}
-	ext7, err := CrashRecovery(ctx, DefaultCrashRecovery())
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ext1, ext2, ext3, ext4, ext5, ext6, ext7)
+	out = append(out, ext1, ext2, ext3, ext4, ext5)
 	return out, nil
 }

@@ -264,8 +264,8 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 19 {
-		t.Fatalf("expected 19 experiments, got %d", len(results))
+	if len(results) != 17 {
+		t.Fatalf("expected 17 experiments, got %d", len(results))
 	}
 	seen := map[string]bool{}
 	for _, r := range results {
@@ -281,7 +281,7 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"fig1", "fig8", "fig9", "fig11", "fig12", "table-m", "table-mw", "thm12", "thm14", "thm19",
-		"online-treesize", "buffer-tradeoff", "ext-hybrid", "ext-multiobject", "ext-dyadic-vs-optimal", "ext-workload-sim", "ext-live-vs-batch", "ext-backpressure", "ext-crash-recovery"} {
+		"online-treesize", "buffer-tradeoff", "ext-hybrid", "ext-multiobject", "ext-dyadic-vs-optimal", "ext-workload-sim", "ext-live-vs-batch"} {
 		if !seen[id] {
 			t.Errorf("missing experiment %q", id)
 		}

@@ -83,38 +83,3 @@ func TestWarmReplanExperiment(t *testing.T) {
 		}
 	}
 }
-
-// TestBackpressureExperiment runs the backpressure table — the function
-// itself errors if the reject counts are not exact or the admitted subset
-// diverges from the unpressured reference — and pins bit-identical output
-// across runs: every column is a deterministic count, whatever the
-// goroutine schedule of the submission race.
-func TestBackpressureExperiment(t *testing.T) {
-	cfg := DefaultBackpressure()
-	res, err := Backpressure(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ID != "ext-backpressure" {
-		t.Fatalf("id = %q", res.ID)
-	}
-	if got, want := len(res.Table.Rows), len(cfg.HighWaters); got != want {
-		t.Fatalf("%d rows, want %d", got, want)
-	}
-	again, err := Backpressure(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := res.Table.CSV(), again.Table.CSV(); a != b {
-		t.Fatalf("backpressure table is not deterministic:\nfirst\n%s\nsecond\n%s", a, b)
-	}
-}
-
-// TestBackpressureCanceled pins context propagation.
-func TestBackpressureCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Backpressure(ctx, DefaultBackpressure()); err == nil {
-		t.Fatal("canceled Backpressure returned no error")
-	}
-}

@@ -31,9 +31,6 @@ type PlanParams struct {
 	MediaLength, Delay float64
 	// SlotsPerMedia is the L of the paper for (MediaLength, Delay).
 	SlotsPerMedia int64
-	// ConstantRate selects the constant-rate dyadic tuning (default:
-	// Poisson golden ratio, like the facade's WithPoisson default).
-	ConstantRate bool
 	// Cache supplies the on-line template state the hybrid's
 	// delay-guaranteed segments replay.
 	Cache *Cache
@@ -48,7 +45,6 @@ func paramsFor(cfg Config) PlanParams {
 		MediaLength:   cfg.Object.Length,
 		Delay:         cfg.Object.Delay,
 		SlotsPerMedia: cfg.Object.Slots(),
-		ConstantRate:  cfg.ConstantRate,
 		Cache:         cfg.Cache,
 		Ctx:           cfg.Ctx,
 	}
@@ -466,7 +462,7 @@ func offlineOutcome(times []float64, p PlanParams) (PlanOutcome, error) {
 
 // replanDyadic is the immediate-service dyadic baseline.
 func replanDyadic(times []float64, horizon float64, p PlanParams) (PlanOutcome, error) {
-	f, err := dyadic.BuildForest(clip(times, horizon), p.MediaLength, dyadic.Golden(!p.ConstantRate, p.SlotsPerMedia))
+	f, err := dyadic.BuildForest(clip(times, horizon), p.MediaLength, dyadic.GoldenPoisson())
 	if err != nil {
 		return PlanOutcome{}, err
 	}
@@ -475,7 +471,7 @@ func replanDyadic(times []float64, horizon float64, p PlanParams) (PlanOutcome, 
 
 // replanDyadicBatched is the batched dyadic baseline.
 func replanDyadicBatched(times []float64, horizon float64, p PlanParams) (PlanOutcome, error) {
-	f, err := dyadic.BuildBatchedForest(clip(times, horizon), p.MediaLength, p.Delay, dyadic.Golden(!p.ConstantRate, p.SlotsPerMedia))
+	f, err := dyadic.BuildBatchedForest(clip(times, horizon), p.MediaLength, p.Delay, dyadic.GoldenPoisson())
 	if err != nil {
 		return PlanOutcome{}, err
 	}
@@ -562,12 +558,11 @@ func replanHybrid(times []float64, horizon float64, p PlanParams) (PlanOutcome, 
 // over the horizon — the numbers a drained live run with EpochSlots >=
 // horizon must reproduce bit for bit.  For the oblivious on-line strategy
 // the horizon is rounded to slots exactly like the facade's online planner.
-func BatchReference(strategy string, times []float64, horizon float64, obj multiobject.Object, constantRate bool) (streams int64, cost float64, err error) {
+func BatchReference(strategy string, times []float64, horizon float64, obj multiobject.Object) (streams int64, cost float64, err error) {
 	p := PlanParams{
 		MediaLength:   obj.Length,
 		Delay:         obj.Delay,
 		SlotsPerMedia: obj.Slots(),
-		ConstantRate:  constantRate,
 		Cache:         NewCache(),
 		//modlint:ignore ctxflow BatchReference is a ctx-free test oracle; its off-line DP is never cancelled
 		Ctx: context.Background(),

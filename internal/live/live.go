@@ -220,9 +220,6 @@ type Config struct {
 	// slots of the object's delay; <= 0 replans only at drain time.  The
 	// native on-line scheduler ignores it.
 	EpochSlots int
-	// ConstantRate selects the Section 4.2 constant-rate dyadic tuning
-	// instead of the Poisson golden-ratio parameters (the default).
-	ConstantRate bool
 	// PlanWorkers is ignored: epoch replans always run the serial
 	// off-line DP.  It remains only because the benchmark module sets it
 	// (benchmark/layers.go:249).

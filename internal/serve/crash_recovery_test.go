@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,6 +174,10 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 							gotStats.Rejected != wantStats.Rejected || gotStats.LiveChannels != wantStats.LiveChannels {
 							t.Fatalf("shards=%d %s cut=%d: counters diverged:\n got %+v\nwant %+v",
 								shards, v.name, cut, gotStats, wantStats)
+						}
+						if got := gotStats.Admitted + gotStats.Degraded + gotStats.Rejected; got != int64(len(reqs)) {
+							t.Fatalf("shards=%d %s cut=%d: restored run accounts %d requests, want %d",
+								shards, v.name, cut, got, len(reqs))
 						}
 						if gotStats.WALFailures != 0 {
 							t.Fatalf("shards=%d %s cut=%d: %d WAL failures on a healthy store",
@@ -448,6 +453,66 @@ func TestTicketIDContinuityAcrossRestart(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNewRefusesUsedStore: a server built without Restore must refuse a
+// store that already holds another run's state, both the checkpoint a
+// Close leaves and the snapshot-less WAL a crash leaves.  Serving on top
+// of either would restart ticket numbering and reissue acknowledged IDs.
+// Restore still resumes the refused store past every ID the first run
+// issued.
+func TestNewRefusesUsedStore(t *testing.T) {
+	trace := crashTrace(t)
+	reqs, more := trace[:40], trace[40:45]
+	config := func(st store.Store, restore bool) serve.Config {
+		cfg := crashConfig("online", 2, st, restore)
+		cfg.SnapshotEpochs = 1000 // no cadence snapshot within the trace
+		return cfg
+	}
+	mem := store.NewMem()
+	first, err := serve.New(config(mem, false))
+	if err != nil {
+		t.Fatalf("New on an empty store: %v", err)
+	}
+	issued := make(map[int64]bool)
+	for _, tk := range submitAll(t, first, reqs) {
+		issued[tk.ID] = true
+	}
+	crashed := mem.Clone()
+	first.Close()
+	if crashed.Snapshots() != 0 {
+		t.Fatalf("crash image holds %d snapshots, want only WAL records", crashed.Snapshots())
+	}
+	for _, used := range []struct {
+		name string
+		st   *store.Mem
+	}{{"closed", mem}, {"crashed", crashed}} {
+		s, err := serve.New(config(used.st, false))
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: New without Restore accepted a used store", used.name)
+		}
+		if !errors.Is(err, serve.ErrBadConfig) || !strings.Contains(err.Error(), "Restore") {
+			t.Fatalf("%s: New without Restore = %v, want ErrBadConfig naming Restore", used.name, err)
+		}
+		s, err = serve.New(config(used.st, true))
+		if err != nil {
+			t.Fatalf("%s: New(restore) after the refusal: %v", used.name, err)
+		}
+		st, err := s.Stats()
+		if err != nil {
+			t.Fatalf("%s: Stats: %v", used.name, err)
+		}
+		if got := st.Admitted + st.Degraded + st.Rejected; got != int64(len(reqs)) {
+			t.Fatalf("%s: restored server accounts %d requests, want %d", used.name, got, len(reqs))
+		}
+		for _, tk := range submitAll(t, s, more) {
+			if issued[tk.ID] {
+				t.Fatalf("%s: restored server reissued ticket ID %d", used.name, tk.ID)
+			}
+		}
+		s.Close()
 	}
 }
 

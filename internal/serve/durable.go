@@ -850,6 +850,29 @@ func (sh *shard) restore() (saved float64, savedSeq int64, err error) {
 	return saved, savedSeq, nil
 }
 
+// refuseUsedStore fails New without Config.Restore when the store holds
+// this shard's snapshot or any WAL record: serving on top would restart
+// the ticket sequence at 0 and reissue acknowledged IDs.
+func (sh *shard) refuseUsedStore() error {
+	st := sh.srv.cfg.Store
+	blob, err := st.LoadSnapshot(sh.id)
+	if err != nil {
+		return fmt.Errorf("serve: load snapshot for shard %d: %w", sh.id, err)
+	}
+	used := blob != nil
+	if !used {
+		// The first record settles it; any error stops the replay there.
+		err = st.ReplayWAL(sh.id, func([]byte) error { used = true; return ErrBadConfig })
+		if err != nil && !used {
+			return fmt.Errorf("serve: replay WAL for shard %d: %w", sh.id, err)
+		}
+	}
+	if used {
+		return fmt.Errorf("%w: the store already holds state for shard %d: set Restore to resume it, or use an empty store", ErrBadConfig, sh.id)
+	}
+	return nil
+}
+
 // Snapshot forces an immediate snapshot of every shard and waits until
 // each is saved.  It is the synchronous form of the periodic cadence —
 // the HTTP layer exposes it as POST /v1/admin/snapshot — and bounds the

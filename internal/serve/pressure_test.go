@@ -9,6 +9,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -45,9 +46,17 @@ func pressureServer(t *testing.T, highWater int) *serve.Server {
 // because reservation order is the arbitration.  After release, the
 // admitted subset drains to the same cost totals as an unpressured run
 // of the same subset (all arrivals share one instant, so the totals are
-// independent of WHICH submits won).
+// independent of WHICH submits won).  The sweep runs from a permissive
+// mark to one that refuses almost everything.
 func TestBackpressureDeterministic(t *testing.T) {
-	const K, HW = 6, 2
+	for _, tc := range []struct{ submits, highWater int }{{6, 2}, {8, 1}, {8, 2}, {8, 4}} {
+		t.Run(fmt.Sprintf("submits=%d,high_water=%d", tc.submits, tc.highWater), func(t *testing.T) {
+			testBackpressureDeterministic(t, tc.submits, tc.highWater)
+		})
+	}
+}
+
+func testBackpressureDeterministic(t *testing.T, K, HW int) {
 	s := pressureServer(t, HW)
 	release, err := s.Pause(0)
 	if err != nil {
@@ -105,17 +114,17 @@ func TestBackpressureDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := dr.Stats
-	if st.RejectedPressure != K-HW {
+	if st.RejectedPressure != int64(K-HW) {
 		t.Errorf("RejectedPressure = %d, want %d", st.RejectedPressure, K-HW)
 	}
-	if st.Admitted != HW {
+	if st.Admitted != int64(HW) {
 		t.Errorf("Admitted = %d, want %d", st.Admitted, HW)
 	}
 	if len(st.Shards) != 1 {
 		t.Fatalf("Shards = %+v, want one entry", st.Shards)
 	}
 	sh := st.Shards[0]
-	if sh.QueueDepth != 0 || sh.HighWater != HW || sh.Dequeued != HW || sh.PressureHighWater != HW {
+	if sh.QueueDepth != 0 || sh.HighWater != int64(HW) || sh.Dequeued != int64(HW) || sh.PressureHighWater != HW {
 		t.Errorf("shard queue stats = %+v, want depth 0, high water %d, dequeued %d", sh, HW, HW)
 	}
 

@@ -64,11 +64,15 @@ type Config struct {
 	// Shards is the number of scheduler shards (event loops).  <= 0 selects
 	// GOMAXPROCS; the count is clamped to the catalog size.
 	Shards int
-	// MaxChannels caps the number of simultaneously transmitting streams
-	// across all shards as seen by the live gauge; 0 means unlimited.  When
-	// a request would be admitted while the gauge is at or above the cap,
-	// the admission controller degrades the object's delay by DegradeStep
-	// (up to MaxDelayScale) instead of declining, and rejects beyond that.
+	// MaxChannels caps the live channel gauge summed over all shards; 0
+	// means unlimited.  When a request arrives while the gauge is at or
+	// above the cap, the admission controller degrades the object's delay
+	// by DegradeStep (up to MaxDelayScale) instead of declining, and
+	// rejects beyond that.  The cap is soft: a degraded request is still
+	// admitted on top of it (on a flash crowd, batching's real peak
+	// reached 865 at cap 747), and an epoch strategy's gauge holds a
+	// full-length placeholder for each arrival not yet planned
+	// (offline-batched's gauge averaged 624 while its plan averaged 198).
 	MaxChannels int
 	// DegradeStep is the factor by which an object's delay is scaled on
 	// degradation (default 1.25, the multiobject.FitDelays step).
@@ -104,11 +108,6 @@ type Config struct {
 	// (the batch-equivalent configuration the equivalence tests pin).  The
 	// native "online" strategy ignores it.
 	EpochSlots int
-	// ConstantRateTuning selects the Section 4.2 constant-rate dyadic
-	// parameters for the dyadic/hybrid strategies; the default (false) is
-	// the Poisson golden-ratio tuning, matching the facade's WithPoisson
-	// default.
-	ConstantRateTuning bool
 	// MeterReplanNanos is ignored: MeterStages meters replan latency too.
 	// It remains only because the benchmark module sets it
 	// (benchmark/batch.go:94, benchmark/runner.go:179).
@@ -148,7 +147,8 @@ type Config struct {
 	// per-shard write-ahead log before its ticket is acknowledged, and
 	// each shard snapshots its full scheduler state at epoch boundaries
 	// (see SnapshotEpochs).  nil (the default) disables durability
-	// entirely — no extra goroutines, no hot-path changes.
+	// entirely — no extra goroutines, no hot-path changes.  Without
+	// Restore, New refuses a store holding a snapshot or WAL record.
 	Store store.Store
 	// SnapshotEpochs is the snapshot cadence in replanning epochs: a
 	// shard snapshots after its virtual clock advances SnapshotEpochs ×
@@ -171,10 +171,12 @@ type Config struct {
 	// the WAL high-water mark; totals converge bit for bit).  Close
 	// checkpoints every shard, so only a crash leaves a tail to replay.
 	// Corrupted snapshot or WAL bytes fail New with
-	// store.ErrCorruptSnapshot.
+	// store.ErrCorruptSnapshot.  Without Restore, New refuses (with
+	// ErrBadConfig) a store that holds a snapshot or a WAL record for any
+	// shard it runs, which would reissue acknowledged ticket IDs.
 	Restore bool
 	// OwnStore transfers Store's ownership to the server: Close also
-	// closes the store.  The facade sets it for stores it opened itself.
+	// closes the store.  A failed New leaves it open for the caller.
 	OwnStore bool
 }
 
@@ -642,6 +644,9 @@ func New(cfg Config) (*Server, error) {
 				if sh.durable.at > resume.at {
 					resume = sh.durable
 				}
+			} else if err := sh.refuseUsedStore(); err != nil {
+				s.cancel()
+				return nil, err
 			}
 			s.saved[sh.id].Store(math.Float64bits(saved))
 			s.savedSeq[sh.id].Store(seq)
@@ -888,11 +893,10 @@ func (s *Server) wait(m *submitMsg) error {
 
 // Pause parks one shard's event loop until the returned release function
 // is called (idempotent), without touching any scheduler state: queued
-// messages simply wait.  It exists so overload tests and the
-// backpressure experiment can hold a shard's queue at a known occupancy
-// deterministically — pause, submit past the high-water mark, observe
-// the pressure rejections, release, drain.  Pause returns once the loop
-// has actually parked.
+// messages simply wait.  It exists so overload tests can hold a shard's
+// queue at a known occupancy deterministically — pause, submit past the
+// high-water mark, observe the pressure rejections, release, drain.
+// Pause returns once the loop has actually parked.
 func (s *Server) Pause(shard int) (release func(), err error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("%w: no shard %d (have %d)", ErrBadRequest, shard, len(s.shards))

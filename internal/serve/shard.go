@@ -328,13 +328,12 @@ func (sh *shard) liveConfig(obj multiobject.Object, delay float64) live.Config {
 		nowNanos = sh.srv.nowNanos
 	}
 	return live.Config{
-		Object:       obj,
-		EpochSlots:   sh.srv.cfg.EpochSlots,
-		ConstantRate: sh.srv.cfg.ConstantRateTuning,
-		Cache:        sh.cache,
-		Sink:         sh,
-		Ctx:          sh.srv.ctx,
-		NowNanos:     nowNanos,
+		Object:     obj,
+		EpochSlots: sh.srv.cfg.EpochSlots,
+		Cache:      sh.cache,
+		Sink:       sh,
+		Ctx:        sh.srv.ctx,
+		NowNanos:   nowNanos,
 	}
 }
 

@@ -100,7 +100,7 @@ func checkAgainstBatch(t *testing.T, strategy string, shards int, cat multiobjec
 			t.Errorf("shards=%d %s: strategy %q, want %q", shards, lo.Name, lo.Strategy, strategy)
 		}
 		times := traces[obj.Name]
-		wantStreams, wantCost, err := live.BatchReference(strategy, times, horizon, obj, false)
+		wantStreams, wantCost, err := live.BatchReference(strategy, times, horizon, obj)
 		if err != nil {
 			t.Fatalf("BatchReference(%s, %s): %v", strategy, obj.Name, err)
 		}

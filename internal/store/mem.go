@@ -3,9 +3,9 @@ package store
 import "sync"
 
 // Mem is the in-memory Store: snapshots and WALs live in process memory.
-// It backs tests, benchmarks, and the crash-recovery experiments, where
-// Clone stands in for "the bytes on disk at the instant of a SIGKILL" —
-// a deterministic kill point no real crash can provide.
+// It backs tests and benchmarks, and the crash-recovery tests in
+// particular, where Clone stands in for "the bytes on disk at the instant
+// of a SIGKILL" — a deterministic kill point no real crash can provide.
 //
 // The crash model mirrors the file backend's buffered writer: appends
 // land in a per-shard pending buffer and Flush publishes them to the
@@ -120,8 +120,8 @@ func (m *Mem) Clone() *Mem {
 	return c
 }
 
-// Snapshots reports how many shards currently hold a snapshot (test and
-// experiment observability).
+// Snapshots reports how many shards currently hold a snapshot (test
+// observability).
 func (m *Mem) Snapshots() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -135,7 +135,7 @@ func (m *Mem) Snapshots() int {
 }
 
 // WALBytes reports the framed size of one shard's WAL tail, pending
-// records included (test and experiment observability).
+// records included (test observability).
 func (m *Mem) WALBytes(shard int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

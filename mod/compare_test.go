@@ -307,7 +307,7 @@ func TestOfflineTiedArrivals(t *testing.T) {
 		t.Errorf("tied trace cost %v, want 2.15", got.Cost)
 	}
 	obj := multiobject.Object{Name: "tied", Length: 1, Delay: delay, Popularity: 1}
-	_, ref, err := live.BatchReference("offline", tied, horizon, obj, false)
+	_, ref, err := live.BatchReference("offline", tied, horizon, obj)
 	if err != nil {
 		t.Fatal(err)
 	}

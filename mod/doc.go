@@ -60,12 +60,13 @@
 //   - multi-object catalog planning (ZipfCatalog, PlanCatalog, FitDelays,
 //     PopularityAwareDelays) and the workload simulator (RunWorkload),
 //   - the live sharded admission server and its versioned /v1 HTTP API
-//     (NewServer, NewLiveServer, ListenAndServe, GenerateRequests,
-//     RunDriver, ...).  Every registered planner can serve live traffic:
-//     LivePlanners lists the capability set, WithStrategy/WithEpoch (or
-//     per-object Object.Strategy entries) route catalog objects onto
-//     planner families, and a drained live run over one whole-horizon
-//     epoch reproduces the batch Plan cost bit for bit.  The off-line
+//     (NewServer, ListenAndServe, GenerateRequests, RunDriver, ...),
+//     configured by a ServeConfig.  Every registered planner can serve
+//     live traffic: LivePlanners lists the capability set,
+//     ServeConfig.DefaultStrategy (or per-object Object.Strategy entries)
+//     routes catalog objects onto planner families, and a drained live
+//     run over one whole-horizon epoch reproduces the batch Plan cost bit
+//     for bit.  The off-line
 //     families' epoch closes warm-start: they resume the forest DP
 //     tables (offline.Tables.Extend) absorbed as arrivals were admitted
 //     instead of recomputing them, bit-identically, and

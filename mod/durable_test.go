@@ -8,8 +8,9 @@ import (
 )
 
 // TestFacadeDurableWarmRestart drives the whole durability surface through
-// the facade: a file store opened by WithDurability, a forced Snapshot, a
-// restart with WithRestore, and ticket-ID continuity across the two lives.
+// the facade: a file store handed to the server with OwnStore, a forced
+// Snapshot, a restart with Restore, and ticket-ID continuity across the
+// two lives.
 func TestFacadeDurableWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	cat := mod.ZipfCatalog(4, 1.0, 0.05, 1.0)
@@ -20,10 +21,18 @@ func TestFacadeDurableWarmRestart(t *testing.T) {
 		t.Fatalf("GenerateRequests: %v", err)
 	}
 	cut := len(reqs) / 2
+	durable := func(restore bool) mod.ServeConfig {
+		t.Helper()
+		fs, err := mod.NewFileStore(dir)
+		if err != nil {
+			t.Fatalf("NewFileStore: %v", err)
+		}
+		return mod.ServeConfig{Catalog: cat, Shards: 2, Store: fs, OwnStore: true, Restore: restore}
+	}
 
-	s1, err := mod.NewLiveServer(cat, mod.WithDurability(dir), mod.WithWorkers(2))
+	s1, err := mod.NewServer(durable(false))
 	if err != nil {
-		t.Fatalf("NewLiveServer: %v", err)
+		t.Fatalf("NewServer: %v", err)
 	}
 	seen := make(map[int64]bool)
 	for _, req := range reqs[:cut] {
@@ -41,9 +50,9 @@ func TestFacadeDurableWarmRestart(t *testing.T) {
 	}
 	s1.Close()
 
-	s2, err := mod.NewLiveServer(cat, mod.WithDurability(dir), mod.WithWorkers(2), mod.WithRestore(true))
+	s2, err := mod.NewServer(durable(true))
 	if err != nil {
-		t.Fatalf("NewLiveServer(restore): %v", err)
+		t.Fatalf("NewServer(restore): %v", err)
 	}
 	defer s2.Close()
 	for _, req := range reqs[cut:] {
@@ -65,14 +74,14 @@ func TestFacadeDurableWarmRestart(t *testing.T) {
 	}
 }
 
-// TestFacadeMemStoreAndCorruption covers WithStore with the in-memory
-// backend and the re-exported corruption sentinel.
+// TestFacadeMemStoreAndCorruption covers a caller-owned in-memory store
+// and the re-exported corruption sentinel.
 func TestFacadeMemStoreAndCorruption(t *testing.T) {
 	cat := mod.ZipfCatalog(3, 1.0, 0.05, 1.0)
 	mem := mod.NewMemStore()
-	s, err := mod.NewLiveServer(cat, mod.WithStore(mem))
+	s, err := mod.NewServer(mod.ServeConfig{Catalog: cat, Store: mem})
 	if err != nil {
-		t.Fatalf("NewLiveServer: %v", err)
+		t.Fatalf("NewServer: %v", err)
 	}
 	for i := 0; i < 10; i++ {
 		if _, err := s.Submit(mod.Request{Object: cat[0].Name, T: float64(i) * 0.1}); err != nil {
@@ -85,7 +94,7 @@ func TestFacadeMemStoreAndCorruption(t *testing.T) {
 	s.Close()
 
 	mem.Corrupt(0, 9)
-	if _, err := mod.NewLiveServer(cat, mod.WithStore(mem), mod.WithRestore(true)); !errors.Is(err, mod.ErrCorruptSnapshot) {
+	if _, err := mod.NewServer(mod.ServeConfig{Catalog: cat, Store: mem, Restore: true}); !errors.Is(err, mod.ErrCorruptSnapshot) {
 		t.Fatalf("restore from corrupted store = %v, want ErrCorruptSnapshot", err)
 	}
 }

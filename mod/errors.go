@@ -51,7 +51,7 @@ var (
 	ErrServerClosed = serve.ErrClosed
 
 	// ErrPressure marks a live-server submit refused by queue-depth
-	// backpressure (WithBackpressure); errors.As extracts the
+	// backpressure (ServeConfig.PressureHighWater); errors.As extracts the
 	// *PressureError carrying the shard, depth, and suggested retry delay.
 	ErrPressure = serve.ErrPressure
 

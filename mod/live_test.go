@@ -1,8 +1,8 @@
 package mod_test
 
 // Facade tests for the live strategy surface: the capability list is a
-// subset of the planner registry, NewLiveServer honors WithStrategy /
-// WithEpoch / per-object routing, and a drained live run through the
+// subset of the planner registry, NewServer honors DefaultStrategy /
+// EpochSlots / per-object routing, and a drained live run through the
 // facade reproduces the facade's own batch Plan cost.
 
 import (
@@ -36,10 +36,10 @@ func TestLivePlannersSubsetOfRegistry(t *testing.T) {
 	}
 }
 
-func TestNewLiveServerStrategyRouting(t *testing.T) {
+func TestNewServerStrategyRouting(t *testing.T) {
 	cat := mod.ZipfCatalog(3, 1.0, 0.125, 1.0)
 	cat[2].Strategy = "batching" // per-object override
-	srv, err := mod.NewLiveServer(cat, mod.WithStrategy("dyadic-batched"), mod.WithEpoch(1<<20))
+	srv, err := mod.NewServer(mod.ServeConfig{Catalog: cat, DefaultStrategy: "dyadic-batched", EpochSlots: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestNewLiveServerStrategyRouting(t *testing.T) {
 		byName[o.Name] = o
 	}
 	if got := byName["object-01"].Strategy; got != "dyadic-batched" {
-		t.Errorf("object-01 strategy = %q, want the WithStrategy default", got)
+		t.Errorf("object-01 strategy = %q, want DefaultStrategy", got)
 	}
 	if got := byName["object-03"].Strategy; got != "batching" {
 		t.Errorf("object-03 strategy = %q, want the per-object override", got)
@@ -88,13 +88,13 @@ func TestNewLiveServerStrategyRouting(t *testing.T) {
 	}
 }
 
-func TestNewLiveServerUnknownStrategy(t *testing.T) {
+func TestNewServerUnknownStrategy(t *testing.T) {
 	cat := mod.ZipfCatalog(2, 1.0, 0.1, 1.0)
-	if _, err := mod.NewLiveServer(cat, mod.WithStrategy("no-such-planner")); !errors.Is(err, mod.ErrBadConfig) {
+	if _, err := mod.NewServer(mod.ServeConfig{Catalog: cat, DefaultStrategy: "no-such-planner"}); !errors.Is(err, mod.ErrBadConfig) {
 		t.Fatalf("unknown strategy error = %v, want ErrBadConfig", err)
 	}
 	cat[0].Strategy = "also-missing"
-	if _, err := mod.NewLiveServer(cat); !errors.Is(err, mod.ErrBadConfig) {
+	if _, err := mod.NewServer(mod.ServeConfig{Catalog: cat}); !errors.Is(err, mod.ErrBadConfig) {
 		t.Fatalf("unknown per-object strategy error = %v, want ErrBadConfig", err)
 	}
 }

@@ -99,60 +99,16 @@ type LoadReport = serve.Report
 const APIVersion = serve.APIVersion
 
 // NewServer builds a live admission server over the catalog and starts its
-// shard event loops.  Close it when done.
+// shard event loops; it is the facade's only way to build one.  Close it
+// when done.  A failed NewServer leaves ServeConfig.Store to the caller.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 
 // LivePlanners returns the sorted planner registry names that can serve
-// live traffic — every valid Object.Strategy / WithStrategy value.  The
+// live traffic — every valid Object.Strategy / DefaultStrategy value.  The
 // "online" strategy is natively incremental; every other name serves
 // through epoch-based replanning of its batch planner.  All live-capable
 // names are also registered planners (a test pins the subset relation).
 func LivePlanners() []string { return serve.LivePlanners() }
-
-// NewLiveServer builds a live admission server over the catalog using the
-// facade's options: WithStrategy sets the default serving strategy
-// (per-object Object.Strategy entries override it), WithEpoch the
-// replanning period of epoch-based strategies in slots, WithChannelCap
-// the admission controller's channel budget, WithWorkers the shard
-// count, and WithPoisson(false) the constant-rate dyadic tuning.  Epoch
-// closes of the off-line strategies resume the forest tables absorbed
-// mid-epoch, and every other epoch strategy re-runs its batch planner;
-// ObjectStats.Replan reports the accounting.  Durability comes from
-// WithDurability (a file store the server owns) or WithStore (a
-// caller-owned backend), with WithSnapshotEpochs setting the cadence and
-// WithRestore warm-restarting from the store's latest state.  For knobs
-// beyond the options (degradation ladder, queue depths, wall-clock time
-// unit), build a ServeConfig and call NewServer directly.
-func NewLiveServer(cat Catalog, opts ...Option) (*Server, error) {
-	st := ResolveSettings(opts...)
-	cfg := ServeConfig{
-		Catalog:            cat,
-		Shards:             st.Workers,
-		MaxChannels:        st.ChannelCap,
-		DefaultStrategy:    st.Strategy,
-		EpochSlots:         st.EpochSlots,
-		ConstantRateTuning: !st.Poisson,
-		PressureHighWater:  st.PressureHighWater,
-		MeterStages:        st.MeterStages,
-		Store:              st.Store,
-		SnapshotEpochs:     st.SnapshotEpochs,
-		Restore:            st.Restore,
-		SyncMode:           st.SyncMode,
-	}
-	if st.SnapshotDir != "" {
-		fs, err := store.NewFile(st.SnapshotDir)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Store = fs
-		cfg.OwnStore = true
-	}
-	s, err := serve.New(cfg)
-	if err != nil && cfg.OwnStore {
-		cfg.Store.Close()
-	}
-	return s, err
-}
 
 // Store is the live server's pluggable durability backend: per-shard
 // epoch snapshots plus a write-ahead log of admitted requests.  The
@@ -163,7 +119,7 @@ func NewLiveServer(cat Catalog, opts ...Option) (*Server, error) {
 type Store = store.Store
 
 // SyncMode selects the durability barrier of each WAL group commit; see
-// WithSync.
+// ServeConfig.SyncMode.
 type SyncMode = store.SyncMode
 
 // The group-commit sync levels: SyncOS (default) survives process kill,
@@ -185,8 +141,8 @@ func ParseSyncMode(s string) (SyncMode, error) { return store.ParseSyncMode(s) }
 var ErrBadSyncMode = store.ErrBadSyncMode
 
 // MemStore is the in-memory Store — the deterministic backend the
-// crash-recovery tests and experiments use (its Clone models the bytes
-// "on disk" at a kill instant).
+// crash-recovery tests use (its Clone models the bytes "on disk" at a
+// kill instant).
 type MemStore = store.Mem
 
 // FileStore is the production Store: one snapshot file and one append-only
