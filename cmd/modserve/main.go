@@ -69,6 +69,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -165,7 +166,7 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stop()
 		s, err := mod.NewServer(cfg)
-		exitOn(err)
+		exitOn(usedDirHint(err, *snapDir))
 		if cfg.Restore {
 			fmt.Printf("modserve: restored durable state from %s\n", *snapDir)
 		}
@@ -203,7 +204,7 @@ func main() {
 		exitOn(err)
 		exitOn(bench(cfg, load, grid, benchList(*strategies), *length, *delayPct, *zipf, *out, *csvPath))
 	case "smoke":
-		exitOn(smoke(cfg, load, *conc))
+		exitOn(usedDirHint(smoke(cfg, load, *conc), *snapDir))
 		fmt.Println("modserve: smoke ok")
 	default:
 		fmt.Fprintf(os.Stderr, "modserve: unknown mode %q\n", *mode)
@@ -846,4 +847,14 @@ func exitOn(err error) {
 		fmt.Fprintln(os.Stderr, "modserve:", err)
 		os.Exit(1)
 	}
+}
+
+// usedDirHint names the flags that settle a snapshot directory the server
+// refused because an earlier run left state in it; other errors pass
+// through.
+func usedDirHint(err error, dir string) error {
+	if errors.Is(err, mod.ErrStoreInUse) {
+		return fmt.Errorf("-snapshot-dir %s already holds a snapshot or WAL record: pass -restore to resume from it, or point -snapshot-dir at an empty directory", dir)
+	}
+	return err
 }

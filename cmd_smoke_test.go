@@ -292,6 +292,12 @@ func TestModserveDurableSmoke(t *testing.T) {
 			t.Fatalf("restore run output missing %q:\n%s", want, out)
 		}
 	}
+
+	// The used directory without -restore is refused, naming the flag.
+	out, err = exec.Command(bin, base...).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-restore") {
+		t.Fatalf("modserve %v on a used directory: err %v, want a refusal naming -restore:\n%s", base, err, out)
+	}
 }
 
 // TestBenchCSVDump pins the -csv per-request dump: the header names every

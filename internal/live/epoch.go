@@ -12,6 +12,7 @@ import (
 	"repro/internal/mergetree"
 	"repro/internal/multiobject"
 	"repro/internal/offline"
+	"repro/internal/store"
 )
 
 // Stream is one planned transmission in epoch-relative time.
@@ -188,6 +189,45 @@ func newEpochSched(st epochStrategy, cfg Config) *epochSched {
 }
 
 func (s *epochSched) Strategy() string { return s.st.name }
+
+// Encode writes the epoch cursors, the current epoch's trace and gauge
+// placeholders, and the closed epochs' totals.  The warm tables are left
+// out: they are a pure function of the nondecreasing trace, so decode
+// rebuilds them exactly by observing it again.
+func (s *epochSched) Encode(e *store.Encoder) {
+	e.U8(epochSection)
+	e.F64(s.origin)
+	e.I64(s.epoch)
+	e.F64s(s.times)
+	e.I64(s.lastSlot)
+	e.F64(s.lastTime)
+	e.I64(s.slotBase)
+	e.F64s(s.provisional)
+	s.totals.Encode(e)
+}
+
+func (s *epochSched) decode(d *store.Decoder) error {
+	if err := decodeSection(d, epochSection, s.Strategy()); err != nil {
+		return err
+	}
+	s.origin = d.F64()
+	s.epoch = d.I64()
+	s.times = d.F64s()
+	s.lastSlot = d.I64()
+	s.lastTime = d.F64()
+	s.slotBase = d.I64()
+	s.provisional = d.F64s()
+	s.totals.Decode(d)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if s.warm != nil {
+		for _, rel := range s.times {
+			s.warm.observe(rel)
+		}
+	}
+	return nil
+}
 
 // base returns the absolute start of the current epoch, computed from the
 // origin so repeated boundary crossings cannot accumulate float drift.

@@ -30,7 +30,7 @@ func (f *frontierSink) StreamFinalized(start, _ float64) {
 
 // TestFrontierContract drives every registered strategy over random
 // monotone traces — clock jumps, bursts of ties that force pressure
-// closes, explicit Advance calls, Export/Restore cuts — and a final
+// closes, explicit Advance calls, Encode/Decode cuts — and a final
 // Drain.  Before each call it reads Frontier(): the value must never move
 // backwards, must survive a restore unchanged, must bound every stream
 // the call finalizes, and after the Drain must reach the drained end.
@@ -77,15 +77,12 @@ func TestFrontierContract(t *testing.T) {
 						call("Advance", func() { sched.Advance(now) })
 					case r < 5:
 						before := sched.Frontier()
-						st, err := Export(sched)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if sched, err = Restore(name, cfg, st); err != nil {
+						var err error
+						if sched, err = roundTrip(sched, name, cfg); err != nil {
 							t.Fatal(err)
 						}
 						if w := sched.Frontier(); w != before {
-							t.Fatalf("trial %d: restored frontier %v, exported scheduler's was %v", trial, w, before)
+							t.Fatalf("trial %d: restored frontier %v, encoded scheduler's was %v", trial, w, before)
 						}
 					default:
 						now += rng.ExpFloat64() * 0.05

@@ -27,7 +27,9 @@
 //
 // Schedulers report their transmissions through a Sink (the serving shard
 // turns those events into the live channel gauge and the real-time
-// bandwidth record) and their accounting through Totals.  Schedulers are
+// bandwidth record) and their accounting through Totals, and each writes
+// its restartable state as a snapshot section of its own (Encode), which
+// Decode reads back into a fresh scheduler.  Schedulers are
 // named by the public planner registry name, so the capability list
 // (Planners()) is the serving layer's answer to "which planners can serve
 // live traffic".
@@ -40,6 +42,7 @@ import (
 	"sort"
 
 	"repro/internal/multiobject"
+	"repro/internal/store"
 )
 
 // ErrUnknownStrategy marks a strategy name with no registered live
@@ -179,10 +182,47 @@ func (t *Totals) Accumulate(o Totals) {
 	t.Replan.accumulate(o.Replan)
 }
 
+// Encode appends t to a snapshot, every field in declaration order.
+func (t *Totals) Encode(e *store.Encoder) {
+	e.I64(t.Clients)
+	e.I64(t.Streams)
+	e.I64(t.FinalizedStreams)
+	e.I64(t.SlotUnits)
+	e.F64(t.BusyTime)
+	e.F64(t.Cost)
+	e.I64(t.ReplanFailures)
+	e.I64(t.Replan.Replans)
+	e.I64(t.Replan.WarmReplans)
+	e.I64(t.Replan.CellsReused)
+	e.I64(t.Replan.CellsRecomputed)
+	e.I64(t.Replan.ReplanNanos)
+	e.I64(t.Replan.MaxReplanNanos)
+}
+
+// Decode reads back what Encode wrote; a failed read leaves zeros and
+// the error in d.
+func (t *Totals) Decode(d *store.Decoder) {
+	t.Clients = d.I64()
+	t.Streams = d.I64()
+	t.FinalizedStreams = d.I64()
+	t.SlotUnits = d.I64()
+	t.BusyTime = d.F64()
+	t.Cost = d.F64()
+	t.ReplanFailures = d.I64()
+	t.Replan.Replans = d.I64()
+	t.Replan.WarmReplans = d.I64()
+	t.Replan.CellsReused = d.I64()
+	t.Replan.CellsRecomputed = d.I64()
+	t.Replan.ReplanNanos = d.I64()
+	t.Replan.MaxReplanNanos = d.I64()
+}
+
 // Incremental is one object's live scheduler: the incremental form of a
 // planner family.  Implementations are single-goroutine (the serving
 // shard's event loop owns them); times passed to Admit/Advance/Drain must
-// be monotone non-decreasing.
+// be monotone non-decreasing.  The unexported decode seals the interface:
+// only this package's schedulers implement it, each with its snapshot
+// codec beside its fields.
 type Incremental interface {
 	// Strategy returns the planner registry name this scheduler implements.
 	Strategy() string
@@ -207,6 +247,15 @@ type Incremental interface {
 	// can settle its aggregates there (the serving layer's historical
 	// peak does).
 	Frontier() float64
+	// Encode appends the scheduler's snapshot section: its dynamic state,
+	// everything a restart cannot rederive from its Config.  It does not
+	// mutate the scheduler, may be called between any two admissions, and
+	// allocates nothing once e's buffer has grown to the section's size.
+	// Decode reads the section back.
+	Encode(e *store.Encoder)
+	// decode reinstates a section Encode wrote on a scheduler fresh from
+	// New, leaving a failed read's error in d.
+	decode(d *store.Decoder) error
 }
 
 // Config parameterizes a scheduler for one object (one delay epoch).
@@ -275,6 +324,41 @@ func New(name string, cfg Config) (Incremental, error) {
 		return newOnlineSched(cfg), nil
 	}
 	return newEpochSched(st, cfg), nil
+}
+
+// Decode builds the named strategy's scheduler from cfg, exactly like
+// New, and reinstates the snapshot section Encode wrote, so the scheduler
+// continues bit-identically to the one encoded (the crash-recovery
+// equivalence tests pin this for every strategy).  No Sink events fire:
+// the serving layer restores its gauge and bandwidth accounting from its
+// own snapshot sections, so replaying stream history here would double
+// count.  A section another scheduler family wrote fails with an error
+// wrapping ErrBadConfig, and a failed read with d's error.
+func Decode(name string, cfg Config, d *store.Decoder) (Incremental, error) {
+	sched, err := New(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := sched.decode(d); err != nil {
+		return nil, err
+	}
+	return sched, nil
+}
+
+// The first byte of a snapshot section names the scheduler family that
+// wrote it.
+const (
+	onlineSection uint8 = 0
+	epochSection  uint8 = 1
+)
+
+// decodeSection reads a section's family byte and refuses one another
+// family wrote.
+func decodeSection(d *store.Decoder, want uint8, strategy string) error {
+	if got := d.U8(); d.Err() == nil && got != want {
+		return fmt.Errorf("%w: snapshot section of family %d, %q schedulers write %d", ErrBadConfig, got, strategy, want)
+	}
+	return d.Err()
 }
 
 // Planners returns the sorted registry names of every planner family with

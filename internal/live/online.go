@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mergetree"
 	"repro/internal/online"
+	"repro/internal/store"
 )
 
 // onlinePlan is the cached static state of the on-line algorithm for one
@@ -99,6 +100,38 @@ func newOnlineSched(cfg Config) *onlineSched {
 }
 
 func (s *onlineSched) Strategy() string { return "online" }
+
+// Encode writes the slot origin, the plan's cursors and the accounting
+// behind Totals.  The template, group lengths and scratch buffers are
+// static per media length and come back from the plan cache.
+func (s *onlineSched) Encode(e *store.Encoder) {
+	e.U8(onlineSection)
+	e.F64(s.base)
+	e.I64(s.started)
+	e.I64(s.finalized)
+	e.I64(s.lastArrival)
+	e.I64(s.clients)
+	e.I64(s.streams)
+	e.I64(s.finalizedStreams)
+	e.I64(s.slotUnits)
+	e.F64(s.busyTime)
+}
+
+func (s *onlineSched) decode(d *store.Decoder) error {
+	if err := decodeSection(d, onlineSection, s.Strategy()); err != nil {
+		return err
+	}
+	s.base = d.F64()
+	s.started = d.I64()
+	s.finalized = d.I64()
+	s.lastArrival = d.I64()
+	s.clients = d.I64()
+	s.streams = d.I64()
+	s.finalizedStreams = d.I64()
+	s.slotUnits = d.I64()
+	s.busyTime = d.F64()
+	return d.Err()
+}
 
 func (s *onlineSched) Admit(t float64) Admission {
 	slot := int64(math.Floor((t - s.base) / s.delay))

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/multiobject"
+	"repro/internal/store"
 )
 
 // stateTestTrace is a deterministic arrival trace with duplicates,
@@ -25,9 +26,26 @@ func stateTestConfig() Config {
 	}
 }
 
+// roundTrip encodes sched into a blob and decodes it as the named
+// strategy's scheduler under cfg, the pair the serving layer's snapshots
+// run, and requires the decode to consume the whole section.
+func roundTrip(sched Incremental, name string, cfg Config) (Incremental, error) {
+	e := store.NewEncoder()
+	sched.Encode(e)
+	d, err := store.NewDecoder(e.Finish())
+	if err != nil {
+		return nil, err
+	}
+	restored, err := Decode(name, cfg, d)
+	if err != nil {
+		return nil, err
+	}
+	return restored, d.Done()
+}
+
 // TestExportRestoreEquivalence is the live-layer half of crash-recovery
 // equivalence: for every strategy and every cut point, a scheduler
-// restored from an Export continues bit-identically to the uninterrupted
+// decoded from its Encode continues bit-identically to the uninterrupted
 // original — same tail admissions, same drain end, same Totals.
 func TestExportRestoreEquivalence(t *testing.T) {
 	const horizon = 6.0
@@ -46,16 +64,12 @@ func TestExportRestoreEquivalence(t *testing.T) {
 					ref.Admit(at)
 					subject.Admit(at)
 				}
-				st, err := Export(subject)
+				restored, err := roundTrip(subject, name, stateTestConfig())
 				if err != nil {
-					t.Fatalf("cut=%d: Export: %v", cut, err)
+					t.Fatalf("cut=%d: Encode/Decode: %v", cut, err)
 				}
-				if st.Strategy != name {
-					t.Fatalf("cut=%d: exported strategy %q, want %q", cut, st.Strategy, name)
-				}
-				restored, err := Restore(name, stateTestConfig(), st)
-				if err != nil {
-					t.Fatalf("cut=%d: Restore: %v", cut, err)
+				if restored.Strategy() != name {
+					t.Fatalf("cut=%d: decoded strategy %q, want %q", cut, restored.Strategy(), name)
 				}
 				for i, at := range stateTestTrace[cut:] {
 					want := ref.Admit(at)
@@ -88,7 +102,7 @@ func (c *countingSink) StreamFinalized(float64, float64) { c.finalized++ }
 func (c *countingSink) StreamTrimmed(float64, float64)   { c.trimmed++ }
 
 // TestRestoreFiresNoSinkEvents: the serving layer restores its gauge and
-// bandwidth accounting from its own snapshot sections, so Restore must
+// bandwidth accounting from its own snapshot sections, so Decode must
 // not replay stream history into the Sink.
 func TestRestoreFiresNoSinkEvents(t *testing.T) {
 	for _, name := range Planners() {
@@ -100,18 +114,14 @@ func TestRestoreFiresNoSinkEvents(t *testing.T) {
 			for _, at := range stateTestTrace {
 				src.Admit(at)
 			}
-			st, err := Export(src)
-			if err != nil {
-				t.Fatalf("Export: %v", err)
-			}
 			sink := &countingSink{}
 			cfg := stateTestConfig()
 			cfg.Sink = sink
-			if _, err := Restore(name, cfg, st); err != nil {
-				t.Fatalf("Restore: %v", err)
+			if _, err := roundTrip(src, name, cfg); err != nil {
+				t.Fatalf("Encode/Decode: %v", err)
 			}
 			if *sink != (countingSink{}) {
-				t.Fatalf("Restore fired sink events: %+v", *sink)
+				t.Fatalf("Decode fired sink events: %+v", *sink)
 			}
 		})
 	}
@@ -122,29 +132,20 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, err := Export(onl)
-	if err != nil {
-		t.Fatalf("Export: %v", err)
-	}
 	// Online state into an epoch strategy.
-	if _, err := Restore("dyadic", stateTestConfig(), st); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("Restore online state into dyadic = %v, want ErrBadConfig", err)
+	if _, err := roundTrip(onl, "dyadic", stateTestConfig()); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Decode online state into dyadic = %v, want ErrBadConfig", err)
 	}
 	// Unknown strategy name.
-	if _, err := Restore("no-such", stateTestConfig(), st); !errors.Is(err, ErrUnknownStrategy) {
-		t.Fatalf("Restore unknown strategy = %v, want ErrUnknownStrategy", err)
+	if _, err := roundTrip(onl, "no-such", stateTestConfig()); !errors.Is(err, ErrUnknownStrategy) {
+		t.Fatalf("Decode unknown strategy = %v, want ErrUnknownStrategy", err)
 	}
 	// Epoch state into the online strategy.
 	dy, err := New("dyadic", stateTestConfig())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	est, err := Export(dy)
-	if err != nil {
-		t.Fatalf("Export: %v", err)
-	}
-	est.Strategy = ""
-	if _, err := Restore("online", stateTestConfig(), est); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("Restore epoch state into online = %v, want ErrBadConfig", err)
+	if _, err := roundTrip(dy, "online", stateTestConfig()); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Decode epoch state into online = %v, want ErrBadConfig", err)
 	}
 }

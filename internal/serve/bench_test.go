@@ -28,12 +28,18 @@ import (
 // instrumented admit path, per-stage histogram observation included.
 func benchShard(b *testing.B, strategy string) (*shard, *objectState) {
 	b.Helper()
-	cat := multiobject.Catalog{
+	sh := benchShardOf(b, multiobject.Catalog{
 		{Name: "hot", Length: 1, Popularity: 4, Delay: 0.01},
 		{Name: "warm", Length: 1, Popularity: 2, Delay: 0.02},
 		{Name: "mild", Length: 2, Popularity: 1, Delay: 0.05},
 		{Name: "cold", Length: 1, Popularity: 1, Delay: 0.04},
-	}
+	}, strategy)
+	return sh, sh.byName["hot"]
+}
+
+// benchShardOf builds benchShard's loop-less, metered shard over cat.
+func benchShardOf(b *testing.B, cat multiobject.Catalog, strategy string) *shard {
+	b.Helper()
 	var tick int64
 	cfg := Config{Catalog: cat, MaxChannels: 0, MeterStages: true,
 		NowNanos: func() int64 { tick += 137; return tick }}
@@ -45,7 +51,7 @@ func benchShard(b *testing.B, strategy string) (*shard, *objectState) {
 			b.Fatal(err)
 		}
 	}
-	return sh, sh.byName["hot"]
+	return sh
 }
 
 // BenchmarkShardAdmit is the CI allocation guard: one request through the
@@ -129,6 +135,35 @@ func BenchmarkShardAdmitDurableBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sh.submit(m)
 		<-m.done
+	}
+}
+
+// BenchmarkSnapshotCapture is the allocation guard of the loop's share
+// of a snapshot: captureSnapshot on a loop-less 64-object shard after
+// 20,000 admissions, its buffer recycled through snapFree as in
+// production.  The loop copies the bulk arrays and encodes the object
+// sections into the recycled buffer's retained storage, so once one
+// capture has sized it, a capture must not allocate.  The admissions
+// span 6 time units, past the first 5.12-unit epoch of the offline
+// objects, whose sections then carry closed-epoch totals and an open
+// epoch's trace.
+func BenchmarkSnapshotCapture(b *testing.B) {
+	for _, strategy := range []string{"online", "offline"} {
+		b.Run(strategy, func(b *testing.B) {
+			sh := benchShardOf(b, multiobject.ZipfCatalog(64, 1, 0.01, 1), strategy)
+			sh.snapFree = make(chan *shardSnapshotState, 2)
+			t := 0.0
+			for i := 0; i < 20000; i++ {
+				t += 0.0003
+				sh.admitCore(sh.objects[i%len(sh.objects)], t, sh.srv.cfg.MeterStages, "")
+			}
+			sh.releaseSnapState(sh.captureSnapshot())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sh.releaseSnapState(sh.captureSnapshot())
+			}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/live"
-	"repro/internal/multiobject"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -45,10 +44,11 @@ import (
 // Snapshots ride the same channel (walSnapshot) and act as in-batch
 // barriers: the writer lands the record run accumulated so far, then
 // saves the snapshot — which truncates the WAL — so it can never
-// truncate a record it doesn't cover.  The loop only copies its state
-// into a reusable shardSnapshotState; the codec runs on the writer
-// goroutine with a pooled Encoder, so a cadence snapshot no longer
-// stalls admission for the encode.  The file backend's crash window
+// truncate a record it doesn't cover.  The loop copies the bulk arrays
+// into a reusable shardSnapshotState and encodes each object's section
+// there, through the live scheduler's own Encode; the writer encodes the
+// rest with its pooled Encoder, so a cadence snapshot does not stall
+// admission for the bulk encode.  The file backend's crash window
 // between snapshot rename and WAL truncation is closed by sequence
 // numbers instead: replay skips records below the snapshot's next
 // sequence.  Replay applies each record's logged decision instead of
@@ -152,6 +152,8 @@ type walCommit struct {
 	pend  []walMsg
 	recs  [][]byte
 	dirty bool
+	// enc is the writer's pooled snapshot Encoder, Reset per snapshot.
+	enc store.Encoder
 }
 
 // walWriter drains one shard's WAL channel.  It is a Server method (not
@@ -232,7 +234,7 @@ func (s *Server) commit(sh *shard, w *walCommit) {
 			// was captured after those admissions on the loop), and
 			// SaveSnapshot truncates the WAL — nothing appended so far
 			// needs a flush of its own, unless the save fails.
-			if s.writeSnapshot(sh, m) {
+			if s.writeSnapshot(sh, w, m) {
 				w.dirty = false
 			}
 		}
@@ -274,22 +276,17 @@ func (s *Server) appendRun(sh *shard, w *walCommit) {
 	w.recs = w.recs[:0]
 }
 
-// writeSnapshot runs the snapshot codec on the writer goroutine — the
-// loop only captured plain state — with a pooled Encoder, then saves the
-// blob and recycles the capture buffer back to the shard's free list.
-// Only once the save succeeded does it publish the frontier and ticket
-// sequence captured with the snapshot, which may advance the durable
-// settle point, and wake the settler.  It reports whether the save
-// succeeded.
-func (s *Server) writeSnapshot(sh *shard, m *walMsg) bool {
-	if s.walEnc[sh.id] == nil {
-		s.walEnc[sh.id] = store.NewEncoder()
-	} else {
-		s.walEnc[sh.id].Reset()
-	}
-	enc := s.walEnc[sh.id]
-	encodeSnapshotState(enc, m.snap)
-	err := s.cfg.Store.SaveSnapshot(sh.id, enc.Finish())
+// writeSnapshot encodes a capture into the writer's pooled Encoder — the
+// bulk arrays here, the object sections the loop already encoded — then
+// saves the blob and recycles the capture buffer back to the shard's free
+// list.  Only once the save succeeded does it publish the frontier and
+// ticket sequence captured with the snapshot, which may advance the
+// durable settle point, and wake the settler.  It reports whether the
+// save succeeded.
+func (s *Server) writeSnapshot(sh *shard, w *walCommit, m *walMsg) bool {
+	w.enc.Reset()
+	encodeSnapshotState(&w.enc, m.snap)
+	err := s.cfg.Store.SaveSnapshot(sh.id, w.enc.Finish())
 	frontier, seq := m.snap.frontier, m.snap.ticketSeq
 	sh.releaseSnapState(m.snap)
 	if err != nil {
@@ -316,7 +313,8 @@ func (s *Server) writeSnapshot(sh *shard, m *walMsg) bool {
 // EpochSlots slots of the shard's smallest delay), or immediately when
 // the writer flagged a failed WAL append or flush — the repair snapshot
 // truncates the gapped log so a later restore does not fail on the
-// missing sequence.  The loop only copies state; the writer encodes.
+// missing sequence.  The loop captures; the writer encodes the rest and
+// saves.
 func (sh *shard) maybeSnapshot() {
 	if sh.walCh == nil {
 		return
@@ -351,41 +349,6 @@ func (sh *shard) checkpoint() {
 	sh.walCh <- walMsg{kind: walSnapshot, snap: sh.captureSnapshot()}
 }
 
-// encodeTotals appends a live.Totals to the snapshot.
-func encodeTotals(e *store.Encoder, t live.Totals) {
-	e.I64(t.Clients)
-	e.I64(t.Streams)
-	e.I64(t.FinalizedStreams)
-	e.I64(t.SlotUnits)
-	e.F64(t.BusyTime)
-	e.F64(t.Cost)
-	e.I64(t.ReplanFailures)
-	e.I64(t.Replan.Replans)
-	e.I64(t.Replan.WarmReplans)
-	e.I64(t.Replan.CellsReused)
-	e.I64(t.Replan.CellsRecomputed)
-	e.I64(t.Replan.ReplanNanos)
-	e.I64(t.Replan.MaxReplanNanos)
-}
-
-func decodeTotals(d *store.Decoder) live.Totals {
-	var t live.Totals
-	t.Clients = d.I64()
-	t.Streams = d.I64()
-	t.FinalizedStreams = d.I64()
-	t.SlotUnits = d.I64()
-	t.BusyTime = d.F64()
-	t.Cost = d.F64()
-	t.ReplanFailures = d.I64()
-	t.Replan.Replans = d.I64()
-	t.Replan.WarmReplans = d.I64()
-	t.Replan.CellsReused = d.I64()
-	t.Replan.CellsRecomputed = d.I64()
-	t.Replan.ReplanNanos = d.I64()
-	t.Replan.MaxReplanNanos = d.I64()
-	return t
-}
-
 func encodeHist(e *store.Encoder, h *stats.LogHistogram) {
 	e.I64(h.Count)
 	e.I64(h.SumNanos)
@@ -410,12 +373,14 @@ func decodeHist(d *store.Decoder, h *stats.LogHistogram) error {
 	return d.Err()
 }
 
-// shardSnapshotState is a plain-data copy of everything a snapshot
-// serializes, captured on the shard loop and encoded on the WAL writer.
-// The split keeps the codec — the expensive part of a snapshot — off the
-// admit path.  Instances cycle through the shard's snapFree list, so a
-// steady snapshot cadence reuses two buffers instead of allocating
-// fresh slices per capture.
+// shardSnapshotState is one snapshot's capture, filled on the shard loop
+// and encoded on the WAL writer.  The bulk arrays — gauge end events,
+// kept set, stage histograms — are plain copies that the writer encodes,
+// keeping their codec work off the admit path.  Each object's section is
+// encoded on the loop, straight into objects, since only its live
+// scheduler knows its fields.  Instances cycle through the shard's
+// snapFree list, so a steady snapshot cadence reuses two buffers and a
+// capture allocates nothing.
 type shardSnapshotState struct {
 	id, total int
 	now       float64
@@ -433,26 +398,9 @@ type shardSnapshotState struct {
 	intervals []bandwidth.Interval
 	frontier  float64
 	stages    []stageHist
-	objects   []objectSnapState
-}
-
-// objectSnapState is one object's captured snapshot state.  live.Export
-// deep-copies the scheduler's dynamic state (Times, Provisional), so the
-// capture shares nothing with the live scheduler the loop keeps mutating.
-type objectSnapState struct {
-	name     string
-	strategy string
-	epoch    int
-	scale    float64
-	delay    float64
-	L        int64
-	arrivals int64
-	rejected int64
-	carry    live.Totals
-	live     live.State
-	// exportOK distinguishes a captured live state from an unexportable
-	// scheduler, which encodes as a poison kind so restore fails loudly.
-	exportOK bool
+	// objects is the encoded object count and sections, a header-less
+	// part the writer appends to the blob whole.
+	objects store.Encoder
 }
 
 // takeSnapState pops a reusable capture buffer off the free list, or
@@ -483,12 +431,11 @@ func (sh *shard) releaseSnapState(ss *shardSnapshotState) {
 
 // captureSnapshot copies the shard's full scheduler state — identity
 // fingerprint, clock, ticket sequence, loop-owned counter mirrors, gauge
-// end-event heap, durable settle point, busy-time sum and kept set,
-// stage histograms, and per-object state (delay epoch, accounting carry,
-// and the live scheduler's exported dynamic state) — and its frontier
-// into a reusable capture buffer.
-// It runs on the shard loop; encodeSnapshotState serializes the result
-// on the writer goroutine.
+// end-event heap, durable settle point, busy-time sum and kept set, and
+// stage histograms — and its frontier into a reusable capture buffer, and
+// encodes each object's section there: its delay epoch, accounting carry
+// and live scheduler.  It runs on the shard loop; encodeSnapshotState
+// serializes the rest on the writer goroutine.
 func (sh *shard) captureSnapshot() *shardSnapshotState {
 	ss := sh.takeSnapState()
 	ss.id = sh.id
@@ -507,36 +454,28 @@ func (sh *shard) captureSnapshot() *shardSnapshotState {
 	ss.frontier = sh.frontier()
 	// stageHist holds fixed-size value histograms, so this copies.
 	ss.stages = append(ss.stages[:0], sh.stages...)
-	ss.objects = ss.objects[:0]
+	e := &ss.objects
+	e.ResetPart()
+	e.U32(uint32(len(sh.objects)))
 	for _, st := range sh.objects {
-		o := objectSnapState{
-			name:     st.obj.Name,
-			strategy: st.strategy,
-			epoch:    st.epoch,
-			scale:    st.scale,
-			delay:    st.delay,
-			L:        st.L,
-			arrivals: st.arrivals,
-			rejected: st.rejected,
-			carry:    st.carry,
-		}
-		if ls, err := live.Export(st.sched); err == nil {
-			o.live = ls
-			o.exportOK = true
-		}
-		// Every registered strategy is exportable; an unexportable
-		// scheduler would be a new strategy family missing its State
-		// support.  exportOK stays false and the codec writes a poison
-		// kind so restore fails loudly rather than silently dropping the
-		// object's schedule.
-		ss.objects = append(ss.objects, o)
+		e.String(st.obj.Name)
+		e.String(st.strategy)
+		e.I64(int64(st.epoch))
+		e.F64(st.scale)
+		e.F64(st.delay)
+		e.I64(st.L)
+		e.I64(st.arrivals)
+		e.I64(st.rejected)
+		st.carry.Encode(e)
+		st.sched.Encode(e)
 	}
 	return ss
 }
 
 // encodeSnapshotState serializes a captured shard state with the
-// versioned store codec.  The encoding is deterministic: the same state
-// always yields the same bytes.  Runs on the WAL writer goroutine.
+// versioned store codec, appending the object sections the loop encoded
+// last.  The encoding is deterministic: the same state always yields the
+// same bytes.  Runs on the WAL writer goroutine.
 func encodeSnapshotState(e *store.Encoder, ss *shardSnapshotState) {
 	e.I64(int64(ss.id))
 	e.I64(int64(ss.total))
@@ -568,89 +507,7 @@ func encodeSnapshotState(e *store.Encoder, ss *shardSnapshotState) {
 		encodeHist(e, &ss.stages[i].replan)
 	}
 
-	e.U32(uint32(len(ss.objects)))
-	for i := range ss.objects {
-		o := &ss.objects[i]
-		e.String(o.name)
-		e.String(o.strategy)
-		e.I64(int64(o.epoch))
-		e.F64(o.scale)
-		e.F64(o.delay)
-		e.I64(o.L)
-		e.I64(o.arrivals)
-		e.I64(o.rejected)
-		encodeTotals(e, o.carry)
-		if !o.exportOK {
-			e.U8(0xff)
-			continue
-		}
-		encodeLiveState(e, o.live)
-	}
-}
-
-func encodeLiveState(e *store.Encoder, ls live.State) {
-	switch {
-	case ls.Online != nil:
-		o := ls.Online
-		e.U8(0)
-		e.F64(o.Base)
-		e.I64(o.Started)
-		e.I64(o.Finalized)
-		e.I64(o.LastArrival)
-		e.I64(o.Clients)
-		e.I64(o.Streams)
-		e.I64(o.FinalizedStreams)
-		e.I64(o.SlotUnits)
-		e.F64(o.BusyTime)
-	case ls.Epoch != nil:
-		ep := ls.Epoch
-		e.U8(1)
-		e.F64(ep.Origin)
-		e.I64(ep.Epoch)
-		e.F64s(ep.Times)
-		e.I64(ep.LastSlot)
-		e.F64(ep.LastTime)
-		e.I64(ep.SlotBase)
-		e.F64s(ep.Provisional)
-		encodeTotals(e, ep.Totals)
-	default:
-		e.U8(0xff)
-	}
-}
-
-func decodeLiveState(d *store.Decoder, strategy string) (live.State, error) {
-	ls := live.State{Strategy: strategy}
-	switch kind := d.U8(); kind {
-	case 0:
-		o := &live.OnlineState{}
-		o.Base = d.F64()
-		o.Started = d.I64()
-		o.Finalized = d.I64()
-		o.LastArrival = d.I64()
-		o.Clients = d.I64()
-		o.Streams = d.I64()
-		o.FinalizedStreams = d.I64()
-		o.SlotUnits = d.I64()
-		o.BusyTime = d.F64()
-		ls.Online = o
-	case 1:
-		ep := &live.EpochState{}
-		ep.Origin = d.F64()
-		ep.Epoch = d.I64()
-		ep.Times = d.F64s()
-		ep.LastSlot = d.I64()
-		ep.LastTime = d.F64()
-		ep.SlotBase = d.I64()
-		ep.Provisional = d.F64s()
-		ep.Totals = decodeTotals(d)
-		ls.Epoch = ep
-	default:
-		if err := d.Err(); err != nil {
-			return ls, err
-		}
-		return ls, fmt.Errorf("%w: unknown live state kind %d for strategy %q", store.ErrCorruptSnapshot, kind, strategy)
-	}
-	return ls, d.Err()
+	e.Raw(&ss.objects)
 }
 
 // decodeSnapshot reinstates a snapshot blob onto a freshly built shard
@@ -726,14 +583,11 @@ func (sh *shard) decodeSnapshot(blob []byte) error {
 		L := d.I64()
 		arrivals := d.I64()
 		objRejected := d.I64()
-		carry := decodeTotals(d)
-		ls, err := decodeLiveState(d, st.strategy)
+		var carry live.Totals
+		carry.Decode(d)
+		sched, err := live.Decode(st.strategy, sh.liveConfig(st.obj, delay), d)
 		if err != nil {
-			return err
-		}
-		sched, err := sh.restoreScheduler(st.obj, st.strategy, delay, ls)
-		if err != nil {
-			return fmt.Errorf("%w: object %q: %w", store.ErrCorruptSnapshot, st.obj.Name, err)
+			return mismatch(d, "object %q: %w", st.obj.Name, err)
 		}
 		st.epoch = epoch
 		st.scale = scale
@@ -787,13 +641,6 @@ func mismatch(d *store.Decoder, format string, args ...any) error {
 		return err
 	}
 	return fmt.Errorf("%w: "+format, append([]any{store.ErrCorruptSnapshot}, args...)...)
-}
-
-// restoreScheduler rebuilds an object's live scheduler from exported
-// state, with the configuration newScheduler uses at the restored
-// effective delay.
-func (sh *shard) restoreScheduler(obj multiobject.Object, strategy string, delay float64, ls live.State) (live.Incremental, error) {
-	return live.Restore(strategy, sh.liveConfig(obj, delay), ls)
 }
 
 // restore loads the shard's latest snapshot and replays the WAL tail
@@ -868,7 +715,7 @@ func (sh *shard) refuseUsedStore() error {
 		}
 	}
 	if used {
-		return fmt.Errorf("%w: the store already holds state for shard %d: set Restore to resume it, or use an empty store", ErrBadConfig, sh.id)
+		return fmt.Errorf("%w for shard %d: set Restore to resume it, or use an empty store", ErrStoreInUse, sh.id)
 	}
 	return nil
 }

@@ -172,8 +172,9 @@ type Config struct {
 	// checkpoints every shard, so only a crash leaves a tail to replay.
 	// Corrupted snapshot or WAL bytes fail New with
 	// store.ErrCorruptSnapshot.  Without Restore, New refuses (with
-	// ErrBadConfig) a store that holds a snapshot or a WAL record for any
-	// shard it runs, which would reissue acknowledged ticket IDs.
+	// ErrStoreInUse, which wraps ErrBadConfig) a store that holds a
+	// snapshot or a WAL record for any shard it runs, which would reissue
+	// acknowledged ticket IDs.
 	Restore bool
 	// OwnStore transfers Store's ownership to the server: Close also
 	// closes the store.  A failed New leaves it open for the caller.
@@ -420,10 +421,6 @@ type Server struct {
 	// walFlushes counts store Flush calls (group commits) across all
 	// shards' WAL writers.
 	walFlushes atomic.Int64
-	// walEnc holds each shard writer's pooled snapshot Encoder (nil
-	// without a store), reset and reused per snapshot; only that shard's
-	// writer goroutine touches its slot.
-	walEnc []*store.Encoder
 	// walRepair holds one flag per shard (nil without a store): set by
 	// the shard's WAL writer when an append or flush fails, leaving a
 	// sequence gap in the log, and consumed by the shard loop, which
@@ -626,7 +623,6 @@ func New(cfg Config) (*Server, error) {
 	s.respond = make([]stats.LogHistogram, len(s.stratNames))
 	if cfg.Store != nil {
 		s.walRepair = make([]atomic.Bool, len(s.shards))
-		s.walEnc = make([]*store.Encoder, len(s.shards))
 		s.saved = make([]atomic.Uint64, len(s.shards))
 		s.savedSeq = make([]atomic.Int64, len(s.shards))
 		var resume settlePoint
@@ -708,6 +704,12 @@ var ErrUnknownObject = errors.New("serve: unknown object")
 // arrival kind), so callers can classify setup failures with errors.Is
 // through the public facade.
 var ErrBadConfig = errors.New("serve: invalid configuration")
+
+// ErrStoreInUse marks New without Config.Restore on a store that already
+// holds a snapshot or WAL record for one of its shards: serving on top
+// would restart the ticket sequence and reissue acknowledged IDs.  It
+// wraps ErrBadConfig.
+var ErrStoreInUse = fmt.Errorf("%w: the store already holds state", ErrBadConfig)
 
 // ErrBadRequest marks invalid runtime arguments to a live server (e.g. a
 // non-positive drain horizon).

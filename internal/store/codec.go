@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // The snapshot codec: a versioned, deterministic binary encoding.  Every
@@ -33,8 +34,9 @@ const codecVersion = 2
 
 var codecTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Encoder builds one snapshot blob.  Append values with the typed
-// methods, then seal with Finish.  The zero value is ready to use.
+// Encoder builds one snapshot blob.  Start it with NewEncoder (or Reset),
+// append values with the typed methods, then seal with Finish.  The zero
+// value is an empty part: see ResetPart.
 type Encoder struct {
 	buf []byte
 }
@@ -59,6 +61,15 @@ func (e *Encoder) Reset() {
 	e.buf = append(e.buf, codecVersion)
 }
 
+// ResetPart empties the Encoder without laying a header down.  What it
+// then holds is a part: a run of values that another Encoder's blob takes
+// whole through Raw, so one section can be encoded apart from the rest.
+// The buffer is kept, so a recycled part encodes without reallocating.
+func (e *Encoder) ResetPart() { e.buf = e.buf[:0] }
+
+// Raw appends a part's bytes verbatim.
+func (e *Encoder) Raw(part *Encoder) { e.buf = append(e.buf, part.buf...) }
+
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -81,20 +92,16 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// F64s appends a length-prefixed float64 slice.
+// F64s appends a length-prefixed float64 slice.  It grows the buffer
+// once and fills it through a local slice: an epoch scheduler's section
+// carries its open epoch's trace, which the shard loop encodes.
 func (e *Encoder) F64s(vs []float64) {
 	e.U32(uint32(len(vs)))
+	buf := slices.Grow(e.buf, 8*len(vs))
 	for _, v := range vs {
-		e.F64(v)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-}
-
-// I64s appends a length-prefixed int64 slice.
-func (e *Encoder) I64s(vs []int64) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.I64(v)
-	}
+	e.buf = buf
 }
 
 // Finish seals the blob: the checksum over header and payload is
@@ -236,19 +243,6 @@ func (d *Decoder) F64s() []float64 {
 	vs := make([]float64, n)
 	for i := range vs {
 		vs[i] = d.F64()
-	}
-	return vs
-}
-
-// I64s reads a length-prefixed int64 slice (nil when empty).
-func (d *Decoder) I64s() []int64 {
-	n := d.length(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = d.I64()
 	}
 	return vs
 }

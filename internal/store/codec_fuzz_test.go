@@ -21,7 +21,6 @@ func FuzzDecoder(f *testing.F) {
 	e.F64(2.75)
 	e.String("seed")
 	e.F64s([]float64{1, 2, 3})
-	e.I64s([]int64{-1})
 	f.Add(e.Finish())
 	f.Add([]byte{})
 	f.Add([]byte{0x53, 0x44, 0x4f, 0x4d, 0x01})
@@ -44,7 +43,6 @@ func FuzzDecoder(f *testing.F) {
 		d.F64()
 		_ = d.String()
 		d.F64s()
-		d.I64s()
 		if err := d.Done(); err != nil && !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("Done error %v does not wrap ErrCorruptSnapshot", err)
 		}
@@ -74,12 +72,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, u8 uint8, u64 uint64, fv float64, s string, i64 int64, n uint8) {
 		fs := make([]float64, int(n)%32)
-		is := make([]int64, int(n)%17)
 		for i := range fs {
 			fs[i] = fv * float64(i+1)
-		}
-		for i := range is {
-			is[i] = i64 - int64(i)
 		}
 		encode := func() []byte {
 			e := NewEncoder()
@@ -89,7 +83,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			e.String(s)
 			e.I64(i64)
 			e.F64s(fs)
-			e.I64s(is)
 			return e.Finish()
 		}
 		blob, blob2 := encode(), encode()
@@ -123,15 +116,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		for i := range fs {
 			if math.Float64bits(gfs[i]) != math.Float64bits(fs[i]) {
 				t.Fatalf("F64s[%d] = %x, want %x", i, math.Float64bits(gfs[i]), math.Float64bits(fs[i]))
-			}
-		}
-		gis := d.I64s()
-		if len(gis) != len(is) {
-			t.Fatalf("I64s len = %d, want %d", len(gis), len(is))
-		}
-		for i := range is {
-			if gis[i] != is[i] {
-				t.Fatalf("I64s[%d] = %d, want %d", i, gis[i], is[i])
 			}
 		}
 		if err := d.Done(); err != nil {

@@ -437,7 +437,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.String("")
 	e.F64s([]float64{1.5, -2.5, 0})
 	e.F64s(nil)
-	e.I64s([]int64{9, -9})
 	blob := e.Finish()
 
 	d, err := NewDecoder(blob)
@@ -475,10 +474,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	if v := d.F64s(); v != nil {
 		t.Fatalf("empty F64s = %v", v)
 	}
-	is := d.I64s()
-	if len(is) != 2 || is[0] != 9 || is[1] != -9 {
-		t.Fatalf("I64s = %v", is)
-	}
 	if err := d.Done(); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
@@ -489,7 +484,6 @@ func TestCodecDeterministic(t *testing.T) {
 	build := func() []byte {
 		e := NewEncoder()
 		e.F64(0.123456789)
-		e.I64s([]int64{3, 1, 4, 1, 5})
 		e.String("determinism")
 		return e.Finish()
 	}

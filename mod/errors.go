@@ -43,6 +43,11 @@ var (
 	// configuration (re-exported from the serving layer).
 	ErrBadConfig = serve.ErrBadConfig
 
+	// ErrStoreInUse marks a NewServer without ServeConfig.Restore on a
+	// store that already holds a snapshot or WAL record (re-exported from
+	// the serving layer).  It wraps ErrBadConfig.
+	ErrStoreInUse = serve.ErrStoreInUse
+
 	// ErrUnknownObject is returned by the live server for requests naming
 	// no catalog object.
 	ErrUnknownObject = serve.ErrUnknownObject
