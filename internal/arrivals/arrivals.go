@@ -174,11 +174,20 @@ func (tr Trace) BatchToSlots(slot float64) []int64 {
 	if slot <= 0 {
 		panic(fmt.Sprintf("arrivals: BatchToSlots requires slot > 0, got %g", slot))
 	}
-	var out []int64
-	last := int64(-1)
+	// A first pass counts the slots, so the result is allocated once.
+	n, last := 0, int64(-1)
 	for _, t := range tr {
-		idx := int64(math.Floor(t / slot))
-		if idx != last {
+		if idx := int64(math.Floor(t / slot)); idx != last {
+			n, last = n+1, idx
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int64, 0, n)
+	last = -1
+	for _, t := range tr {
+		if idx := int64(math.Floor(t / slot)); idx != last {
 			out = append(out, idx)
 			last = idx
 		}

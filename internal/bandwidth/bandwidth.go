@@ -102,17 +102,14 @@ func (u *Usage) Peak() int {
 		starts = append(starts, iv.Start)
 		ends = append(ends, iv.End)
 	}
-	_, peak := sweep(starts, ends, math.Inf(-1))
-	return peak
+	return sweep(starts, ends)
 }
 
 // sweep sorts the start and end times of a set of half-open intervals in
 // place and merge-walks them in time order, retiring ends before starts
-// at ties.  The count only rises at a start, so it returns the largest
-// count reached at a start strictly before cut (the peak of the profile
-// before cut) and the largest at any start (the peak of the whole
-// profile).
-func sweep(starts, ends []float64, cut float64) (before, peak int) {
+// at ties.  The count only rises at a start, so the largest count reached
+// at a start is the peak of the profile.  Tracker.Fold runs the same walk.
+func sweep(starts, ends []float64) (peak int) {
 	slices.Sort(starts)
 	slices.Sort(ends)
 	j := 0
@@ -120,11 +117,7 @@ func sweep(starts, ends []float64, cut float64) (before, peak int) {
 		for j < len(ends) && ends[j] <= s {
 			j++
 		}
-		cur := i + 1 - j
-		peak = max(peak, cur)
-		if s < cut {
-			before = max(before, cur)
-		}
+		peak = max(peak, i+1-j)
 	}
-	return before, peak
+	return peak
 }

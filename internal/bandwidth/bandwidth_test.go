@@ -3,6 +3,7 @@ package bandwidth
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -215,13 +216,17 @@ func TestPeakMatchesEventSort(t *testing.T) {
 // TestTrackerMatchesUsage feeds intervals in random batches, settling a
 // random frontier no later than the earliest start still to come after
 // each batch, and checks the tracked peak against Usage.Peak over
-// everything added so far.
+// everything added so far.  A second tracker folds the same batches with
+// two random cuts at once (Fold, one sort) where a third runs Settle,
+// Settle and Peak one after another: the settled pairs after each cut,
+// the peak and the pending intervals must agree, and each settled peak
+// must equal a brute-force count of every interval ever added.
 func TestTrackerMatchesUsage(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 300; trial++ {
 		ivs := randomIntervals(rng, rng.Intn(80))
 		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
-		var tr Tracker
+		var tr, one, seq Tracker
 		u := New()
 		for next := 0; next < len(ivs); {
 			k := next + 1 + rng.Intn(8)
@@ -230,6 +235,8 @@ func TestTrackerMatchesUsage(t *testing.T) {
 			}
 			for _, iv := range ivs[next:k] {
 				tr.Add(iv.Start, iv.End)
+				one.Add(iv.Start, iv.End)
+				seq.Add(iv.Start, iv.End)
 				u.Add(iv.Start, iv.End)
 			}
 			next = k
@@ -239,12 +246,51 @@ func TestTrackerMatchesUsage(t *testing.T) {
 			if got, want := tr.Peak(), u.Peak(); got != want {
 				t.Fatalf("trial %d after %d intervals: Tracker.Peak = %d, Usage.Peak = %d", trial, next, got, want)
 			}
+			bound := math.Inf(1)
+			if next < len(ivs) {
+				bound = ivs[next].Start
+			}
+			cuts := []float64{bound - float64(rng.Intn(5))/4, bound - float64(rng.Intn(5))/4}
+			var want [][2]float64
+			for _, c := range cuts {
+				seq.Settle(c)
+				at, peak := seq.Settled()
+				want = append(want, [2]float64{at, float64(peak)})
+				if brute := peakBefore(ivs[:next], at); peak != brute && !math.IsInf(at, 1) {
+					t.Fatalf("trial %d: settled peak %d before %v, brute force %d", trial, peak, at, brute)
+				}
+			}
+			var got [][2]float64
+			peak := one.Fold(cuts, func(at float64, peak int) { got = append(got, [2]float64{at, float64(peak)}) })
+			if !reflect.DeepEqual(got, want) || peak != seq.Peak() || peak != u.Peak() || !reflect.DeepEqual(one.pending, seq.pending) {
+				t.Fatalf("trial %d cuts %v: Fold settled %v, peak %d, %d pending; Settle/Settle/Peak %v, %d, %d pending (Usage.Peak %d)",
+					trial, cuts, got, peak, len(one.pending), want, seq.Peak(), len(seq.pending), u.Peak())
+			}
 		}
 		tr.Settle(math.Inf(1))
 		if got, want := tr.Peak(), u.Peak(); got != want || len(tr.pending) != 0 {
 			t.Fatalf("trial %d settled at +Inf: Peak = %d (want %d), %d intervals still pending", trial, got, want, len(tr.pending))
 		}
 	}
+}
+
+// peakBefore is the brute-force peak of the count profile of ivs before
+// w: the largest number of intervals covering a start earlier than w.
+func peakBefore(ivs []Interval, w float64) int {
+	peak := 0
+	for _, a := range ivs {
+		if a.End <= a.Start || a.Start >= w {
+			continue
+		}
+		n := 0
+		for _, b := range ivs {
+			if b.End > b.Start && b.Start <= a.Start && a.Start < b.End {
+				n++
+			}
+		}
+		peak = max(peak, n)
+	}
+	return peak
 }
 
 // TestTrackerResumesFromSettledPair restarts a tracker mid-stream the way

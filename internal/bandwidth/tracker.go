@@ -1,6 +1,6 @@
 package bandwidth
 
-import "math"
+import "slices"
 
 // Tracker keeps the peak of a growing set of intervals up to date in work
 // proportional to what changed, for producers that can bound where their
@@ -8,8 +8,9 @@ import "math"
 // time order: once no stream still to come can start before a frontier
 // W, the count profile before W is final.  Settle(W) folds that part of
 // the profile into a settled peak and keeps only the intervals that still
-// end after W; Peak sorts only those.  The result is exactly Usage.Peak
-// over every interval ever added.
+// end after W; Peak sorts only those, and Fold settles and reads the peak
+// with one sort.  The result is exactly Usage.Peak over every interval
+// ever added.
 //
 // The zero value is an empty tracker; NewTracker resumes one from a
 // settled pair.  It is not safe for concurrent use.
@@ -19,6 +20,8 @@ type Tracker struct {
 	frontier float64
 	// pending holds every added interval that ends after frontier.
 	pending []Interval
+	// starts and ends are Fold's sort scratch, kept for the next fold.
+	starts, ends []float64
 }
 
 // NewTracker returns a tracker settled at frontier, with peak as the
@@ -46,24 +49,9 @@ func (t *Tracker) Add(start, end float64) {
 // intervals that end by w.  A w at or behind the current frontier is a
 // no-op.
 func (t *Tracker) Settle(w float64) {
-	if w <= t.frontier {
-		return
+	if w > t.frontier {
+		t.Fold([]float64{w}, nil)
 	}
-	before, _ := t.sweep(w)
-	t.settled = max(t.settled, before)
-	t.frontier = w
-	kept := t.pending[:0]
-	for _, iv := range t.pending {
-		if iv.End > w {
-			kept = append(kept, iv)
-		}
-	}
-	if cap(kept) > 1024 && cap(kept) > 4*len(kept) {
-		// Do not keep alive the backing array of a large fold, such as the
-		// first one after a restart.
-		kept = append([]Interval(nil), kept...)
-	}
-	t.pending = kept
 }
 
 // Settled returns the current frontier and the peak of the count profile
@@ -75,18 +63,64 @@ func (t *Tracker) Settled() (frontier float64, peak int) {
 // Peak returns the maximum number of intervals overlapping at any time,
 // over every interval added.
 func (t *Tracker) Peak() int {
-	_, all := t.sweep(math.Inf(-1))
-	return max(t.settled, all)
+	return t.Fold(nil, nil)
 }
 
-// sweep runs the shared merge walk over the pending intervals.  Before
-// the frontier the pending count undercounts (it lacks the dropped
-// intervals), so it can never exceed the settled peak there.
-func (t *Tracker) sweep(cut float64) (before, all int) {
-	starts := make([]float64, len(t.pending))
-	ends := make([]float64, len(t.pending))
-	for i, iv := range t.pending {
-		starts[i], ends[i] = iv.Start, iv.End
+// Fold settles at each of cuts in turn, exactly as successive Settle
+// calls would, and returns what Peak returns after them; after each cut,
+// settled (when non-nil) sees the pair Settled reports then.  It sorts
+// the pending intervals once, where Settle, Settle and Peak sort them
+// three times.  One sweep is exact: an interval a settle at cut c drops
+// ends by c, so at every start from c on it is already retired in the
+// count of the full pending set, and before c that count only adds to
+// what the settled peak already covers.
+func (t *Tracker) Fold(cuts []float64, settled func(frontier float64, peak int)) int {
+	t.starts, t.ends = t.starts[:0], t.ends[:0]
+	for _, iv := range t.pending {
+		t.starts, t.ends = append(t.starts, iv.Start), append(t.ends, iv.End)
 	}
-	return sweep(starts, ends, cut)
+	slices.Sort(t.starts)
+	slices.Sort(t.ends)
+	// Before the frontier the pending count undercounts (it lacks the
+	// dropped intervals), so it never exceeds the settled peak there.
+	peak, j, k := 0, 0, 0
+	for i, s := range t.starts {
+		for ; k < len(cuts) && cuts[k] <= s; k++ {
+			t.settle(cuts[k], peak, settled)
+		}
+		for j < len(t.ends) && t.ends[j] <= s {
+			j++
+		}
+		peak = max(peak, i+1-j)
+	}
+	for ; k < len(cuts); k++ {
+		t.settle(cuts[k], peak, settled)
+	}
+	w := t.frontier
+	kept := t.pending[:0]
+	for _, iv := range t.pending {
+		if iv.End > w {
+			kept = append(kept, iv)
+		}
+	}
+	if cap(kept) > 1024 && cap(kept) > 4*len(kept) {
+		// Do not keep alive the backing array of a large fold, such as the
+		// first one after a restart, nor scratch of its size.
+		kept = append([]Interval(nil), kept...)
+		t.starts, t.ends = nil, nil
+	}
+	t.pending = kept
+	return max(t.settled, peak)
+}
+
+// settle moves the frontier to w, a cut of Fold, when w is ahead of it:
+// before is the peak of the pending count at the starts before w.
+func (t *Tracker) settle(w float64, before int, settled func(float64, int)) {
+	if w > t.frontier {
+		t.settled = max(t.settled, before)
+		t.frontier = w
+	}
+	if settled != nil {
+		settled(t.frontier, t.settled)
+	}
 }

@@ -134,6 +134,9 @@ type epochSched struct {
 	origin   float64
 	epochLen float64
 	epoch    int64
+	// dueAt caches Due for the epoch base dueOf (NaN: not computed).
+	dueAt float64
+	dueOf float64
 
 	// times are the current epoch's arrivals, epoch-relative and
 	// nondecreasing.
@@ -176,13 +179,14 @@ func newEpochSched(st epochStrategy, cfg Config) *epochSched {
 		origin:   cfg.Base,
 		lastSlot: -1,
 		lastTime: math.Inf(-1),
+		dueOf:    math.NaN(),
 	}
 	if cfg.EpochSlots > 0 {
 		s.epochLen = float64(cfg.EpochSlots) * cfg.Object.Delay
 		s.epochSlots = int64(cfg.EpochSlots)
 	}
 	if st.resumable {
-		s.warm = &tablesWarm{p: s.p, batched: st.batched}
+		s.warm = &tablesWarm{p: &s.p, batched: st.batched}
 	}
 	s.now = cfg.NowNanos
 	return s
@@ -235,12 +239,15 @@ func (s *epochSched) base() float64 {
 	return s.origin + float64(s.epoch)*s.epochLen
 }
 
+// crossed reports whether t has passed the open epoch's boundary: the
+// one test rollTo closes epochs on and Due searches.
+func (s *epochSched) crossed(t float64) bool {
+	return s.epochLen > 0 && t-s.base() >= s.epochLen
+}
+
 // rollTo closes every epoch whose boundary t has passed.
 func (s *epochSched) rollTo(t float64) {
-	if s.epochLen <= 0 {
-		return
-	}
-	for t-s.base() >= s.epochLen {
+	for s.crossed(t) {
 		s.closeEpoch(s.epochLen)
 		s.epoch++
 		s.lastSlot = -1
@@ -250,6 +257,19 @@ func (s *epochSched) rollTo(t float64) {
 
 func (s *epochSched) Advance(t float64) {
 	s.rollTo(t)
+}
+
+// Due is the open epoch's boundary, even when the epoch is empty: rolling
+// past it moves the frontier and the encoded epoch cursor.  Only Drain
+// closes an epoch of a scheduler without EpochSlots.
+func (s *epochSched) Due() float64 {
+	if s.epochLen <= 0 {
+		return math.Inf(1)
+	}
+	if b := s.base(); b != s.dueOf {
+		s.dueAt, s.dueOf = earliest(b+s.epochLen, s.crossed), b
+	}
+	return s.dueAt
 }
 
 func (s *epochSched) Admit(t float64) Admission {
@@ -359,15 +379,20 @@ func (s *epochSched) closeEpoch(relHorizon float64) {
 }
 
 // fit empties a per-epoch buffer that the closing epoch filled to n
-// entries, replacing it with one of capacity n when it holds more than
-// twice that, so a flash epoch's capacity does not outlive the first
-// smaller epoch.
+// entries, replacing it with one of capacity max(n, fitFloor) when it
+// holds more than twice that, so a flash epoch's capacity does not
+// outlive the first smaller epoch, while an object whose epochs hold a
+// few arrivals each keeps its buffers instead of reallocating them at
+// every other close.
 func fit[S ~[]E, E any](s S, n int) S {
-	if cap(s) > 2*n {
+	if n = max(n, fitFloor); cap(s) > 2*n {
 		return make(S, 0, n)
 	}
 	return s[:0]
 }
+
+// fitFloor is the capacity below which fit never shrinks a buffer.
+const fitFloor = 64
 
 // runReplan answers one epoch close: from the retained tables for the
 // off-line pair, which reproduce the batch planner bit for bit, from the

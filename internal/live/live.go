@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/multiobject"
@@ -232,6 +233,13 @@ type Incremental interface {
 	// Advance moves the scheduler's clock to absolute time t, opening and
 	// finalizing whatever the strategy schedules up to t.
 	Advance(t float64)
+	// Due returns the earliest absolute time at which Advance acts: the
+	// smallest t under the exact float test Advance applies, so Advance at
+	// any earlier time fires no Sink event and leaves Encode's bytes
+	// unchanged.  After Advance(t) it lies after t.  It is +Inf when only
+	// Drain can act.  The serving shard keys its due heap on it, so an
+	// admission advances only the schedulers the clock has reached.
+	Due() float64
 	// Drain closes the schedule at the horizon (absolute time): remaining
 	// streams are planned, opened, and finalized — the trailing partial
 	// unit truncated exactly like the batch plan's — and the absolute end
@@ -359,6 +367,28 @@ func decodeSection(d *store.Decoder, want uint8, strategy string) error {
 		return fmt.Errorf("%w: snapshot section of family %d, %q schedulers write %d", ErrBadConfig, got, strategy, want)
 	}
 	return d.Err()
+}
+
+// earliest returns the smallest float64 at which acts holds, searching
+// from guess, which lies within a few ulps of it.  acts must be false
+// below some time and true from it on, as Advance's own float tests are,
+// so the search steps down while acts still holds, or else up until it
+// does: the scheduler's Due, exact whatever rounding the guess took.
+func earliest(guess float64, acts func(t float64) bool) float64 {
+	t := guess
+	if acts(t) {
+		for {
+			d := math.Nextafter(t, math.Inf(-1))
+			if !acts(d) {
+				return t
+			}
+			t = d
+		}
+	}
+	for !acts(t) {
+		t = math.Nextafter(t, math.Inf(1))
+	}
+	return t
 }
 
 // Planners returns the sorted registry names of every planner family with

@@ -1,9 +1,11 @@
 package live
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/mergetree"
+	"repro/internal/offline"
 	"repro/internal/online"
 	"repro/internal/store"
 )
@@ -22,17 +24,38 @@ type onlinePlan struct {
 
 // Cache shares onlinePlan state by media length L, so a thousand-object
 // Zipf catalog with a shared delay builds the merge template once per
-// shard, not once per object, and the plan buffer of warm off-line closes
-// (tablesWarm.replan), which a close consumes before the next one starts.
-// It is not safe for concurrent use; each serving shard owns one.
+// shard, not once per object, and two things off-line closes
+// (tablesWarm.replan) use and give back before the next close starts: the
+// plan buffer, and a scratch forest table per media length for epochs
+// that absorbed nothing mid-epoch.  It is not safe for concurrent use;
+// each serving shard owns one.
 type Cache struct {
 	plans   map[int64]*onlinePlan
 	streams []Stream
+	tables  map[float64]*offline.Tables
 }
 
 // NewCache returns an empty plan cache.
 func NewCache() *Cache {
 	return &Cache{plans: map[int64]*onlinePlan{}}
+}
+
+// scratch returns the scratch forest table for media length L, emptied
+// by offline.Tables.Reset, so a fill comes out as on a fresh table.
+func (c *Cache) scratch(ctx context.Context, L float64) (*offline.Tables, error) {
+	if t := c.tables[L]; t != nil {
+		t.Reset()
+		return t, nil
+	}
+	t, err := offline.ComputeTables(ctx, nil, offline.ReceiveTwo, L, 1)
+	if err != nil {
+		return nil, err
+	}
+	if c.tables == nil {
+		c.tables = map[float64]*offline.Tables{}
+	}
+	c.tables[L] = t
+	return t, nil
 }
 
 // planFor returns the cached static plan for media length L (in slots).
@@ -76,6 +99,9 @@ type onlineSched struct {
 	// lastArrival is the largest occupied arrival slot (-1: none); each
 	// newly occupied slot is one batched imaginary client.
 	lastArrival int64
+	// dueAt caches Due for the started count dueOf (-1: not computed).
+	dueAt float64
+	dueOf int64
 
 	clients          int64
 	streams          int64
@@ -96,6 +122,7 @@ func newOnlineSched(cfg Config) *onlineSched {
 		plan:        cfg.Cache.planFor(cfg.Object.Slots()),
 		base:        cfg.Base,
 		lastArrival: -1,
+		dueOf:       -1,
 	}
 }
 
@@ -133,8 +160,14 @@ func (s *onlineSched) decode(d *store.Decoder) error {
 	return d.Err()
 }
 
+// slotAt is the slot holding absolute time t: Admit's arrival slot, and
+// the last slot whose stream Advance(t) starts.
+func (s *onlineSched) slotAt(t float64) int64 {
+	return int64(math.Floor((t - s.base) / s.delay))
+}
+
 func (s *onlineSched) Admit(t float64) Admission {
-	slot := int64(math.Floor((t - s.base) / s.delay))
+	slot := s.slotAt(t)
 	if slot < 0 {
 		slot = 0
 	}
@@ -158,7 +191,21 @@ func (s *onlineSched) Admit(t float64) Admission {
 }
 
 func (s *onlineSched) Advance(t float64) {
-	s.startStreamsTo(int64(math.Floor((t - s.base) / s.delay)))
+	s.startStreamsTo(s.slotAt(t))
+}
+
+// Due is the start of the next stream of the oblivious plan, slot
+// started.
+func (s *onlineSched) Due() float64 {
+	if s.dueOf != s.started {
+		s.dueAt, s.dueOf = earliest(s.base+float64(s.started)*s.delay, s.reaches), s.started
+	}
+	return s.dueAt
+}
+
+// reaches reports whether Advance(t) starts the next stream.
+func (s *onlineSched) reaches(t float64) bool {
+	return s.slotAt(t) >= s.started
 }
 
 // startStreamsTo starts every stream of the oblivious plan up to and

@@ -225,7 +225,7 @@ func TestWarmRefusalsMatchBatch(t *testing.T) {
 					s.Admit(at)
 				}
 				if tc.cancelAt == len(tc.times) {
-					if w := es.warm; w != nil && (w.tab == nil || w.tab.N() != len(w.starts)) {
+					if w := es.warm; w != nil && (w.tab == nil || w.tab.N() != w.n) {
 						t.Fatalf("%s/%s: the tables hold a prefix of the starts before the cancel", tc.name, name)
 					}
 					cancel()
@@ -368,6 +368,50 @@ func TestWarmStreamsMatchTreeWalk(t *testing.T) {
 					math.Float64bits(got[k].Length) != math.Float64bits(want[k].Length) {
 					t.Fatalf("%s: stream %d = %+v, want %+v", tc.name, k, got[k], want[k])
 				}
+			}
+		}
+	}
+}
+
+// TestWarmCountsMatchCheckSize pins the running size counts observe keeps
+// against the rescan they replace: after every arrival, the start count
+// and band-cell count equal len and offline.BandCells of the starts so
+// far (ties collapsed as observe collapses them), and the tables plus the
+// tail hold exactly those starts, each once.  The traces mix ties,
+// same-slot clusters, dense stretches whose window band is wide and
+// sparse ones where it holds one cell.
+func TestWarmCountsMatchCheckSize(t *testing.T) {
+	const L, delay = 1.0, 0.02
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 40; trial++ {
+		trace := warmTrace(rng, 200+rng.Intn(2000), []float64{2, 20, 200}[trial%3])
+		for _, batched := range []bool{false, true} {
+			w := &tablesWarm{p: &PlanParams{MediaLength: L, Delay: delay, Ctx: context.Background()}, batched: batched}
+			var starts []float64
+			for i, at := range trace {
+				w.observe(at)
+				if batched {
+					at = float64(int64(math.Floor(at/delay))+1) * delay
+				}
+				starts = offline.AppendDistinct(starts, at)
+				if w.n != len(starts) || w.cells != offline.BandCells(starts, L) {
+					t.Fatalf("trial %d batched=%v arrival %d: counts %d/%d, want %d/%d",
+						trial, batched, i, w.n, w.cells, len(starts), offline.BandCells(starts, L))
+				}
+			}
+			held := append([]float64(nil), w.tail...)
+			if w.tab != nil {
+				held = held[:0]
+				for i := 0; i < w.tab.N(); i++ {
+					held = append(held, w.tab.Time(i))
+				}
+				held = append(held, w.tail...)
+			}
+			if !reflect.DeepEqual(held, starts) {
+				t.Fatalf("trial %d batched=%v: tables and tail hold %d starts, want the %d observed", trial, batched, len(held), len(starts))
+			}
+			if w.tab == nil || len(w.tail) > warmAbsorbMin+w.n/8 {
+				t.Fatalf("trial %d batched=%v: %d of %d starts pending, want at most %d", trial, batched, len(w.tail), w.n, warmAbsorbMin+w.n/8)
 			}
 		}
 	}

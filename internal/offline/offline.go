@@ -255,23 +255,30 @@ const DefaultMaxTableBytes = int64(1) << 30 * 3 / 2
 
 // CheckSize refuses, with an error wrapping ErrInstanceTooLarge, a DP
 // over times (ties counted) with more than maxArrivals arrivals or a
-// window band (BandBytes) over maxTableBytes.  It runs in O(n) and
-// allocates nothing.  Non-positive caps select DefaultMaxArrivals and
-// DefaultMaxTableBytes.
+// window band (BandCells, at the guards' 12-byte cell) over
+// maxTableBytes.  It runs in O(n) and allocates nothing.  Non-positive
+// caps select DefaultMaxArrivals and DefaultMaxTableBytes.
 func CheckSize(times []float64, L float64, maxArrivals int, maxTableBytes int64) error {
+	return CheckCounts(len(times), BandCells(times, L), maxArrivals, maxTableBytes)
+}
+
+// CheckCounts is CheckSize on counts kept as the arrivals came: it
+// refuses n arrivals whose window band (BandCells) holds cells cells
+// exactly as CheckSize refuses the arrivals themselves, error included.
+func CheckCounts(n int, cells int64, maxArrivals int, maxTableBytes int64) error {
 	if maxArrivals <= 0 {
 		maxArrivals = DefaultMaxArrivals
 	}
 	if maxTableBytes <= 0 {
 		maxTableBytes = DefaultMaxTableBytes
 	}
-	if len(times) > maxArrivals {
+	if n > maxArrivals {
 		return fmt.Errorf("%w: offline: %d arrivals exceed the %d-arrival DP cap",
-			moderr.ErrInstanceTooLarge, len(times), maxArrivals)
+			moderr.ErrInstanceTooLarge, n, maxArrivals)
 	}
-	if bytes := BandBytes(times, L); bytes > maxTableBytes {
+	if bytes := cells * cellBytes; bytes > maxTableBytes {
 		return fmt.Errorf("%w: offline: DP would need %d MB of tables for %d arrivals (budget %d MB)",
-			moderr.ErrInstanceTooLarge, bytes>>20, len(times), maxTableBytes>>20)
+			moderr.ErrInstanceTooLarge, bytes>>20, n, maxTableBytes>>20)
 	}
 	return nil
 }

@@ -331,10 +331,10 @@ func TestSolveGuarded(t *testing.T) {
 	if err := CheckSize(tied, 1, 5, 0); !errors.Is(err, moderr.ErrInstanceTooLarge) {
 		t.Errorf("arrival cap counting ties: err = %v, want ErrInstanceTooLarge", err)
 	}
-	if err := CheckSize(tied, 1, 0, BandBytes(tied, 1)-1); !errors.Is(err, moderr.ErrInstanceTooLarge) {
+	if err := CheckSize(tied, 1, 0, BandCells(tied, 1)*cellBytes-1); !errors.Is(err, moderr.ErrInstanceTooLarge) {
 		t.Errorf("table cap counting ties: err = %v, want ErrInstanceTooLarge", err)
 	}
-	if err := CheckSize(tied, 1, 6, BandBytes(tied, 1)); err != nil {
+	if err := CheckSize(tied, 1, 6, BandCells(tied, 1)*cellBytes); err != nil {
 		t.Errorf("caps met exactly: err = %v", err)
 	}
 	atCap := make([]float64, DefaultMaxArrivals+1)

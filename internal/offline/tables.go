@@ -109,6 +109,9 @@ type column struct {
 // N returns the number of arrivals the tables cover.
 func (t *Tables) N() int { return len(t.cols) }
 
+// Time returns arrival i of the N() the tables cover.
+func (t *Tables) Time(i int) float64 { return t.times[i] }
+
 // MC returns the optimal merge cost of a single tree over the arrivals
 // i..j (rooted at i).  The tables keep a cost only while the column fill
 // can still read it: inside the live band, i at or above the first stored
@@ -178,14 +181,6 @@ func BandCells(times []float64, window float64) int64 {
 		cells += int64(j-p) + 1
 	}
 	return cells
-}
-
-// BandBytes returns BandCells in bytes, in O(n) time, under the 12-byte
-// cell model the guards use (a cost and a split per cell): an upper bound
-// on the tables, which store about a third of that.  Callers use it to
-// bound memory before committing to the computation.
-func BandBytes(times []float64, window float64) int64 {
-	return BandCells(times, window) * cellBytes
 }
 
 // ComputeTables runs the split-monotonicity (Knuth-accelerated) interval DP
@@ -265,12 +260,15 @@ func (t *Tables) Extend(ctx context.Context, newTimes []float64, _ int) error {
 //   - the band is reallocated at the size the fill's largest live band
 //     grows it to (bandSize) when it is smaller than that or more than
 //     twice as large, so the same fill again never grows it, and the ring
-//     at the fill's widest column when it is longer;
+//     at the fill's widest column when it is longer than that and than
+//     minChunk;
 //   - per-arrival arrays whose capacity exceeds twice the arrivals the
-//     fill reached are reallocated at that count.
+//     fill reached, or twice minChunk if that is more, are reallocated at
+//     that count.
 //
-// So an epoch of the size of the last one allocates next to nothing, and
-// a flash epoch's storage is released by the first smaller epoch's Reset.
+// So an epoch of the size of the last one allocates next to nothing, a
+// flash epoch's storage is released by the first smaller epoch's Reset,
+// and a table whose epochs hold a few arrivals each stops reallocating.
 func (t *Tables) Reset() {
 	n := len(t.cols)
 	t.times = fit(t.times, n)
@@ -286,16 +284,17 @@ func (t *Tables) Reset() {
 	if len(t.band) < want || len(t.band) > 2*want {
 		t.band = make([]float64, want)
 	}
-	if len(t.ring) > ringLen(t.widest) {
+	if len(t.ring) > max(ringLen(t.widest), minChunk) {
 		t.ring = make([]int, ringLen(t.widest))
 	}
 	t.bandEnd, t.widest, t.cells = 0, 0, 0
 }
 
 // fit empties s for a fill that last reached n entries, replacing it with
-// an array of capacity n when it holds more than twice that.
+// an array of capacity max(n, minChunk) when it holds more than twice
+// that.
 func fit[S ~[]E, E any](s S, n int) S {
-	if cap(s) > 2*n {
+	if n = max(n, minChunk); cap(s) > 2*n {
 		return make(S, 0, n)
 	}
 	return s[:0]

@@ -42,7 +42,7 @@ func (sh *shard) admit(st *objectState, t float64) Decision {
 // exactly like a batch horizon there — and opens a new scheduler with the
 // scaled delay, based at the closed epoch's end.  The request that
 // triggered the degradation is then admitted into the new epoch by the
-// caller.
+// caller, which re-keys the object's due time after that Admit.
 func (sh *shard) degrade(st *objectState, scale float64) {
 	delay := st.obj.Delay * scale
 	if delay > st.obj.Length {

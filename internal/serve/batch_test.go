@@ -8,10 +8,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/multiobject"
+	"repro/internal/store"
 )
 
 func batchCatalog() multiobject.Catalog {
@@ -166,6 +169,60 @@ func TestSubmitBatchClosed(t *testing.T) {
 	for i, r := range res {
 		if !errors.Is(r.Err, ErrClosed) {
 			t.Fatalf("entry %d after Close: err = %v, want ErrClosed", i, r.Err)
+		}
+	}
+}
+
+// TestSubmitBatchRacesClose closes servers, with and without a store,
+// while four goroutines keep submitting batches: every entry must come
+// back as a ticket or ErrClosed.  Each submitter then overwrites its
+// results, so under -race a shard still writing a ticket into a result
+// slice after SubmitBatch returned is a reported data race.
+func TestSubmitBatchRacesClose(t *testing.T) {
+	cat := batchCatalog()
+	for _, durable := range []bool{false, true} {
+		for trial := 0; trial < 12; trial++ {
+			cfg := Config{Catalog: cat, Shards: 2, DefaultStrategy: "batching"}
+			if durable {
+				cfg.Store = store.NewMem()
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			var tickets, closed atomic.Int64
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						res := s.SubmitBatch(batchRequests(cat, 64))
+						done := false
+						for i := range res {
+							switch r := &res[i]; {
+							case r.Err == nil && r.Ticket.ID > 0:
+								tickets.Add(1)
+							case errors.Is(r.Err, ErrClosed):
+								closed.Add(1)
+								done = true
+							default:
+								t.Errorf("durable=%v trial %d entry %d: %+v", durable, trial, i, *r)
+							}
+							res[i] = SubmitResult{}
+						}
+						if done {
+							return
+						}
+					}
+				}()
+			}
+			time.Sleep(time.Duration(trial%4) * time.Millisecond)
+			s.Close()
+			wg.Wait()
+			if closed.Load() == 0 {
+				t.Fatalf("durable=%v trial %d: no entry answered ErrClosed (%d tickets)", durable, trial, tickets.Load())
+			}
 		}
 	}
 }

@@ -611,6 +611,7 @@ func (sh *shard) decodeSnapshot(blob []byte) error {
 			sh.objects[i].sched = sched
 		}
 	}
+	sh.rekeyAll()
 	sh.now = now
 	sh.ticketSeq = seq
 	sh.admittedL = admitted

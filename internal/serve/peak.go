@@ -82,7 +82,8 @@ func (f *peakFold) request(bound float64) ([]int, settlePoint) {
 // point, which is still safe.  It logs each new settle point and returns
 // the historical peak.  A concurrent read may have folded a newer
 // snapshot of a shard first; its intervals are skipped, and its
-// frontier, older than the tracker's, settles nothing.
+// frontier, older than the tracker's, settles nothing.  Both settles and
+// the peak come from one sort of the pending intervals (Tracker.Fold).
 func (f *peakFold) fold(snaps []shardSnapshot, floor float64) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -95,11 +96,10 @@ func (f *peakFold) fold(snaps []shardSnapshot, floor float64) int {
 		}
 		f.cursor[i] = max(f.cursor[i], snap.from+len(snap.intervals))
 	}
-	for _, x := range [2]float64{min(floor, w), w} {
-		f.tracker.Settle(x)
-		if at, peak := f.tracker.Settled(); at > f.log[len(f.log)-1].at {
+	cuts := [2]float64{min(floor, w), w}
+	return f.tracker.Fold(cuts[:], func(at float64, peak int) {
+		if at > f.log[len(f.log)-1].at {
 			f.log = append(f.log, settlePoint{at: at, peak: peak})
 		}
-	}
-	return f.tracker.Peak()
+	})
 }

@@ -45,6 +45,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -441,13 +442,19 @@ type Server struct {
 	// It lives on the Server (not the shard) because both sides touch it.
 	queues []shardQueue
 
-	// submitPool recycles Submit's one-entry messages — each owning its
-	// slices and done channel — keeping the steady-state submit path free
-	// of per-request heap traffic.  A message is pooled only by the
+	// submitPool recycles Submit's one-entry messages, and batchFree
+	// SubmitBatch's per-shard sets of them — each message owning its
+	// slices and done channel — keeping the steady-state submit paths
+	// free of per-request heap traffic.  A message is pooled only by the
 	// submitter after its ack was received (or its send failed), so a
-	// pooled message's channel is always empty; a Submit abandoned by
-	// shutdown leaves message and channel to the collector.
+	// pooled message's channel is always empty; a submission abandoned
+	// by shutdown leaves its messages and channels to the collector.
+	// batchFree is a bounded free list, not a sync.Pool: a collection
+	// would drop the entry buffers a batch has grown, and a batch's
+	// result slice makes collections frequent.  It holds one set per
+	// processor, as many batches as can route at once.
 	submitPool sync.Pool
+	batchFree  chan *submitBatch
 
 	// stratNames/stratIdx index the catalog's distinct strategies, fixed
 	// after New; shards size their per-strategy stage histograms by it.
@@ -682,7 +689,8 @@ func newServerShell(cfg Config) *Server {
 	if s.nowNanos == nil {
 		s.nowNanos = s.replanClock
 	}
-	s.submitPool.New = func() any { return s.newSubmitMsg(1) }
+	s.submitPool.New = func() any { return s.newSubmitMsg() }
+	s.batchFree = make(chan *submitBatch, runtime.GOMAXPROCS(0))
 	return s
 }
 
@@ -752,14 +760,14 @@ func (s *Server) Submit(req Request) (Ticket, error) {
 		return Ticket{}, err
 	}
 	if err := s.wait(m); err != nil {
-		// The loop or writer may still signal m.done; the message is
-		// abandoned to the collector.
+		// The loop or writer may still write m's result and signal
+		// m.done; the message is abandoned to the collector.
 		return Ticket{}, err
 	}
 	// The ack arrived, so the shard and writer are done with the message;
 	// it recycles with an empty done channel and no ticket to keep alive.
-	tk := m.out[0]
-	m.out[0] = Ticket{}
+	tk := m.one[0].Ticket
+	m.one[0] = SubmitResult{}
 	s.submitPool.Put(m)
 	return tk, nil
 }
@@ -779,56 +787,82 @@ type SubmitResult struct {
 // return; under Config.MaxChannels an entry's decision reads the
 // server-wide gauge while other shards run, so with more than one shard
 // it depends on their timing.  The result has one entry per request, in
-// request order.
+// request order; the shards write the tickets into it in place.  An
+// entry a shard had not acknowledged when the server closed answers
+// ErrClosed, and no shard writes to the result once SubmitBatch returns.
 func (s *Server) SubmitBatch(reqs []Request) []SubmitResult {
 	out := make([]SubmitResult, len(reqs))
-	// Route every entry first, exactly like Submit, and count each shard's
-	// share, so each shard's message is sized exactly.  ids[i] is entry
-	// i's shard, -1 when it failed to route.
-	ents := make([]routed, len(reqs))
-	ids := make([]int, len(reqs))
-	n := make([]int, len(s.shards))
+	var b *submitBatch
+	select {
+	case b = <-s.batchFree:
+	default:
+		b = &submitBatch{msgs: make([]*submitMsg, len(s.shards))}
+	}
+	// Route every entry, exactly like Submit, into its shard's message.
 	for i, req := range reqs {
 		r, err := s.resolve(&req)
 		if err != nil {
-			out[i].Err, ids[i] = err, -1
+			out[i].Err = err
 			continue
 		}
-		ents[i], ids[i] = routed{req: req, st: r.st}, r.sh.id
-		n[r.sh.id]++
-	}
-	msgs := make([]*submitMsg, len(s.shards))
-	for i, id := range ids {
-		if id < 0 {
-			continue
+		m := b.msgs[r.sh.id]
+		if m == nil {
+			m = s.newSubmitMsg()
+			b.msgs[r.sh.id] = m
 		}
-		if msgs[id] == nil {
-			msgs[id] = s.newSubmitMsg(n[id])
-		}
-		msgs[id].reqs = append(msgs[id].reqs, ents[i])
+		m.reqs = append(m.reqs, routed{req: req, st: r.st, at: i})
 	}
 	// One send per shard with work; wait only after every send, so the
 	// shard loops run their shares concurrently.
-	errs := make([]error, len(s.shards))
-	for id, m := range msgs {
-		if m != nil {
-			errs[id] = s.send(s.shards[id], m)
+	for id, m := range b.msgs {
+		if m == nil || len(m.reqs) == 0 {
+			continue
 		}
-	}
-	for id, m := range msgs {
-		if m != nil && errs[id] == nil {
-			errs[id] = s.wait(m)
-		}
-	}
-	// Each shard answered its share in request order.
-	for i, id := range ids {
-		if id >= 0 {
-			if out[i].Err = errs[id]; out[i].Err == nil {
-				out[i].Ticket, msgs[id].out = msgs[id].out[0], msgs[id].out[1:]
+		m.res = out
+		if err := s.send(s.shards[id], m); err != nil {
+			for _, e := range m.reqs {
+				out[e.at].Err = err
 			}
+			m.reqs = m.reqs[:0]
 		}
+	}
+	closed := false
+	for _, m := range b.msgs {
+		if m == nil || len(m.reqs) == 0 || s.wait(m) == nil {
+			continue
+		}
+		if !closed {
+			// The server is closing: once the shard loops have exited,
+			// none is left to write a ticket into out.
+			s.wg.Wait()
+			closed = true
+		}
+		for _, e := range m.reqs {
+			out[e.at] = SubmitResult{Err: ErrClosed}
+		}
+	}
+	if closed {
+		// A WAL writer may still signal an abandoned message's done
+		// channel, so the set never returns to the free list.
+		return out
+	}
+	for _, m := range b.msgs {
+		if m != nil {
+			m.reqs, m.res = m.reqs[:0], nil
+		}
+	}
+	select {
+	case s.batchFree <- b:
+	default:
 	}
 	return out
+}
+
+// submitBatch is SubmitBatch's recycled routing state: one submission
+// message per shard (nil until a batch routes an entry there), each
+// keeping its entry and record buffers from call to call.
+type submitBatch struct {
+	msgs []*submitMsg
 }
 
 // resolve stamps a request whose T is negative, NaN or infinite with the
@@ -845,24 +879,26 @@ func (s *Server) resolve(req *Request) (route, error) {
 	return r, nil
 }
 
-// newSubmitMsg builds a submission message for n entries: reqs empty with
-// room for n, out and, on a durable server, recs of length n.
-func (s *Server) newSubmitMsg(n int) *submitMsg {
-	m := &submitMsg{reqs: make([]routed, 0, n), out: make([]Ticket, n), done: make(chan struct{}, 1)}
-	if s.cfg.Store != nil {
-		m.recs = make([][walRecSize]byte, n)
-	}
+// newSubmitMsg builds an empty submission message whose results are its
+// own one-entry array, Submit's; SubmitBatch points them at its output.
+func (s *Server) newSubmitMsg() *submitMsg {
+	m := &submitMsg{done: make(chan struct{}, 1)}
+	m.res = m.one[:]
 	return m
 }
 
 // send hands m to sh's loop after reserving a queue slot per entry:
-// backpressure counts requests, not channel messages.  The shard channel
-// is buffered, so under normal load the non-blocking send lands without
-// the multi-case select.
+// backpressure counts requests, not channel messages.  On a durable
+// server it first sizes m's WAL records to its entries.  The shard
+// channel is buffered, so under normal load the non-blocking send lands
+// without the multi-case select.
 func (s *Server) send(sh *shard, m *submitMsg) error {
 	k := int64(len(m.reqs))
 	if err := s.reserve(sh.id, k); err != nil {
 		return err
+	}
+	if s.cfg.Store != nil {
+		m.recs = slices.Grow(m.recs[:0], len(m.reqs))[:len(m.reqs)]
 	}
 	m.enqueueNS = 0
 	if s.cfg.MeterStages {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/bandwidth"
 	"repro/internal/live"
@@ -11,26 +12,29 @@ import (
 	"repro/internal/stats"
 )
 
-// routed is one submission entry: a request and its object's state as
-// the router resolved it (see route).
+// routed is one submission entry: a request, its object's state as the
+// router resolved it (see route), and the index of its result.
 type routed struct {
 	req Request
 	st  *objectState
+	at  int
 }
 
 // submitMsg asks the shard to admit its entries in order: one channel
 // send for a Submit's single request or a SubmitBatch's whole share of
-// the shard.  The submitter owns the message; the shard writes out[i]
-// (and, on a durable server, the WAL record recs[i]) for reqs[i] and
-// signals done exactly once, after the WAL writer's flush when durable.
-// enqueueNS is the submit-side clock reading (0 = unmetered); every
-// entry shares the message's queue wait.
+// the shard.  The submitter owns the message; for reqs[i] the shard
+// writes the ticket straight into res[reqs[i].at] (SubmitBatch's result
+// slice, or one, Submit's) and, on a durable server, the WAL record
+// recs[i], and signals done exactly once, after the WAL writer's flush
+// when durable.  enqueueNS is the submit-side clock reading (0 =
+// unmetered); every entry shares the message's queue wait.
 type submitMsg struct {
 	reqs      []routed
-	out       []Ticket
+	res       []SubmitResult
 	recs      [][walRecSize]byte
 	done      chan struct{}
 	enqueueNS int64
+	one       [1]SubmitResult
 }
 
 // pauseMsg parks the shard loop: it closes ack once parked and blocks
@@ -98,8 +102,10 @@ type objectState struct {
 	index    int // catalog position, for stable reporting order
 	strategy string
 	// si is the strategy's index in Server.stratNames, addressing the
-	// shard's stage histograms without a map lookup on the hot path.
-	si int
+	// shard's stage histograms without a map lookup on the hot path; pos
+	// is the object's shard position (sh.objects[pos]) and its name in
+	// the due heap.
+	si, pos int32
 
 	// Current delay epoch.  A degradation drains the scheduler and starts
 	// a fresh one with a larger delay; Slot/Program labels are
@@ -150,6 +156,13 @@ type shard struct {
 	objects []*objectState
 	byName  map[string]*objectState
 	cache   *live.Cache
+	// due keys every object on its scheduler's Due, the earliest time its
+	// Advance can act.  dueIdx and dueObj are advanceDue's scratch: the
+	// due objects' heap indexes and shard positions.  All are sized while
+	// objects are added, so an admission allocates nothing.
+	due    dueHeap
+	dueIdx []int32
+	dueObj []int32
 
 	// kept holds the finalized stream intervals the server may still
 	// need, in finalization order: first the folded ones that end after
@@ -341,8 +354,8 @@ func (sh *shard) liveConfig(obj multiobject.Object, delay float64) live.Config {
 // The strategy name was resolved and validated by Server.New.
 func (sh *shard) addObject(o multiobject.Object, index int, strategy string) error {
 	st := &objectState{obj: o, index: index, strategy: strategy, scale: 1,
-		si: sh.srv.strategyIndex(strategy)}
-	for len(sh.stages) <= st.si {
+		si: int32(sh.srv.strategyIndex(strategy))}
+	for len(sh.stages) <= int(st.si) {
 		sh.stages = append(sh.stages, stageHist{})
 	}
 	sched, err := sh.newScheduler(o, strategy, o.Delay, 0)
@@ -352,7 +365,16 @@ func (sh *shard) addObject(o multiobject.Object, index int, strategy string) err
 	st.sched = sched
 	st.delay = o.Delay
 	st.L = o.Slots()
+	st.pos = int32(len(sh.objects))
 	sh.objects = append(sh.objects, st)
+	if n := len(sh.objects); cap(sh.dueIdx) < n {
+		// Room for 64 objects, then twice as many: a few allocations
+		// per shard however large its catalog.
+		n = max(64, 2*n)
+		sh.dueIdx, sh.dueObj = make([]int32, 0, n), make([]int32, 0, n)
+		sh.due.grow(n)
+	}
+	sh.due.add(st.pos, sched.Due())
 	sh.byName[o.Name] = st
 	if sh.minDelay == 0 || o.Delay < sh.minDelay {
 		sh.minDelay = o.Delay
@@ -453,9 +475,10 @@ func (sh *shard) submit(m *submitMsg) {
 	for i := range m.reqs {
 		e := &m.reqs[i]
 		seq := sh.ticketSeq
-		m.out[i] = sh.handleSubmit(e.st, e.req, queueNS)
+		tk := &m.res[e.at].Ticket
+		sh.handleSubmit(tk, e.st, e.req, queueNS)
 		if m.recs != nil {
-			m.recs[i] = encodeWALRecord(seq, e.st.index, e.req.T, m.out[i].Decision)
+			m.recs[i] = encodeWALRecord(seq, e.st.index, e.req.T, tk.Decision)
 		}
 	}
 	sh.srv.queues[sh.id].dequeued.Add(int64(len(m.reqs)))
@@ -468,20 +491,21 @@ func (sh *shard) submit(m *submitMsg) {
 }
 
 // handleSubmit runs one request's state transition (apply) and
-// materializes its ticket (the one step that allocates: the receiving
-// program is copied out of the scheduler's buffer so the caller can hold
-// it).  A non-negative queueNS is the request's measured queue wait: it
-// is observed into the shard's stage histograms together with the
-// plan/replan split admitCore leaves behind, and stamped on the ticket
-// (slot-jump rejections never reach admitCore and record no stage
+// materializes its ticket into tk (the one step that allocates: the
+// receiving program is copied out of the scheduler's buffer so the caller
+// can hold it).  A non-negative queueNS is the request's measured queue
+// wait: it is observed into the shard's stage histograms together with
+// the plan/replan split admitCore leaves behind, and stamped on the
+// ticket (slot-jump rejections never reach admitCore and record no stage
 // samples).
-func (sh *shard) handleSubmit(st *objectState, req Request, queueNS int64) Ticket {
+func (sh *shard) handleSubmit(tk *Ticket, st *objectState, req Request, queueNS int64) {
 	id := sh.ticketSeq*int64(sh.total) + int64(sh.id) + 1
 	t, adm, decision, ran := sh.apply(st, req.T, sh.srv.cfg.MeterStages, "")
 	if !ran {
-		return Ticket{ID: id, Object: st.obj.Name, Decision: Rejected, T: req.T, Epoch: st.epoch, Strategy: st.strategy, Delay: st.delay}
+		*tk = Ticket{ID: id, Object: st.obj.Name, Decision: Rejected, T: req.T, Epoch: st.epoch, Strategy: st.strategy, Delay: st.delay}
+		return
 	}
-	tk := Ticket{
+	*tk = Ticket{
 		ID:       id,
 		Object:   st.obj.Name,
 		Decision: decision,
@@ -502,7 +526,7 @@ func (sh *shard) handleSubmit(st *objectState, req Request, queueNS int64) Ticke
 		tk.ReplanNS = sh.lastReplanNS
 	}
 	if decision == Rejected {
-		return tk
+		return
 	}
 	tk.Slot = adm.Slot
 	tk.Delay = adm.Delay
@@ -510,7 +534,6 @@ func (sh *shard) handleSubmit(st *objectState, req Request, queueNS int64) Ticke
 	if len(adm.Program) > 0 {
 		tk.Program = append([]int64(nil), adm.Program...)
 	}
-	return tk
 }
 
 // apply is the state transition of one request, all that WAL replay
@@ -545,7 +568,7 @@ func (sh *shard) apply(st *objectState, t float64, meter bool, logged Decision) 
 	return t, adm, decision, true
 }
 
-// admitCore is the shard admit hot path: advance every scheduler to t,
+// admitCore is the shard admit hot path: advance the schedulers due by t,
 // retire elapsed gauge events, run the admission controller, and admit
 // the arrival into its scheduler.  It performs no per-request allocation
 // in steady state (BenchmarkShardAdmit and a CI guard pin this); the
@@ -573,7 +596,7 @@ func (sh *shard) admitCore(st *objectState, t float64, meter bool, logged Decisi
 		r0 = st.replanNanos()
 	}
 	sh.now = t
-	sh.advanceAll(t)
+	sh.advanceDue(t)
 	sh.popEnds(t)
 
 	var adm live.Admission
@@ -590,6 +613,9 @@ func (sh *shard) admitCore(st *objectState, t float64, meter bool, logged Decisi
 		sh.srv.rejected.Add(1)
 	} else {
 		adm = st.sched.Admit(t)
+		// Admit, and a degradation's drain and fresh scheduler before it,
+		// move the object's due time.
+		sh.due.set(st.pos, st.sched.Due())
 		st.arrivals++
 		if decision == Degraded {
 			sh.degradedL++
@@ -614,15 +640,37 @@ func (sh *shard) admitCore(st *objectState, t float64, meter bool, logged Decisi
 	return adm, decision
 }
 
-// advanceAll advances every object of the shard to time t.  The scan is
-// linear in the shard's object count, but the per-object no-op costs one
-// division and compare; if catalogs grow by another order of magnitude,
-// replace the scan with a min-heap keyed on each object's next slot start.
+// advanceDue advances to t every object whose scheduler is due by then,
+// and re-keys it.  Every other scheduler's Advance(t) would do nothing,
+// so this is advancing every object, in the work of the due ones: they
+// run in shard order, as a scan would take them, so Sink events, and with
+// them the gauge heap, the kept set and the busy-time sum, come out the
+// same.
 //
 //modlint:noalloc
-func (sh *shard) advanceAll(t float64) {
+func (sh *shard) advanceDue(t float64) {
+	sh.dueIdx = sh.due.dueAt(t, sh.dueIdx[:0])
+	if len(sh.dueIdx) == 0 {
+		return
+	}
+	sh.dueObj = sh.dueObj[:0]
+	for _, i := range sh.dueIdx {
+		sh.dueObj = append(sh.dueObj, sh.due.object(i))
+	}
+	slices.Sort(sh.dueObj)
+	for _, k := range sh.dueObj {
+		sched := sh.objects[k].sched
+		sched.Advance(t)
+		sh.due.rekey(k, sched.Due())
+	}
+	sh.due.settle(sh.dueIdx)
+}
+
+// rekeyAll re-keys every object, after a drain or a restore replaced or
+// moved all the schedulers.
+func (sh *shard) rekeyAll() {
 	for _, st := range sh.objects {
-		st.sched.Advance(t)
+		sh.due.set(st.pos, st.sched.Due())
 	}
 }
 
@@ -637,6 +685,7 @@ func (sh *shard) drain(horizon float64) {
 	for _, st := range sh.objects {
 		st.sched.Drain(horizon)
 	}
+	sh.rekeyAll()
 	sh.popEnds(sh.now)
 }
 
