@@ -238,8 +238,11 @@ func BenchmarkShardAdmitBatch(b *testing.B) {
 	m := batchMsg(sh, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
+	t := 0.0
 	for i := 0; i < b.N; i++ {
+		t = restamp(m, t)
 		sh.submit(m)
+		trimKept(sh)
 		<-m.done
 	}
 }

@@ -66,6 +66,17 @@ func BenchmarkShardAdmit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t += 0.003
 		sh.admitCore(st, t, sh.srv.cfg.MeterStages, "")
+		trimKept(sh)
+	}
+}
+
+// trimKept empties a loop-less shard's kept set at the settler's trigger.
+// A server's settler folds and trims the set; this shard has none, and a
+// kept set grown with the run would time its own growth and the
+// collector, not the admit path.
+func trimKept(sh *shard) {
+	if len(sh.kept) >= settleFloor {
+		sh.kept = sh.kept[:0]
 	}
 }
 
@@ -117,14 +128,22 @@ func BenchmarkShardAdmitCatalog(b *testing.B) {
 	}
 }
 
-// durableShard wires a loop-less benchmark shard to a Mem store and a
+// discardStore is a store whose WAL keeps nothing: appends and flushes
+// succeed and drop the records, so a durable benchmark times the admit
+// path and the commit round trip, not a log that grows with b.N.
+type discardStore struct{ *store.Mem }
+
+func (discardStore) AppendWALBatch(int, [][]byte) error { return nil }
+func (discardStore) Flush(int, store.SyncMode) error    { return nil }
+
+// durableShard wires a loop-less benchmark shard to a discardStore and a
 // live group-commit WAL writer; the returned stop func drains the writer.
 func durableShard(b *testing.B, sh *shard) (stop func()) {
 	b.Helper()
 	srv := sh.srv
-	srv.cfg.Store = store.NewMem()
+	srv.cfg.Store = discardStore{store.NewMem()}
 	srv.walRepair = make([]atomic.Bool, 1) // invariant: non-nil whenever walCh is
-	sh.walCh = make(chan walMsg, srv.cfg.QueueDepth)
+	sh.walCh = make(chan walMsg, queueDepth)
 	srv.walWG.Add(1)
 	go srv.walWriter(sh)
 	return func() {
@@ -133,10 +152,10 @@ func durableShard(b *testing.B, sh *shard) (stop func()) {
 	}
 }
 
-// batchMsg builds a submission message of n requests at T 0.5 cycling
-// over benchShard's catalog, with its own results (and, on a durable
-// shard, records) sized as SubmitBatch and send size them, stamped so
-// the loop meters its queue wait.
+// batchMsg builds a submission message of n requests cycling over
+// benchShard's catalog, with its own results (and, on a durable shard,
+// records) sized as SubmitBatch and send size them, stamped so the loop
+// meters its queue wait.  restamp sets the requests' times.
 func batchMsg(sh *shard, n int) *submitMsg {
 	m := sh.srv.newSubmitMsg()
 	m.res = make([]SubmitResult, n)
@@ -146,10 +165,22 @@ func batchMsg(sh *shard, n int) *submitMsg {
 	names := []string{"hot", "warm", "mild", "cold"}
 	for i := 0; i < n; i++ {
 		name := names[i%len(names)]
-		m.reqs = append(m.reqs, routed{req: Request{Object: name, T: 0.5}, st: sh.byName[name], at: i})
+		m.reqs = append(m.reqs, routed{req: Request{Object: name}, st: sh.byName[name], at: i})
 	}
 	m.enqueueNS = 1
 	return m
+}
+
+// restamp times m's requests 0.0001 apart after t and returns the last
+// time, so successive submissions move the clock on and every object's
+// epoch closes, once per 200 to 1,000 256-entry batches, as in a served
+// run.
+func restamp(m *submitMsg, t float64) float64 {
+	for i := range m.reqs {
+		t += 0.0001
+		m.reqs[i].req.T = t
+	}
+	return t
 }
 
 // BenchmarkShardAdmitDurable extends the allocation guard to the durable
@@ -173,6 +204,7 @@ func BenchmarkShardAdmitDurable(b *testing.B) {
 		t += 0.003
 		m.reqs[0] = routed{req: Request{Object: "hot", T: t}, st: st}
 		sh.submit(m)
+		trimKept(sh)
 		<-m.done
 	}
 }
@@ -188,8 +220,11 @@ func BenchmarkShardAdmitDurableBatch(b *testing.B) {
 	m := batchMsg(sh, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
+	t := 0.0
 	for i := 0; i < b.N; i++ {
+		t = restamp(m, t)
 		sh.submit(m)
+		trimKept(sh)
 		<-m.done
 	}
 }

@@ -430,7 +430,7 @@ func (sh *shard) releaseSnapState(ss *shardSnapshotState) {
 }
 
 // captureSnapshot copies the shard's full scheduler state — identity
-// fingerprint, clock, ticket sequence, loop-owned counter mirrors, gauge
+// fingerprint, clock, ticket sequence, outcome counts, gauge
 // end-event heap, durable settle point, busy-time sum and kept set, and
 // stage histograms — and its frontier into a reusable capture buffer, and
 // encodes each object's section there: its delay epoch, accounting carry
@@ -617,9 +617,6 @@ func (sh *shard) decodeSnapshot(blob []byte) error {
 	sh.admittedL = admitted
 	sh.degradedL = degraded
 	sh.rejectedL = rejected
-	sh.srv.admitted.Add(admitted)
-	sh.srv.degraded.Add(degraded)
-	sh.srv.rejected.Add(rejected)
 	sh.ends = ends
 	// Each pending end event retires one live channel: the restored gauge
 	// contribution is minus the heap's summed deltas.
@@ -727,42 +724,22 @@ func (sh *shard) refuseUsedStore() error {
 // WAL tail a crash restart replays.  A graceful stop needs none: Close
 // checkpoints every shard itself.
 //
-// The request fans out to all shards concurrently before collecting any
-// reply, so the wall time is one shard's capture+encode+save, not the
-// sum across shards.  The first failure is reported (by lowest shard
-// index); later shards still finish their snapshots — each reply channel
-// is buffered, so no writer blocks on an abandoned reply.
+// It asks all shards at once (askAll), so the wall time is one shard's
+// capture+encode+save, not the sum across shards.  The first failure is
+// reported (by lowest shard index); later shards still finish their
+// snapshots, and a close answers ErrClosed.
 func (s *Server) Snapshot() error {
 	if s.cfg.Store == nil {
 		return fmt.Errorf("%w: server has no durability store", ErrBadConfig)
 	}
-	replies := make([]chan error, len(s.shards))
-	for i, sh := range s.shards {
-		replies[i] = make(chan error, 1)
-		select {
-		case sh.msgs <- snapshotMsg{reply: replies[i]}:
-		case <-s.quit:
-			replies[i] = nil
+	errs, err := askAll(s, s.shards, func(_ int, reply chan error) any { return snapshotMsg{reply: reply} })
+	if err != nil {
+		return err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("serve: snapshot shard %d: %w", i, err)
 		}
 	}
-	var first error
-	for i, sh := range s.shards {
-		if replies[i] == nil {
-			if first == nil {
-				first = ErrClosed
-			}
-			continue
-		}
-		select {
-		case err := <-replies[i]:
-			if err != nil && first == nil {
-				first = fmt.Errorf("serve: snapshot shard %d: %w", sh.id, err)
-			}
-		case <-s.quit:
-			if first == nil {
-				first = ErrClosed
-			}
-		}
-	}
-	return first
+	return nil
 }

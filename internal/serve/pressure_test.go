@@ -29,7 +29,6 @@ func pressureServer(t *testing.T, highWater int) *serve.Server {
 	s, err := serve.New(serve.Config{
 		Catalog:           multiobject.ZipfCatalog(1, 1.0, 0.125, 1.0),
 		Shards:            1,
-		QueueDepth:        16,
 		PressureHighWater: highWater,
 	})
 	if err != nil {

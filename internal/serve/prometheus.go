@@ -68,7 +68,7 @@ func WritePrometheus(w io.Writer, m *MetricsSnapshot) {
 	for _, sh := range m.Stats.Shards {
 		fmt.Fprintf(w, "mod_shard_queue_high_water{shard=\"%d\"} %d\n", sh.Shard, sh.HighWater)
 	}
-	fmt.Fprint(w, "# HELP mod_shard_queue_capacity Configured shard channel buffer (QueueDepth).\n")
+	fmt.Fprint(w, "# HELP mod_shard_queue_capacity Shard channel buffer (256).\n")
 	fmt.Fprint(w, "# TYPE mod_shard_queue_capacity gauge\n")
 	for _, sh := range m.Stats.Shards {
 		fmt.Fprintf(w, "mod_shard_queue_capacity{shard=\"%d\"} %d\n", sh.Shard, sh.QueueCap)

@@ -81,15 +81,17 @@ type Config struct {
 	// MaxDelayScale bounds the cumulative delay scale per object before the
 	// controller starts rejecting (default 8).
 	MaxDelayScale float64
-	// QueueDepth is the per-shard request channel buffer (default 256).
-	QueueDepth int
 	// MaxSlotJump bounds how many slots (measured in a shard's smallest
 	// object delay) a single request may advance the virtual clock
 	// (default 2^22).  The oblivious plan starts a stream every slot, so
 	// without a bound one request stamped absurdly far in the future would
 	// wedge its shard's event loop starting streams; such requests are
-	// rejected instead.  Wall-clock deployments that can sit idle longer
-	// than MaxSlotJump small-delay slots should raise this.
+	// rejected instead.  A rejection does not advance the clock, so on the
+	// wall clock a shard left idle for more than MaxSlotJump slots rejects
+	// every later request, and the gap only grows: at modserve's defaults
+	// (1 s time unit, delay 2%) that is 23.3 hours of idle, and modserve
+	// has no flag to raise the bound.  Deployments that can sit idle that
+	// long must raise it.
 	MaxSlotJump int64
 	// TimeUnit is the wall-clock duration of one catalog time unit, used
 	// only to stamp HTTP requests that carry no explicit timestamp
@@ -134,9 +136,9 @@ type Config struct {
 	// derived from the shard's observed drain rate, instead of blocking
 	// on the channel.  The HTTP layer turns it into 429 + Retry-After.
 	// 0 (the default) disables backpressure: submits block, the
-	// pre-backpressure behavior.  Must be at most QueueDepth to be
-	// meaningful (reservations beyond the channel buffer would block
-	// anyway).
+	// pre-backpressure behavior.  Must be at most 256, the shard
+	// channel's buffer, to be meaningful (reservations beyond the buffer
+	// would block anyway).
 	PressureHighWater int
 	// NowNanos overrides the monotonic clock used for replan metering and
 	// stage timing (nanoseconds, any fixed origin).  nil selects
@@ -198,9 +200,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MaxDelayScale < 1 {
 		out.MaxDelayScale = 8
-	}
-	if out.QueueDepth <= 0 {
-		out.QueueDepth = 256
 	}
 	if out.MaxSlotJump <= 0 {
 		out.MaxSlotJump = 1 << 22
@@ -347,7 +346,7 @@ type ShardStats struct {
 	// QueueDepth is the current occupancy: requests submitted (reserved)
 	// but not yet dequeued by the shard's event loop.
 	QueueDepth int64 `json:"queue_depth"`
-	// QueueCap is the configured channel buffer (Config.QueueDepth).
+	// QueueCap is the shard channel's buffer (queueDepth, 256).
 	QueueCap int `json:"queue_cap"`
 	// HighWater is the maximum occupancy ever observed on the shard.
 	HighWater int64 `json:"high_water"`
@@ -408,11 +407,8 @@ type Server struct {
 	// gauge is the live channel count: streams started whose (estimated)
 	// end lies in the future.  Shard loops maintain it; the admission
 	// controller reads it.
-	gauge    atomic.Int64
-	admitted atomic.Int64
-	degraded atomic.Int64
-	rejected atomic.Int64
-	unknown  atomic.Int64
+	gauge   atomic.Int64
+	unknown atomic.Int64
 	// rejectedPressure counts submits refused by queue-depth backpressure
 	// before reaching any shard.
 	rejectedPressure atomic.Int64
@@ -634,7 +630,7 @@ func New(cfg Config) (*Server, error) {
 		s.savedSeq = make([]atomic.Int64, len(s.shards))
 		var resume settlePoint
 		for _, sh := range s.shards {
-			sh.walCh = make(chan walMsg, cfg.QueueDepth)
+			sh.walCh = make(chan walMsg, queueDepth)
 			sh.snapFree = make(chan *shardSnapshotState, 2)
 			sh.snapEvery = float64(cfg.SnapshotEpochs*cfg.EpochSlots) * sh.minDelay
 			saved, seq := sh.frontier(), int64(0)
@@ -939,17 +935,9 @@ func (s *Server) Pause(shard int) (release func(), err error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("%w: no shard %d (have %d)", ErrBadRequest, shard, len(s.shards))
 	}
-	ack := make(chan struct{})
 	resume := make(chan struct{})
-	select {
-	case s.shards[shard].msgs <- pauseMsg{ack: ack, resume: resume}:
-	case <-s.quit:
-		return nil, ErrClosed
-	}
-	select {
-	case <-ack:
-	case <-s.quit:
-		return nil, ErrClosed
+	if _, err := ask(s, s.shards[shard], func(ack chan struct{}) any { return pauseMsg{ack: ack, resume: resume} }); err != nil {
+		return nil, err
 	}
 	var once sync.Once
 	return func() { once.Do(func() { close(resume) }) }, nil
@@ -976,8 +964,8 @@ type MetricsSnapshot struct {
 }
 
 // Metrics snapshots the counters, per-shard queue accounting, and stage
-// histograms (merging the per-shard sets).  Like Stats it crosses each
-// shard's message channel once, at the same cost.
+// histograms (merging the per-shard sets).  It asks the shards as Stats
+// does, with the same message, so its counts agree with its rows too.
 func (s *Server) Metrics() (MetricsSnapshot, error) {
 	st, snaps, err := s.readStats()
 	if err != nil {
@@ -1026,7 +1014,10 @@ func (s *Server) observeRespond(strategy string, ns int64) {
 // ending after that frontier), not O(history).  BusyTime adds each
 // shard's busy-time sum (its streams' durations in finalization order) in
 // shard order; at one shard it is bit-identical to bandwidth.Usage.Total
-// over the same streams.
+// over the same streams.  A read asks every shard at once, and each shard
+// answers its outcome counts (Admitted, Degraded, Rejected) with its
+// object rows from one state, so each read's totals equal the sums of its
+// own Objects' Arrivals and Rejected, even under concurrent submits.
 func (s *Server) Stats() (Stats, error) {
 	st, _, err := s.readStats()
 	return st, err
@@ -1052,7 +1043,7 @@ func statsRequest(from int, d settlePoint, reply chan shardSnapshot) any {
 // historical peak and returns them with it.
 func (s *Server) foldShards(mk func(from int, d settlePoint, reply chan shardSnapshot) any) ([]shardSnapshot, int, error) {
 	from, d := s.peak.request(s.savedFloor())
-	snaps, err := s.gather(func(i int, reply chan shardSnapshot) any { return mk(from[i], d, reply) })
+	snaps, err := askAll(s, s.shards, func(i int, reply chan shardSnapshot) any { return mk(from[i], d, reply) })
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1101,24 +1092,16 @@ func (s *Server) Object(name string) (ObjectStats, error) {
 	if !ok {
 		return ObjectStats{}, fmt.Errorf("%w %q", ErrUnknownObject, name)
 	}
-	sh := r.sh
-	reply := make(chan shardSnapshot, 1)
-	select {
-	case sh.msgs <- statsMsg{from: -1, reply: reply}:
-	case <-s.quit:
-		return ObjectStats{}, ErrClosed
+	snap, err := ask(s, r.sh, func(reply chan shardSnapshot) any { return statsMsg{from: -1, reply: reply} })
+	if err != nil {
+		return ObjectStats{}, err
 	}
-	select {
-	case snap := <-reply:
-		for _, os := range snap.objects {
-			if os.Name == name {
-				return os, nil
-			}
+	for _, os := range snap.objects {
+		if os.Name == name {
+			return os, nil
 		}
-		return ObjectStats{}, fmt.Errorf("%w %q", ErrUnknownObject, name)
-	case <-s.quit:
-		return ObjectStats{}, ErrClosed
 	}
+	return ObjectStats{}, fmt.Errorf("%w %q", ErrUnknownObject, name)
 }
 
 // DrainResult is the final accounting of a drained server.
@@ -1170,36 +1153,49 @@ func (s *Server) Drain(horizon float64) (*DrainResult, error) {
 	return &DrainResult{Horizon: horizon, Objects: st.Objects, Stats: st}, nil
 }
 
-// gather sends one message per shard, built by mk from the shard index,
-// and collects the snapshots in shard order.
-func (s *Server) gather(mk func(shard int, reply chan shardSnapshot) any) ([]shardSnapshot, error) {
-	snaps := make([]shardSnapshot, 0, len(s.shards))
-	for i, sh := range s.shards {
-		reply := make(chan shardSnapshot, 1)
+// askAll sends each of shards the message mk builds around a reply
+// channel of its own, every send before any wait, so the shard loops
+// answer concurrently, and returns the replies in order.  Once the
+// server closes it returns ErrClosed; the reply channels are buffered,
+// so no shard blocks on an abandoned one.
+func askAll[T any](s *Server, shards []*shard, mk func(i int, reply chan T) any) ([]T, error) {
+	replies := make([]chan T, len(shards))
+	for i, sh := range shards {
+		replies[i] = make(chan T, 1)
 		select {
-		case sh.msgs <- mk(i, reply):
-		case <-s.quit:
-			return nil, ErrClosed
-		}
-		select {
-		case snap := <-reply:
-			snaps = append(snaps, snap)
+		case sh.msgs <- mk(i, replies[i]):
 		case <-s.quit:
 			return nil, ErrClosed
 		}
 	}
-	return snaps, nil
+	out := make([]T, len(shards))
+	for i, reply := range replies {
+		select {
+		case out[i] = <-reply:
+		case <-s.quit:
+			return nil, ErrClosed
+		}
+	}
+	return out, nil
+}
+
+// ask is askAll for one shard.
+func ask[T any](s *Server, sh *shard, mk func(reply chan T) any) (T, error) {
+	out, err := askAll(s, []*shard{sh}, func(_ int, reply chan T) any { return mk(reply) })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return out[0], nil
 }
 
 // assemble merges shard snapshots into a Stats with objects in catalog
-// order, the historical peak the fold returned, and BusyTime: the
-// shards' busy-time sums added in shard order.
+// order, the historical peak the fold returned, the outcome counts each
+// shard reported with its objects, and BusyTime: the shards' busy-time
+// sums added in shard order.
 func (s *Server) assemble(snaps []shardSnapshot, peak int) Stats {
 	st := Stats{
 		Peak:             peak,
-		Admitted:         s.admitted.Load(),
-		Degraded:         s.degraded.Load(),
-		Rejected:         s.rejected.Load(),
 		RejectedPressure: s.rejectedPressure.Load(),
 		Unknown:          s.unknown.Load(),
 		LiveChannels:     s.gauge.Load(),
@@ -1212,7 +1208,7 @@ func (s *Server) assemble(snaps []shardSnapshot, peak int) Stats {
 		st.Shards[i] = ShardStats{
 			Shard:             i,
 			QueueDepth:        q.depth(),
-			QueueCap:          s.cfg.QueueDepth,
+			QueueCap:          queueDepth,
 			HighWater:         q.high.Load(),
 			Dequeued:          q.dequeued.Load(),
 			PressureHighWater: s.cfg.PressureHighWater,
@@ -1220,6 +1216,9 @@ func (s *Server) assemble(snaps []shardSnapshot, peak int) Stats {
 	}
 	st.Objects = make([]ObjectStats, len(s.cfg.Catalog))
 	for _, snap := range snaps {
+		st.Admitted += snap.admitted
+		st.Degraded += snap.degraded
+		st.Rejected += snap.rejected
 		st.BusyTime += snap.busy
 		for k, o := range snap.objects {
 			st.Objects[snap.index[k]] = o

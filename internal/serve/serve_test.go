@@ -192,6 +192,70 @@ func TestConcurrentSubmitRace(t *testing.T) {
 	s.Close()
 }
 
+// TestStatsOutcomesMatchObjects pins that every Stats read is one state
+// of each shard: while four goroutines submit, with rising virtual T,
+// under a channel cap tight enough for all three outcomes, each read's
+// Admitted+Degraded must equal the sum of its objects' Arrivals and its
+// Rejected the sum of their Rejected.
+func TestStatsOutcomesMatchObjects(t *testing.T) {
+	cat := multiobject.ZipfCatalog(16, 1.0, 0.02, 1.0)
+	s, err := serve.New(serve.Config{Catalog: cat, Shards: 2, MaxChannels: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				name := fmt.Sprintf("object-%02d", (g*5+i)%16+1)
+				if _, err := s.Submit(serve.Request{Object: name, T: float64(i) * 0.002}); err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	off := 0
+	for r := 0; r < 2000; r++ {
+		st, err := s.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var arrivals, rejected int64
+		for _, o := range st.Objects {
+			arrivals += o.Arrivals
+			rejected += o.Rejected
+		}
+		if st.Admitted+st.Degraded != arrivals || st.Rejected != rejected {
+			if off++; off <= 3 {
+				t.Errorf("read %d: admitted+degraded %d, rejected %d; its objects sum to %d arrivals, %d rejected",
+					r, st.Admitted+st.Degraded, st.Rejected, arrivals, rejected)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if off > 0 {
+		t.Errorf("%d of 2000 reads contradict their own objects", off)
+	}
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Admitted == 0 || st.Degraded == 0 || st.Rejected == 0 {
+		t.Errorf("want all three outcomes, got admitted %d, degraded %d, rejected %d", st.Admitted, st.Degraded, st.Rejected)
+	}
+}
+
 func TestGenerateRequestsDeterministicAndSorted(t *testing.T) {
 	cat := multiobject.ZipfCatalog(5, 1.0, 0.05, 1.0)
 	cfg := serve.LoadConfig{Horizon: 6, MeanInterArrival: 0.05, Kind: serve.PoissonArrivals, Seed: 3}

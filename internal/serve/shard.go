@@ -76,6 +76,9 @@ type shardSnapshot struct {
 	from      int
 	// busy is the shard's busy-time sum (shard.busy).
 	busy float64
+	// admitted, degraded and rejected are the shard's outcome counts,
+	// taken with objects: their sums over shards are Stats' totals.
+	admitted, degraded, rejected int64
 	// frontier is the minimum live.Incremental.Frontier over the shard's
 	// objects: no interval the shard finalizes later starts before it.
 	frontier float64
@@ -208,12 +211,11 @@ type shard struct {
 	lastPlanNS   int64
 	lastReplanNS int64
 
-	// Durability state (nil/zero without Config.Store).  ticketSeq is the
-	// next ticket's shard-local sequence number; it survives restarts via
-	// the snapshot and WAL replay, so ticket IDs are never reissued.
-	// admittedL/degradedL/rejectedL mirror this shard's contributions to
-	// the server-wide atomic counters — the atomics cannot be decomposed
-	// per shard at snapshot time, the loop-owned mirrors can.
+	// ticketSeq is the next ticket's shard-local sequence number; it
+	// survives restarts via the snapshot and WAL replay, so ticket IDs are
+	// never reissued.  admittedL/degradedL/rejectedL count this shard's
+	// admission outcomes, the only copy: snapshots persist them, and every
+	// read sums them from the same reply as the shard's object rows.
 	ticketSeq int64
 	admittedL int64
 	degradedL int64
@@ -244,12 +246,18 @@ func newShard(id int, srv *Server) *shard {
 		id:       id,
 		total:    total,
 		srv:      srv,
-		msgs:     make(chan any, srv.cfg.QueueDepth),
+		msgs:     make(chan any, queueDepth),
 		byName:   make(map[string]*objectState),
 		cache:    live.NewCache(),
 		settleAt: settleFloor,
 	}
 }
+
+// queueDepth is the buffer of each shard's message channel and of its WAL
+// writer's channel: room for a burst of submitters to enqueue while the
+// loop is busy, so they seldom block on the send, and the ceiling for a
+// useful Config.PressureHighWater.
+const queueDepth = 256
 
 // settleFloor is the smallest kept set for which a shard asks the settler
 // to fold, so small servers do not fold after every few streams.
@@ -561,7 +569,6 @@ func (sh *shard) apply(st *objectState, t float64, meter bool, logged Decision) 
 	if (t-sh.now)/sh.minDelay > float64(sh.srv.cfg.MaxSlotJump) {
 		st.rejected++
 		sh.rejectedL++
-		sh.srv.rejected.Add(1)
 		return t, live.Admission{}, Rejected, false
 	}
 	adm, decision := sh.admitCore(st, t, meter, logged)
@@ -610,7 +617,6 @@ func (sh *shard) admitCore(st *objectState, t float64, meter bool, logged Decisi
 	if decision == Rejected {
 		st.rejected++
 		sh.rejectedL++
-		sh.srv.rejected.Add(1)
 	} else {
 		adm = st.sched.Admit(t)
 		// Admit, and a degradation's drain and fresh scheduler before it,
@@ -619,10 +625,8 @@ func (sh *shard) admitCore(st *objectState, t float64, meter bool, logged Decisi
 		st.arrivals++
 		if decision == Degraded {
 			sh.degradedL++
-			sh.srv.degraded.Add(1)
 		} else {
 			sh.admittedL++
-			sh.srv.admitted.Add(1)
 		}
 	}
 	if meter {
@@ -697,6 +701,9 @@ func (sh *shard) snapshot(from int, d settlePoint) shardSnapshot {
 		objects:  make([]ObjectStats, 0, len(sh.objects)),
 		index:    make([]int, 0, len(sh.objects)),
 		busy:     sh.busy,
+		admitted: sh.admittedL,
+		degraded: sh.degradedL,
+		rejected: sh.rejectedL,
 		frontier: sh.frontier(),
 		stages:   append([]stageHist(nil), sh.stages...),
 	}

@@ -14,7 +14,8 @@
 // The core abstraction is the Planner: give it a problem Instance (client
 // arrival times and a horizon), get back a Plan (the total server
 // bandwidth in complete media streams, plus planner-specific detail).
-// Planners are obtained from a string-keyed registry:
+// Planners are obtained by name from the fixed built-in set (Planners
+// lists it):
 //
 //	p, err := mod.New("online", mod.WithDelay(0.01))
 //	plan, err := p.Plan(ctx, mod.Instance{Arrivals: trace, Horizon: 100})
@@ -34,8 +35,7 @@
 // the algorithm directly; Compare runs the same planners on one instance
 // at once, spread over a WithWorkers pool, with the costs Plan returns.
 // Arrival times are nondecreasing, and clients arriving at the same
-// instant share a stream.  Third parties can Register additional planners
-// under new names; Compare knows only the built-in ones.
+// instant share a stream.
 //
 // Behavior is configured with functional options (WithDelay, WithWorkers,
 // WithChannelCap, WithMemoryBudget, WithHorizon, ...), applied at New time
@@ -61,8 +61,8 @@
 //     PopularityAwareDelays) and the workload simulator (RunWorkload),
 //   - the live sharded admission server and its versioned /v1 HTTP API
 //     (NewServer, ListenAndServe, GenerateRequests, RunDriver, ...),
-//     configured by a ServeConfig.  Every registered planner can serve
-//     live traffic: LivePlanners lists the capability set,
+//     configured by a ServeConfig.  Every planner can serve live
+//     traffic: LivePlanners lists the capability set,
 //     ServeConfig.DefaultStrategy (or per-object Object.Strategy entries)
 //     routes catalog objects onto planner families, and a drained live
 //     run over one whole-horizon epoch reproduces the batch Plan cost bit

@@ -14,8 +14,8 @@ import (
 // identically whether it crossed the facade or was produced by an internal
 // package directly.
 var (
-	// ErrUnknownPlanner is returned by New (and Compare) for a name with no
-	// registered planner.
+	// ErrUnknownPlanner is returned by New (and Compare) for a name that is
+	// not one of Planners().
 	ErrUnknownPlanner = errors.New("mod: unknown planner")
 
 	// ErrBadInstance marks invalid problem instances: a non-positive

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 
 	"repro/internal/arrivals"
@@ -15,12 +16,12 @@ import (
 	"repro/internal/online"
 )
 
-// builtins is the one table of built-in planners, in registration order.
-// Each entry checks the settings its algorithm needs and calls the
-// algorithm directly; the trace is validated and the horizon resolved
-// before any entry runs (resolveInstance).  Plan and Compare run the same
-// entry, so a Plan and a Compare cost for the same name come from the same
-// computation.  The names are pinned by a golden registry test.
+// builtins is the one table of planners, in presentation order.  Each
+// entry checks the settings its algorithm needs and calls the algorithm
+// directly; the trace is validated and the horizon resolved before any
+// entry runs (resolveInstance).  New, Planners and Compare all resolve
+// names here, so a Plan and a Compare cost for the same name come from
+// the same computation.  The names are pinned by a golden registry test.
 var builtins = []struct {
 	name string
 	run  runFunc
@@ -35,23 +36,44 @@ var builtins = []struct {
 	{"unicast", runUnicast},
 }
 
-func init() {
-	for _, b := range builtins {
-		b := b
-		Register(b.name, func(opts ...Option) (Planner, error) {
-			return &planner{name: b.name, base: opts, run: b.run}, nil
-		})
-	}
-}
-
-// builtinRun returns the built-in entry registered under name.
+// builtinRun returns the entry named name.
 func builtinRun(name string) (runFunc, error) {
 	for _, b := range builtins {
 		if b.name == name {
 			return b.run, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownPlanner, name)
+	return nil, fmt.Errorf("%w: %q (planners: %v)", ErrUnknownPlanner, name, Planners())
+}
+
+// New builds the named planner with the given base options.  Unknown names
+// fail with an error wrapping ErrUnknownPlanner (the message lists the
+// planner names).
+func New(name string, opts ...Option) (Planner, error) {
+	run, err := builtinRun(name)
+	if err != nil {
+		return nil, err
+	}
+	return &planner{name: name, base: opts, run: run}, nil
+}
+
+// MustNew is New for names known to be valid; it panics on error.
+func MustNew(name string, opts ...Option) Planner {
+	p, err := New(name, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// Planners returns the sorted names of every planner.
+func Planners() []string {
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.name
+	}
+	sort.Strings(names)
+	return names
 }
 
 // StandardNames returns the planners of the paper's Figs. 11-12 comparison
@@ -183,7 +205,7 @@ func runUnicast(_ context.Context, trace arrivals.Trace, horizon float64, st Set
 	return batching.ImmediateUnicastCost(trace.Clip(horizon)), nil, nil
 }
 
-// Compare plans the same instance with several built-in planners at once,
+// Compare plans the same instance with several planners at once,
 // spreading the work across WithWorkers goroutines (0 means GOMAXPROCS, 1
 // runs them one after another and stops at the first failure), and
 // returns the costs keyed by planner name.  The costs — and the option
@@ -192,9 +214,6 @@ func runUnicast(_ context.Context, trace arrivals.Trace, horizon float64, st Set
 // order.  Cancelling ctx stops dispatching, aborts the in-flight planners
 // (a mid-flight off-line DP included), joins every worker and returns an
 // error wrapping ErrCanceled.
-//
-// Compare resolves names against the built-in set only; a planner added
-// via Register runs through its own Plan.
 func Compare(ctx context.Context, names []string, inst Instance, opts ...Option) (map[string]float64, error) {
 	st := ResolveSettings(opts...)
 	trace, horizon, err := resolveInstance(inst, st)

@@ -45,20 +45,3 @@ func TestNewUnknownPlanner(t *testing.T) {
 		t.Fatalf("New(no-such-planner) error = %v, want ErrUnknownPlanner", err)
 	}
 }
-
-func TestRegisterGuards(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("empty name", func() { mod.Register("", func(...mod.Option) (mod.Planner, error) { return nil, nil }) })
-	mustPanic("nil factory", func() { mod.Register("x-nil-factory", nil) })
-	mustPanic("duplicate", func() {
-		mod.Register("online", func(...mod.Option) (mod.Planner, error) { return nil, nil })
-	})
-}

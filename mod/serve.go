@@ -103,11 +103,11 @@ const APIVersion = serve.APIVersion
 // when done.  A failed NewServer leaves ServeConfig.Store to the caller.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 
-// LivePlanners returns the sorted planner registry names that can serve
-// live traffic — every valid Object.Strategy / DefaultStrategy value.  The
+// LivePlanners returns the sorted planner names that can serve live
+// traffic — every valid Object.Strategy / DefaultStrategy value.  The
 // "online" strategy is natively incremental; every other name serves
 // through epoch-based replanning of its batch planner.  All live-capable
-// names are also registered planners (a test pins the subset relation).
+// names are also Planners() names (a test pins the subset relation).
 func LivePlanners() []string { return serve.LivePlanners() }
 
 // Store is the live server's pluggable durability backend: per-shard
