@@ -197,14 +197,27 @@ func (tr Trace) BatchToSlots(slot float64) []int64 {
 
 // BatchTimes batches the arrivals into slots of the given length and returns
 // the service times (slot ends) of the non-empty slots, i.e. the times at
-// which a batching or batched-merging server starts streams.
+// which a batching or batched-merging server starts streams.  It returns
+// an empty, non-nil slice for an empty trace.
 func (tr Trace) BatchTimes(slot float64) []float64 {
-	idx := tr.BatchToSlots(slot)
-	out := make([]float64, len(idx))
-	for i, s := range idx {
-		out[i] = float64(s+1) * slot
+	return tr.AppendBatchTimes([]float64{}, slot)
+}
+
+// AppendBatchTimes appends the slot ends BatchTimes returns to dst and
+// returns the extended slice: a caller that keeps dst across calls
+// batches without allocating once it has grown.
+func (tr Trace) AppendBatchTimes(dst []float64, slot float64) []float64 {
+	if slot <= 0 {
+		panic(fmt.Sprintf("arrivals: BatchTimes requires slot > 0, got %g", slot))
 	}
-	return out
+	last := int64(-1)
+	for _, t := range tr {
+		if idx := int64(math.Floor(t / slot)); idx != last {
+			dst = append(dst, float64(idx+1)*slot)
+			last = idx
+		}
+	}
+	return dst
 }
 
 // OccupiedSlots returns how many length-`slot` slots in [0, horizon) contain

@@ -166,6 +166,42 @@ func TestBatchTimesDelayGuarantee(t *testing.T) {
 	}
 }
 
+// TestAppendBatchTimes checks that AppendBatchTimes appends the end of
+// each occupied slot, (BatchToSlots index + 1) * slot, bit for bit after
+// what dst holds, and reuses dst's storage; BatchTimes returns the same
+// ends, and an empty, non-nil slice for an empty trace.
+func TestAppendBatchTimes(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		tr := Poisson(0.02, 5, seed)
+		slot := 0.01 * float64(seed)
+		slots := tr.BatchToSlots(slot)
+		got := tr.AppendBatchTimes([]float64{-1}, slot)
+		if len(got) != len(slots)+1 || got[0] != -1 {
+			t.Fatalf("seed %d: appended %d times after the prefix, want %d", seed, len(got)-1, len(slots))
+		}
+		batch := tr.BatchTimes(slot)
+		if len(batch) != len(slots) {
+			t.Fatalf("seed %d: BatchTimes returned %d slot ends, want %d", seed, len(batch), len(slots))
+		}
+		for i, s := range slots {
+			want := float64(s+1) * slot
+			if math.Float64bits(got[i+1]) != math.Float64bits(want) || math.Float64bits(batch[i]) != math.Float64bits(want) {
+				t.Fatalf("seed %d: slot end %d = %v appended, %v from BatchTimes, want %v", seed, i, got[i+1], batch[i], want)
+			}
+		}
+		buf := make([]float64, 0, len(slots))
+		if again := tr.AppendBatchTimes(buf, slot); len(again) > 0 && &again[0] != &buf[:1][0] {
+			t.Fatalf("seed %d: a buffer with room was reallocated", seed)
+		}
+	}
+	if got := Trace(nil).AppendBatchTimes(nil, 1); got != nil {
+		t.Fatalf("an empty trace appended %v", got)
+	}
+	if got := Trace(nil).BatchTimes(1); got == nil || len(got) != 0 {
+		t.Fatalf("BatchTimes of an empty trace = %#v, want an empty, non-nil slice", got)
+	}
+}
+
 func TestOccupiedSlots(t *testing.T) {
 	tr := Trace{0.005, 0.015, 0.995, 1.2}
 	if got := tr.OccupiedSlots(0.01, 1.0); got != 3 {

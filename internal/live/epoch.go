@@ -456,20 +456,23 @@ func (s *epochSched) Drain(horizon float64) float64 {
 
 func (s *epochSched) Totals() Totals { return s.totals }
 
+func (s *epochSched) ReplanNanos() int64 { return s.totals.Replan.ReplanNanos }
+
 // Frontier is the current epoch's start: closed epochs are finalized, and
 // the open epoch's plan starts no stream before its base (arrivals are
 // epoch-relative and clamped at 0).
 func (s *epochSched) Frontier() float64 { return s.base() }
 
 // replanFallback is the never-fail plan: a private full stream per
-// arrival (exactly the unicast strawman).
+// arrival (exactly the unicast strawman).  The streams go into the
+// shard's plan buffer, which the outcome aliases until the next close.
 func replanFallback(times []float64, p PlanParams) PlanOutcome {
-	out := PlanOutcome{Cost: float64(len(times)), Busy: float64(len(times)) * p.MediaLength}
-	out.Streams = make([]Stream, len(times))
-	for i, t := range times {
-		out.Streams[i] = Stream{Start: t, Length: p.MediaLength}
+	streams := p.Cache.streams[:0]
+	for _, t := range times {
+		streams = append(streams, Stream{Start: t, Length: p.MediaLength})
 	}
-	return out
+	p.Cache.streams = streams
+	return PlanOutcome{Cost: float64(len(times)), Busy: float64(len(times)) * p.MediaLength, Streams: streams}
 }
 
 // appendForestStreams extracts the transmissions of a real-valued merge
@@ -554,9 +557,10 @@ func forestOutcome(f *mergetree.RForest) PlanOutcome {
 // replanBatching is merging-free batching: one full stream per occupied
 // slot, started at the slot's end.  Its cost, the occupied-slot count, is
 // batching.BatchedCost's, read off the batched starts instead of batching
-// the trace a second time.
+// the trace a second time.  The starts go into the shard's scratch.
 func replanBatching(times []float64, horizon float64, p PlanParams) (PlanOutcome, error) {
-	return replanFallback(clip(times, horizon).BatchTimes(p.Delay), p), nil
+	p.Cache.starts = clip(times, horizon).AppendBatchTimes(p.Cache.starts[:0], p.Delay)
+	return replanFallback(p.Cache.starts, p), nil
 }
 
 // replanUnicast is the no-sharing strawman: a private full stream per

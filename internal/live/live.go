@@ -249,6 +249,10 @@ type Incremental interface {
 	Drain(horizon float64) float64
 	// Totals snapshots the accounting without mutating the schedule.
 	Totals() Totals
+	// ReplanNanos returns Totals().Replan.ReplanNanos without copying
+	// the rest of the totals: the serving shard reads it around every
+	// metered admission.
+	ReplanNanos() int64
 	// Frontier returns the earliest absolute start that any stream not
 	// yet reported through Sink.StreamFinalized can have.  It never moves
 	// backwards, so the bandwidth profile before it is final: a consumer

@@ -156,6 +156,43 @@ func TestReplanFallback(t *testing.T) {
 	}
 }
 
+// TestBatchingUnicastClosesAllocateNothing pins that an epoch close of
+// batching and one of unicast reuse the scratch of the shard's Cache,
+// batching's slot ends and the plan buffer, once it has grown: each run
+// admits 20 arrivals into both schedulers and advances them past their
+// epoch boundary, and must allocate nothing.
+func TestBatchingUnicastClosesAllocateNothing(t *testing.T) {
+	cache := NewCache()
+	var scheds []Incremental
+	for _, name := range []string{"batching", "unicast"} {
+		s, err := New(name, Config{Object: testObject(0.01), EpochSlots: 8, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheds = append(scheds, s)
+	}
+	const runs = 100
+	at := 0.0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, s := range scheds {
+			for k := 0; k < 20; k++ {
+				s.Admit(at + float64(k)*0.003)
+			}
+			s.Advance(at + 0.08)
+		}
+		at += 0.08
+	})
+	for _, s := range scheds {
+		// AllocsPerRun runs the function once more to warm up.
+		if got := s.Totals().Replan.Replans; got != runs+1 {
+			t.Fatalf("%s: %d closes, want one per run, %d", s.Strategy(), got, runs+1)
+		}
+	}
+	if allocs != 0 {
+		t.Fatalf("a batching and a unicast close allocate %.2f times, want 0", allocs)
+	}
+}
+
 // TestAdmissionDisciplines pins the service terms per family: batched
 // strategies start playback at the slot end, immediate ones at the
 // arrival, and client counting follows the discipline.

@@ -24,14 +24,16 @@ type onlinePlan struct {
 
 // Cache shares onlinePlan state by media length L, so a thousand-object
 // Zipf catalog with a shared delay builds the merge template once per
-// shard, not once per object, and two things off-line closes
-// (tablesWarm.replan) use and give back before the next close starts: the
-// plan buffer, and a scratch forest table per media length for epochs
-// that absorbed nothing mid-epoch.  It is not safe for concurrent use;
-// each serving shard owns one.
+// shard, not once per object, and scratch that epoch closes use and give
+// back before the next close starts: the plan buffer the off-line closes
+// (tablesWarm.replan), batching, unicast and the unicast fallback write
+// their streams into, batching's slot ends, and a scratch forest table
+// per media length for off-line epochs that absorbed nothing mid-epoch.
+// It is not safe for concurrent use; each serving shard owns one.
 type Cache struct {
 	plans   map[int64]*onlinePlan
 	streams []Stream
+	starts  []float64
 	tables  map[float64]*offline.Tables
 }
 
@@ -287,6 +289,9 @@ func (s *onlineSched) Drain(horizon float64) float64 {
 func (s *onlineSched) Frontier() float64 {
 	return s.base + float64(s.finalized)*s.delay
 }
+
+// ReplanNanos is 0: the on-line scheduler never replans.
+func (s *onlineSched) ReplanNanos() int64 { return 0 }
 
 func (s *onlineSched) Totals() Totals {
 	return Totals{

@@ -252,7 +252,8 @@ func TestWarmRefusalsMatchBatch(t *testing.T) {
 }
 
 // TestReplanLatencyMetering: an injected NowNanos clock meters replan
-// wall time into the totals; without one the counters stay zero.
+// wall time into the totals, and every strategy's ReplanNanos reads the
+// same counter as its Totals; without a clock the counters stay zero.
 func TestReplanLatencyMetering(t *testing.T) {
 	var clock int64
 	s, err := New("offline", Config{
@@ -273,6 +274,28 @@ func TestReplanLatencyMetering(t *testing.T) {
 	if tot.Replan.ReplanNanos != 7 || tot.Replan.MaxReplanNanos != 7 {
 		t.Fatalf("metered nanos = %d/%d, want 7/7 (one close, +7 per clock read)",
 			tot.Replan.ReplanNanos, tot.Replan.MaxReplanNanos)
+	}
+
+	for _, name := range Planners() {
+		clock = 0
+		s, err := New(name, Config{
+			Object:     testObject(0.125),
+			EpochSlots: 4,
+			NowNanos:   func() int64 { clock += 7; return clock },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []float64{0.05, 0.07, 0.6, 0.61, 1.3} {
+			s.Admit(at)
+			if got, want := s.ReplanNanos(), s.Totals().Replan.ReplanNanos; got != want {
+				t.Fatalf("%s: ReplanNanos() = %d after an admission at %g, Totals reads %d", name, got, at, want)
+			}
+		}
+		s.Drain(2.0)
+		if got, want := s.ReplanNanos(), s.Totals().Replan.ReplanNanos; got != want || (got == 0) != (name == "online") {
+			t.Fatalf("%s: ReplanNanos() = %d after the drain, Totals reads %d (0 only for online)", name, got, want)
+		}
 	}
 
 	unmetered, err := New("offline", Config{Object: testObject(0.125), EpochSlots: 4})

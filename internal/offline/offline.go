@@ -20,14 +20,14 @@
 // split-monotonicity accelerated variant (Knuth-style bounds,
 // MergeCostTableFast) that runs in O(n^2) in practice.  The production
 // path, ComputeTables, runs the same accelerated recurrence column by
-// column in column-major storage on the caller's goroutine: 4-byte
-// splits, append-only, and merge costs kept only while the fill can still
-// read them.  Its one mode is forest tables: given a media length as its
-// window, they solve the group partition in the same pass and store a
-// column only from the row the partition can still start a group at; the
-// merge cost satisfies the quadrangle inequality, so that row never moves
-// left, and at high arrival density about half the window band is
-// stored.  The package starts no goroutines; callers that want
+// column in column-major storage on the caller's goroutine: 2-byte split
+// offsets, append-only, and merge costs kept only while the fill can
+// still read them.  Its one mode is forest tables: given a media length
+// as its window, they solve the group partition in the same pass and
+// store a column only from the row the partition can still start a group
+// at; the merge cost satisfies the quadrangle inequality, so that row
+// never moves left, and at high arrival density about half the window
+// band is stored.  The package starts no goroutines; callers that want
 // parallelism run independent instances side by side.  The tables are
 // resumable: Tables.Extend appends an arrival suffix to an existing solve
 // as new columns, never recomputing an old split, bit-identical to a cold
@@ -241,12 +241,16 @@ func OptimalForest(ctx context.Context, times []float64, L float64, model Model)
 	return t.SolveForest(L)
 }
 
-// DefaultMaxArrivals is the arrival cap of CheckSize.  Forest tables
-// store at most 12 bytes per interval inside one media-length window, so
-// a DP over n arrivals with W in its densest window needs at most 12 n W
-// bytes: 287 MB at n = 50000 in the Figs. 11-12 setting (horizon 100
-// media lengths).  Adversarial traces that pack everything into one
-// window are caught by DefaultMaxTableBytes instead.
+// DefaultMaxArrivals is the arrival cap of CheckSize.  The guards charge
+// 12 bytes per interval inside one media-length window, so a DP over n
+// arrivals with W in its densest window is charged at most 12 n W bytes:
+// 287 MB at n = 50000 in the Figs. 11-12 setting (horizon 100 media
+// lengths).  The charge overstates what forest tables store, 2 bytes a
+// split plus the live band's costs, and is kept so that no cap moved
+// when the splits narrowed.  Adversarial traces that pack everything
+// into one window are caught by DefaultMaxTableBytes instead, long
+// before a column reaches the 65,536 cells a 2-byte split offset can
+// address.
 const DefaultMaxArrivals = 50000
 
 // DefaultMaxTableBytes is the table cap of CheckSize: ~1.5 GiB of window

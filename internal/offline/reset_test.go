@@ -33,15 +33,15 @@ var (
 )
 
 // retainedBytes is the storage tab holds, at capacity: every split chunk
-// its chunk list still references (past its length too), the band, the
-// ring and the per-arrival arrays.  ForestStreams' stack, as deep as the
-// forest's groups and trees, is left out.
+// its chunk list still references (past its length too), at 2 bytes a
+// split, the band, the ring and the per-arrival arrays.  ForestStreams'
+// stack, as deep as the forest's groups and trees, is left out.
 func retainedBytes(tab *Tables) int64 {
 	b := int64(cap(tab.band))*8 + int64(cap(tab.ring))*8 +
 		int64(cap(tab.cols))*int64(unsafe.Sizeof(column{})) +
 		int64(cap(tab.times))*8 + int64(cap(tab.best))*8 + int64(cap(tab.choice))*4
 	for _, c := range tab.chunks[:cap(tab.chunks)] {
-		b += int64(cap(c)) * 4
+		b += int64(cap(c)) * 2
 	}
 	return b
 }

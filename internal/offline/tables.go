@@ -35,12 +35,15 @@ import (
 //
 // Compared with the [][]float64 + [][]int tables of MergeCostTableFast the
 // tables store only the upper triangle (the DP never reads i > j) and
-// int32 splits, and they keep a cell's split and merge cost apart, because
-// they are read over different spans:
+// 2-byte splits, and they keep a cell's split and merge cost apart,
+// because they are read over different spans:
 //
-//   - Splits (4 bytes a cell) are append-only.  Each column's are carved
-//     from chunks the table owns and stay until Reset: SolveForest and
-//     ForestStreams rebuild trees from them.
+//   - Splits (2 bytes a cell) are append-only.  A cell (i, j) stores its
+//     split h as the offset h - i from its row: every split lies in
+//     (i, j], so the offset fits a uint16 while a column is at most
+//     maxColumn cells wide, and grow refuses a wider one.  Each column's
+//     splits are carved from chunks the table owns and stay until Reset:
+//     SolveForest and ForestStreams rebuild trees from them.
 //   - Merge costs (8 bytes a cell) are read only by the column fill, which
 //     reads rows from the new column's first stored row r up, and by the
 //     partition step, which reads the new column.  Because r never
@@ -71,9 +74,9 @@ type Tables struct {
 	// chunks hold the splits in carve order: chunks[:next] have been
 	// carved from since the last Reset, free is the unused tail of
 	// chunks[next-1], and the chunks after it are storage a Reset kept.
-	chunks [][]int32
+	chunks [][]uint16
 	next   int
-	free   []int32
+	free   []uint16
 
 	// band holds the live band's merge costs: cost column c starts at
 	// band[ring[c&(len(ring)-1)]], cell (i, c) at offset c - i.  bandEnd
@@ -127,27 +130,39 @@ func (t *Tables) MC(i, j int) float64 {
 // Split returns the last merge h chosen for the interval [i, j] (0 when
 // i == j).  The interval must be stored: first(j) <= i <= j.
 func (t *Tables) Split(i, j int) int {
+	if i == j {
+		return 0
+	}
 	c := t.cols[j]
-	return int(t.chunks[c.chunk][c.off+j-i])
+	return i + int(t.chunks[c.chunk][c.off+j-i])
 }
 
 // Cells returns the number of stored DP cells.
 func (t *Tables) Cells() int64 { return t.cells }
 
 // MemoryBytes returns the stored cells in bytes under the model the memory
-// guards use, cellBytes per cell.  The table itself holds less: 4 bytes a
+// guards use, cellBytes per cell.  The table itself holds less: 2 bytes a
 // cell for the splits, and merge costs only for the live band.
 func (t *Tables) MemoryBytes() int64 { return t.cells * cellBytes }
 
 // cellBytes is the guards' storage model of one DP cell: a float64 cost
-// plus an int32 split.
+// plus a 4-byte split.  It overstates what the tables store, 2 bytes a
+// split plus the live band's costs, and is kept so that no cap built on
+// it (CheckCounts, DefaultMaxArrivals, DefaultMaxTableBytes) moves.
 const cellBytes = 12
+
+// maxColumn is the widest column the tables store: a split's offset from
+// its row is below the column's width and must fit a uint16.  The guards
+// refuse long before a column gets near it (a column that wide needs
+// 65,537 arrivals inside one window, a window band of over 2 billion
+// cells), so only a DP run past CheckSize can reach it.
+const maxColumn = math.MaxUint16 + 1
 
 // first returns the first row stored in column j.
 func (t *Tables) first(j int) int { return int(t.cols[j].first) }
 
 // splits returns column j's splits, w cells from row j down.
-func (t *Tables) splits(j int) []int32 {
+func (t *Tables) splits(j int) []uint16 {
 	c := t.cols[j]
 	w := j - int(c.first) + 1
 	return t.chunks[c.chunk][c.off : c.off+w : c.off+w]
@@ -324,15 +339,24 @@ func (t *Tables) grow(ctx context.Context, newTimes []float64) error {
 	// column j-1 and its partition step are done; it is filled from its
 	// length-3 cell (row j-2) down to row r, reading the columns to its left
 	// and the cells just written.  One column is the work unit:
-	// cancellation is observed between columns, never mid-column.
+	// cancellation is observed between columns, never mid-column, on the
+	// Done channel: a receive that finds it open takes no lock, where
+	// ctx.Err takes the context's mutex.
+	done := ctx.Done()
 	for j := m; j < n; j++ {
-		if err := ctx.Err(); err != nil {
-			return canceled(err)
+		select {
+		case <-done:
+			return canceled(ctx.Err())
+		default:
 		}
 		r = max(bandLo(times, t.window, r, j), int(t.choice[j]))
+		if w := j - r + 1; w > maxColumn {
+			return fmt.Errorf("%w: offline: column %d would store %d cells, above the %d a split offset can address",
+				moderr.ErrInstanceTooLarge, j, w, maxColumn)
+		}
 		cost, split := t.carve(times, j, r, n-j)
 		if j-2 >= r {
-			t.fillColumn(times, j, r, cost, split)
+			t.fillColumn(times, j, cost, split)
 		}
 		if t.onColumn != nil {
 			t.onColumn(j, cost)
@@ -349,10 +373,11 @@ const minChunk = 64
 // carve appends column j, stored from row r, to the table and returns its
 // costs and splits: the splits from the current chunk, the costs at the
 // end of the band.  It seeds the two cells fillColumn does not write: the
-// length-1 cell (j, j), whose cost and split are 0, and the length-2 cell
-// (j-1, j), whose split is j (like MergeCostTableFast).  Storage a Reset
-// kept holds stale values, so every cell is written before it is read.
-func (t *Tables) carve(times []float64, j, r, rest int) ([]float64, []int32) {
+// length-1 cell (j, j), whose cost and split offset are 0, and the
+// length-2 cell (j-1, j), whose split is j (like MergeCostTableFast), at
+// offset 1.  Storage a Reset kept holds stale values, so every cell is
+// written before it is read.
+func (t *Tables) carve(times []float64, j, r, rest int) ([]float64, []uint16) {
 	w := j - r + 1
 	if len(t.free) < w {
 		t.nextChunk(w, rest)
@@ -375,7 +400,7 @@ func (t *Tables) carve(times []float64, j, r, rest int) ([]float64, []int32) {
 	cost[0], split[0] = 0, 0
 	if w >= 2 {
 		cost[1] = edgeCost(times, j-1, j, j, t.model)
-		split[1] = int32(j)
+		split[1] = 1
 	}
 	t.cells += int64(w)
 	return cost, split
@@ -397,7 +422,7 @@ func (t *Tables) nextChunk(w, rest int) {
 		}
 	}
 	size := max(minChunk, min(int64(rest)*int64(w), t.cells/8), int64(w))
-	t.free = make([]int32, size)
+	t.free = make([]uint16, size)
 	t.chunks = append(t.chunks, t.free)
 	t.next++
 }
@@ -448,17 +473,22 @@ func (t *Tables) relocate(j, r, size, cols int) {
 // partition appends best[j+1] and choice[j+1] once column j, stored from
 // row r with costs col, is filled: the last group of an optimal forest
 // over arrivals 0..j starts at some i in [r, j], scanned from j down with
-// ties kept at the latest start.
+// ties kept at the latest start.  The scan runs over the column's offset
+// k = j - i, over rows resliced to the column: best[j-k] is
+// rows[last-k].
 func (t *Tables) partition(j, r int, col []float64) {
 	L := t.window
-	best, pick := t.best[j]+L+col[0], j
-	for i := j - 1; i >= r; i-- {
-		if c := t.best[i] + L + col[j-i]; c < best {
-			best, pick = c, i
+	rows := t.best[r : j+1 : j+1]
+	col = col[:len(rows)]
+	last := len(rows) - 1
+	best, pick := rows[last]+L+col[0], 0
+	for k := 1; k < len(col); k++ {
+		if c := rows[last-k] + L + col[k]; c < best {
+			best, pick = c, k
 		}
 	}
 	t.best = append(t.best, best)
-	t.choice = append(t.choice, int32(pick))
+	t.choice = append(t.choice, int32(j-pick))
 }
 
 // canceled wraps a context error so every cancellation path out of the DP
@@ -469,57 +499,73 @@ func canceled(err error) error {
 }
 
 // fillColumn fills the cells (i, j) of column j, whose costs are colJ and
-// splits splitJ, for i from j-2 down to iLo.  The cells (j-1, j) and (j, j)
-// and the columns left of j must already be final.  The float operations
-// per cell match MergeCostTableFast exactly (same expressions, same order),
-// so the output is bit-identical to the [][] reference; only the indexing
-// is column-major.
-func (t *Tables) fillColumn(times []float64, j, iLo int, colJ []float64, splitJ []int32) {
+// split offsets splitJ, for i from j-2 down to the column's first stored
+// row: the cell at offset k = j - i of each.  The cells (j-1, j) and
+// (j, j) and the columns left of j must already be final.  The float
+// operations per cell match MergeCostTableFast exactly (same expressions,
+// same order), so the output is bit-identical to the [][] reference; only
+// the indexing is column-major.
+//
+// The Knuth bounds of a cell, the splits of [i, j-1] and [i+1, j], mostly
+// hold one split, and mostly the split of the row below.  Such a cell
+// takes the single-split path, which reads the terms that depend only on
+// the split h (where column h-1 is stored, mc(h, j), and the h part of the
+// edge cost) once per run of rows that share h.  The split of [i+1, j],
+// the row just filled, is carried from one row to the next.
+func (t *Tables) fillColumn(times []float64, j int, colJ []float64, splitJ []uint16) {
 	band, ring := t.band, t.ring
 	mask := len(ring) - 1
-	// split(i, j-1) and split(i+1, j) both sit at offset j-1-i: the former
-	// in the previous column, the latter in this one, just written.
-	splitPrev := t.splits(j - 1)
-	receiveAll := t.model == ReceiveAll
+	w := len(colJ)
+	splitJ = splitJ[:w]
+	// split(i, j-1) sits at offset k-1 of the previous column, from row i.
+	splitPrev := t.splits(j - 1)[: w-1 : w-1]
+	two := t.model == ReceiveTwo
+	inf := math.Inf(1)
 	tj := times[j]
 	tj2 := 2 * tj
-	for i := j - 2; i >= iLo; i-- {
-		// Knuth bounds: only splits between the optima of [i, j-1] and
-		// [i+1, j] need examining.
-		sLo := int(splitPrev[j-1-i])
-		sHi := int(splitJ[j-1-i])
-		if sLo < i+1 {
-			sLo = i + 1
-		}
-		if sHi > j {
-			sHi = j
-		}
-		if sHi < sLo {
-			sHi = sLo
-		}
-		best := math.Inf(1)
-		bestH := sLo
+	// The single-split path's h, the band index of cell (0, h-1) (so that
+	// cell (i, h-1) is band[at-i]), mc(h, j) and the edge cost less the
+	// root's time: 2*times[j] - times[h] for receive-two, times[j] for
+	// receive-all.
+	h, at, mcH, eH := -1, 0, 0.0, 0.0
+	hi := j // split(j-1, j), then split(i+1, j) of the row just filled
+	for k := 2; k < w; k++ {
+		i := j - k
+		lo := i + int(splitPrev[k-1])
 		ti := times[i]
-		// Cell (i, h-1) of column h-1 sits at offset h-1-i of its storage.
-		if receiveAll {
-			// edgeCost is times[j] - times[i], independent of h.
-			e := tj - ti
-			for h := sLo; h <= sHi; h++ {
-				c := band[ring[(h-1)&mask]+h-1-i] + colJ[j-h] + e
+		best, bestH := inf, lo
+		if hi <= lo {
+			// One split to examine, lo (MergeCostTableFast raises an
+			// inverted upper bound to the lower one).
+			if lo != h {
+				h, at, mcH, eH = lo, ring[(lo-1)&mask]+lo-1, colJ[j-lo], tj
+				if two {
+					eH = tj2 - times[lo]
+				}
+			}
+			if c := band[at-i] + mcH + (eH - ti); c < best {
+				best = c
+			}
+		} else if two {
+			for g := lo; g <= hi; g++ {
+				c := band[ring[(g-1)&mask]+g-1-i] + colJ[j-g] + (tj2 - times[g] - ti)
 				if c < best {
-					best, bestH = c, h
+					best, bestH = c, g
 				}
 			}
 		} else {
-			for h := sLo; h <= sHi; h++ {
-				c := band[ring[(h-1)&mask]+h-1-i] + colJ[j-h] + (tj2 - times[h] - ti)
+			// edgeCost is times[j] - times[i], independent of g.
+			e := tj - ti
+			for g := lo; g <= hi; g++ {
+				c := band[ring[(g-1)&mask]+g-1-i] + colJ[j-g] + e
 				if c < best {
-					best, bestH = c, h
+					best, bestH = c, g
 				}
 			}
 		}
-		colJ[j-i] = best
-		splitJ[j-i] = int32(bestH)
+		colJ[k] = best
+		splitJ[k] = uint16(bestH - i)
+		hi = bestH
 	}
 }
 

@@ -2,8 +2,11 @@ package offline
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
+
+	"repro/internal/moderr"
 )
 
 // wide is a window wider than every merge cost of the test instances:
@@ -101,5 +104,33 @@ func TestMemoryBytesAccounting(t *testing.T) {
 	}
 	if got, want := tab.MemoryBytes(), int64(100*101/2*12); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
+	}
+}
+
+// TestWideColumnRefused checks that a column wider than a 16-bit split
+// offset can address is refused with ErrInstanceTooLarge before any of it
+// is stored.  Filling the maxColumn columns before it would take billions
+// of cells, so the table gets only their bookkeeping: on a window wider
+// than the trace, with every group starting at arrival 0, the next column
+// is stored from row 0, maxColumn+1 cells.
+func TestWideColumnRefused(t *testing.T) {
+	n := maxColumn
+	tab := &Tables{
+		model:  ReceiveTwo,
+		window: wide,
+		times:  make([]float64, n),
+		cols:   make([]column, n),
+		best:   make([]float64, n+1),
+		choice: make([]int32, n+1),
+	}
+	for i := range tab.times {
+		tab.times[i] = float64(i)
+	}
+	err := tab.Extend(context.Background(), []float64{float64(n)}, 1)
+	if !errors.Is(err, moderr.ErrInstanceTooLarge) {
+		t.Fatalf("a %d-cell column: err = %v, want ErrInstanceTooLarge", n+1, err)
+	}
+	if tab.N() != n || tab.Cells() != 0 || len(tab.chunks) != 0 {
+		t.Fatalf("the refused column was stored: %d columns, %d cells, %d chunks", tab.N(), tab.Cells(), len(tab.chunks))
 	}
 }

@@ -353,3 +353,29 @@ func BenchmarkServerStats(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServerObject times one Object read of the most popular object
+// of a 64- and a 16,384-object catalog, each after 20,000 admissions: the
+// object's shard answers its one row, so the read costs the same at
+// either size.
+func BenchmarkServerObject(b *testing.B) {
+	for _, k := range []int{64, 16384} {
+		b.Run(fmt.Sprintf("objects=%d", k), func(b *testing.B) {
+			cat := multiobject.ZipfCatalog(k, 1, 0.02, 1)
+			s, err := New(Config{Catalog: cat, Shards: 2, DefaultStrategy: "offline-batched", MeterStages: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			submitChunked(b, s, zipfHistory(b, cat, 20000))
+			name := cat[0].Name
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Object(name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

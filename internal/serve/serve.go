@@ -1086,22 +1086,15 @@ func (s *Server) settler() {
 	}
 }
 
-// Object returns the live accounting snapshot for one object.
+// Object returns the live accounting snapshot for one object: the row
+// Stats reports for it, asked of its shard alone, so the lookup costs the
+// same whatever the catalog's size.
 func (s *Server) Object(name string) (ObjectStats, error) {
 	r, ok := s.byName[name]
 	if !ok {
 		return ObjectStats{}, fmt.Errorf("%w %q", ErrUnknownObject, name)
 	}
-	snap, err := ask(s, r.sh, func(reply chan shardSnapshot) any { return statsMsg{from: -1, reply: reply} })
-	if err != nil {
-		return ObjectStats{}, err
-	}
-	for _, os := range snap.objects {
-		if os.Name == name {
-			return os, nil
-		}
-	}
-	return ObjectStats{}, fmt.Errorf("%w %q", ErrUnknownObject, name)
+	return ask(s, r.sh, func(reply chan ObjectStats) any { return objectMsg{st: r.st, reply: reply} })
 }
 
 // DrainResult is the final accounting of a drained server.

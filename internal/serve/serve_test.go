@@ -256,6 +256,57 @@ func TestStatsOutcomesMatchObjects(t *testing.T) {
 	}
 }
 
+// TestObjectMatchesStatsRow checks that Object answers, for every object
+// and every strategy, the row Stats reports for it: on two shards, under a
+// channel cap that degrades and rejects, with stage metering on (so the
+// rows carry replan wall time) and once more after a drain.  An unknown
+// name is ErrUnknownObject.
+func TestObjectMatchesStatsRow(t *testing.T) {
+	cat := multiobject.ZipfCatalog(8, 1.0, 0.05, 1.0)
+	reqs, err := serve.GenerateRequests(cat, serve.LoadConfig{Horizon: 6, MeanInterArrival: 0.01, Kind: serve.PoissonArrivals, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range serve.LivePlanners() {
+		s, err := serve.New(serve.Config{Catalog: cat, Shards: 2, MaxChannels: 12, DefaultStrategy: strategy, EpochSlots: 32, MeterStages: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(when string) {
+			st, err := s.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range st.Objects {
+				got, err := s.Object(want.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s, %s: Object(%q) = %+v, Stats reports %+v", strategy, when, want.Name, got, want)
+				}
+			}
+			if st.Degraded == 0 || st.Rejected == 0 {
+				t.Fatalf("%s: want degradations and rejections, got %d and %d", strategy, st.Degraded, st.Rejected)
+			}
+		}
+		for _, r := range reqs {
+			if _, err := s.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		same("mid-run")
+		if _, err := s.Drain(6); err != nil {
+			t.Fatal(err)
+		}
+		same("drained")
+		if _, err := s.Object("no-such-object"); !errors.Is(err, serve.ErrUnknownObject) {
+			t.Fatalf("%s: unknown object: err = %v, want ErrUnknownObject", strategy, err)
+		}
+		s.Close()
+	}
+}
+
 func TestGenerateRequestsDeterministicAndSorted(t *testing.T) {
 	cat := multiobject.ZipfCatalog(5, 1.0, 0.05, 1.0)
 	cfg := serve.LoadConfig{Horizon: 6, MeanInterArrival: 0.05, Kind: serve.PoissonArrivals, Seed: 3}

@@ -47,12 +47,18 @@ type pauseMsg struct {
 
 // statsMsg asks the shard for a snapshot of its objects and of the
 // finalized intervals from index from on (the server's fold cursor for
-// the shard); a negative from asks for none.  The shard first forgets the
-// intervals before from that end by the durable settle point.
+// the shard).  The shard first forgets the intervals before from that end
+// by the durable settle point.
 type statsMsg struct {
 	from    int
 	durable settlePoint
 	reply   chan shardSnapshot
+}
+
+// objectMsg asks the shard for one object's row, as snapshot reports it.
+type objectMsg struct {
+	st    *objectState
+	reply chan ObjectStats
 }
 
 // drainMsg asks the shard to finalize every object at the horizon, then
@@ -133,12 +139,11 @@ func (st *objectState) totals() live.Totals {
 }
 
 // replanNanos is the object's cumulative metered replan wall time; the
-// stage decomposition reads its delta across one admitCore call.  Cheap
-// enough for the hot path: Totals() is a value copy on every adapter.
+// stage decomposition reads its delta across one admitCore call.
 //
 //modlint:noalloc
 func (st *objectState) replanNanos() int64 {
-	return st.carry.Replan.ReplanNanos + st.sched.Totals().Replan.ReplanNanos
+	return st.carry.Replan.ReplanNanos + st.sched.ReplanNanos()
 }
 
 // shard is one scheduler shard: a single-goroutine event loop owning the
@@ -450,6 +455,8 @@ func (sh *shard) handle(m any) bool {
 		sh.nextSnap = sh.now + sh.snapEvery
 	case statsMsg:
 		msg.reply <- sh.snapshot(msg.from, msg.durable)
+	case objectMsg:
+		msg.reply <- sh.objectStats(msg.st)
 	case drainMsg:
 		sh.drain(msg.horizon)
 		msg.reply <- sh.snapshot(msg.from, msg.durable)
@@ -694,8 +701,8 @@ func (sh *shard) drain(horizon float64) {
 }
 
 // snapshot reports the shard's per-object stats, its busy-time sum, its
-// frontier, and, unless from is negative, its finalized intervals from
-// index from on, after trimming the kept set with from and d.
+// frontier, and its finalized intervals from index from on, after
+// trimming the kept set with from and d.
 func (sh *shard) snapshot(from int, d settlePoint) shardSnapshot {
 	snap := shardSnapshot{
 		objects:  make([]ObjectStats, 0, len(sh.objects)),
@@ -707,35 +714,38 @@ func (sh *shard) snapshot(from int, d settlePoint) shardSnapshot {
 		frontier: sh.frontier(),
 		stages:   append([]stageHist(nil), sh.stages...),
 	}
-	if from >= 0 {
-		sh.trim(from, d)
-		snap.from = sh.next
-		snap.intervals = append([]bandwidth.Interval(nil), sh.kept[sh.folded:]...)
-	}
+	sh.trim(from, d)
+	snap.from = sh.next
+	snap.intervals = append([]bandwidth.Interval(nil), sh.kept[sh.folded:]...)
 	for _, st := range sh.objects {
 		snap.index = append(snap.index, st.index)
-		tot := st.totals()
-		snap.objects = append(snap.objects, ObjectStats{
-			Name:             st.obj.Name,
-			Shard:            sh.id,
-			Strategy:         st.strategy,
-			L:                st.L,
-			Delay:            st.delay,
-			Scale:            st.scale,
-			Epoch:            st.epoch,
-			Arrivals:         st.arrivals,
-			Clients:          tot.Clients,
-			Rejected:         st.rejected,
-			Streams:          tot.Streams,
-			FinalizedStreams: tot.FinalizedStreams,
-			SlotUnits:        tot.SlotUnits,
-			BusyTime:         tot.BusyTime,
-			Cost:             tot.Cost,
-			ReplanFailures:   tot.ReplanFailures,
-			Replan:           tot.Replan,
-		})
+		snap.objects = append(snap.objects, sh.objectStats(st))
 	}
 	return snap
+}
+
+// objectStats is the row of one of the shard's objects.
+func (sh *shard) objectStats(st *objectState) ObjectStats {
+	tot := st.totals()
+	return ObjectStats{
+		Name:             st.obj.Name,
+		Shard:            sh.id,
+		Strategy:         st.strategy,
+		L:                st.L,
+		Delay:            st.delay,
+		Scale:            st.scale,
+		Epoch:            st.epoch,
+		Arrivals:         st.arrivals,
+		Clients:          tot.Clients,
+		Rejected:         st.rejected,
+		Streams:          tot.Streams,
+		FinalizedStreams: tot.FinalizedStreams,
+		SlotUnits:        tot.SlotUnits,
+		BusyTime:         tot.BusyTime,
+		Cost:             tot.Cost,
+		ReplanFailures:   tot.ReplanFailures,
+		Replan:           tot.Replan,
+	}
 }
 
 // frontier is the minimum live.Incremental.Frontier over the shard's
