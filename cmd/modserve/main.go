@@ -122,6 +122,10 @@ func main() {
 	skipReqs := flag.Int("skipreqs", 0, "load: skip the first N requests of the trace")
 	flag.Parse()
 
+	if *objects < 1 {
+		fmt.Fprintln(os.Stderr, "modserve: -objects must be at least 1")
+		os.Exit(2)
+	}
 	cat := mod.ZipfCatalog(*objects, *length, *length**delayPct/100, *zipf)
 	cfg := mod.ServeConfig{
 		Catalog:           cat,
@@ -261,6 +265,11 @@ func benchGridConfig(workloads, sizes, shardGrid string, objects, shards int) (b
 	var err error
 	if g.sizes, err = parseInts(sizes, objects); err != nil {
 		return g, fmt.Errorf("bad -sizes: %v", err)
+	}
+	for _, n := range g.sizes {
+		if n < 1 {
+			return g, fmt.Errorf("bad -sizes: catalog size %d, want at least 1", n)
+		}
 	}
 	if g.shards, err = parseInts(shardGrid, shards); err != nil {
 		return g, fmt.Errorf("bad -shardgrid: %v", err)

@@ -94,8 +94,8 @@ func main() {
 	case "compare":
 		delay := *delayPct / 100
 		lambda := *lambdaPct / 100
-		if delay <= 0 || lambda <= 0 || *horizon <= 0 {
-			fmt.Fprintln(os.Stderr, "modsim: -delay, -lambda and -horizon must be positive")
+		if !positiveFinite(delay, lambda, *horizon) {
+			fmt.Fprintln(os.Stderr, "modsim: -delay, -lambda and -horizon must be positive and finite")
 			os.Exit(2)
 		}
 		slotsPerMedia := int64(math.Round(1 / delay))
@@ -136,8 +136,8 @@ func main() {
 	case "workload":
 		delay := *delayPct / 100
 		lambda := *lambdaPct / 100
-		if delay <= 0 || lambda <= 0 || *horizon <= 0 || *objects < 1 {
-			fmt.Fprintln(os.Stderr, "modsim: -delay, -lambda, -horizon and -objects must be positive")
+		if !positiveFinite(delay, lambda, *horizon) || *objects < 1 {
+			fmt.Fprintln(os.Stderr, "modsim: -delay, -lambda and -horizon must be positive and finite, and -objects positive")
 			os.Exit(2)
 		}
 		res, err := mod.RunWorkload(ctx, mod.WorkloadConfig{
@@ -174,6 +174,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "modsim: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
+}
+
+// positiveFinite reports whether every flag value is positive and finite:
+// a NaN or infinite horizon or rate would never end a trace generator.
+func positiveFinite(xs ...float64) bool {
+	for _, x := range xs {
+		if !(x > 0) || math.IsInf(x, 1) {
+			return false
+		}
+	}
+	return true
 }
 
 func exitOn(err error) {

@@ -5,6 +5,7 @@ package repro
 // startup) is caught by `go test ./...` rather than by a user.
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildCmd compiles cmd/<name> into the test's temp dir and returns the
@@ -354,21 +356,31 @@ func TestBenchCSVDump(t *testing.T) {
 }
 
 // TestCommandSmokeBadFlags pins non-zero exits for invalid invocations so
-// scripts can rely on the exit code.
+// scripts can rely on the exit code: a refusal, not a crash, and within
+// badFlagDeadline, so a flag value that sends a trace generator into an
+// endless loop fails as a hang instead of running until memory runs out.
 func TestCommandSmokeBadFlags(t *testing.T) {
+	const badFlagDeadline = 10 * time.Second
 	bins := map[string]string{}
 	for _, tc := range []struct {
 		cmd  string
 		args []string
 	}{
 		{"modsim", []string{"-mode", "nope"}},
+		{"modsim", []string{"-mode", "workload", "-poisson", "-horizon", "NaN"}},
+		{"modsim", []string{"-mode", "compare", "-horizon", "Inf"}},
+		{"modsim", []string{"-mode", "compare", "-poisson", "-lambda", "NaN"}},
 		{"modserve", []string{"-mode", "nope"}},
 		{"modserve", []string{"-mode", "serve", "-snapshot-dir", "/dev/null/nope"}},
 		{"modserve", []string{"-mode", "smoke", "-restore"}},
 		{"modserve", []string{"-mode", "bench", "-arrivals", "nope"}},
 		{"modserve", []string{"-mode", "bench", "-workloads", "nope"}},
 		{"modserve", []string{"-mode", "bench", "-shardgrid", "1,x"}},
+		{"modserve", []string{"-mode", "bench", "-sizes", "0"}},
 		{"modserve", []string{"-mode", "bench", "-sync", "nope"}},
+		{"modserve", []string{"-mode", "load", "-horizon", "NaN"}},
+		{"modserve", []string{"-mode", "load", "-arrivals", "flash", "-ramp", "0.5"}},
+		{"modserve", []string{"-objects", "0"}},
 		{"modlint", []string{"-run", "nope"}},
 	} {
 		bin, ok := bins[tc.cmd]
@@ -376,8 +388,17 @@ func TestCommandSmokeBadFlags(t *testing.T) {
 			bin = buildCmd(t, tc.cmd)
 			bins[tc.cmd] = bin
 		}
-		if out, err := exec.Command(bin, tc.args...).CombinedOutput(); err == nil {
+		ctx, cancel := context.WithTimeout(context.Background(), badFlagDeadline)
+		out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
+		hung := ctx.Err() != nil
+		cancel()
+		switch {
+		case hung:
+			t.Errorf("%s %v hung: still running after %v, killed", tc.cmd, tc.args, badFlagDeadline)
+		case err == nil:
 			t.Errorf("%s %v exited 0, want failure:\n%s", tc.cmd, tc.args, out)
+		case strings.Contains(string(out), "panic:") || strings.Contains(string(out), "fatal error:"):
+			t.Errorf("%s %v crashed, want a refusal:\n%s", tc.cmd, tc.args, out)
 		}
 	}
 }

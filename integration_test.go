@@ -115,7 +115,7 @@ func TestIntegrationPolicyComparisonConsistency(t *testing.T) {
 		t.Errorf("facade dyadic cost %v != dyadic package %v", costs["dyadic"], wantDy)
 	}
 	// Hybrid: must match the hybrid package.
-	hres, err := hybrid.Run(trace, horizon, hybrid.DefaultConfig(mediaLen, delay))
+	hres, err := hybrid.Run(trace, horizon, mediaLen, delay)
 	if err != nil {
 		t.Fatal(err)
 	}

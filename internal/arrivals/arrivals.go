@@ -17,16 +17,24 @@ import (
 // Trace is a sequence of client arrival times in increasing order.
 type Trace []float64
 
+// mustLoad panics unless lambda, a mean inter-arrival time, is positive
+// with a finite rate 1/lambda (a +Inf lambda is valid and draws nothing)
+// and horizon is finite and non-negative.  A NaN or infinite value that
+// got past them would never end a generator's loop.
+func mustLoad(gen string, lambda, horizon float64) {
+	if !(lambda > 0) || math.IsInf(1/lambda, 1) {
+		panic(fmt.Sprintf("arrivals: %s requires lambda > 0 with a finite rate 1/lambda, got %g", gen, lambda))
+	}
+	if !(horizon >= 0) || math.IsInf(horizon, 1) {
+		panic(fmt.Sprintf("arrivals: %s requires a finite horizon >= 0, got %g", gen, horizon))
+	}
+}
+
 // Constant returns arrivals at lambda, 2*lambda, 3*lambda, ... up to (but
 // not including) horizon.  lambda is the constant inter-arrival time.
-// It panics if lambda <= 0 or horizon < 0.
+// It panics unless lambda and horizon pass mustLoad.
 func Constant(lambda, horizon float64) Trace {
-	if lambda <= 0 {
-		panic(fmt.Sprintf("arrivals: Constant requires lambda > 0, got %g", lambda))
-	}
-	if horizon < 0 {
-		panic(fmt.Sprintf("arrivals: Constant requires horizon >= 0, got %g", horizon))
-	}
+	mustLoad("Constant", lambda, horizon)
 	var tr Trace
 	for t := lambda; t < horizon; t += lambda {
 		tr = append(tr, t)
@@ -36,14 +44,9 @@ func Constant(lambda, horizon float64) Trace {
 
 // Poisson returns a Poisson arrival process over [0, horizon) with mean
 // inter-arrival time lambda, generated deterministically from the seed.
-// It panics if lambda <= 0 or horizon < 0.
+// It panics unless lambda and horizon pass mustLoad.
 func Poisson(lambda, horizon float64, seed int64) Trace {
-	if lambda <= 0 {
-		panic(fmt.Sprintf("arrivals: Poisson requires lambda > 0, got %g", lambda))
-	}
-	if horizon < 0 {
-		panic(fmt.Sprintf("arrivals: Poisson requires horizon >= 0, got %g", horizon))
-	}
+	mustLoad("Poisson", lambda, horizon)
 	rng := rand.New(rand.NewSource(seed))
 	var tr Trace
 	t := 0.0
@@ -63,15 +66,11 @@ func Poisson(lambda, horizon float64, seed int64) Trace {
 // horizon*(1/lambda0+1/lambda1)/2; the mean inter-arrival time itself does
 // not ramp linearly), generated deterministically from the seed by
 // thinning a homogeneous process at the peak rate.  It models the
-// prime-time ramp-up of a live Media-on-Demand evening.  It panics if
-// lambda0 <= 0, lambda1 <= 0, or horizon < 0.
+// prime-time ramp-up of a live Media-on-Demand evening.  It panics unless
+// both lambdas and the horizon pass mustLoad.
 func Ramp(lambda0, lambda1, horizon float64, seed int64) Trace {
-	if lambda0 <= 0 || lambda1 <= 0 {
-		panic(fmt.Sprintf("arrivals: Ramp requires positive lambdas, got %g and %g", lambda0, lambda1))
-	}
-	if horizon < 0 {
-		panic(fmt.Sprintf("arrivals: Ramp requires horizon >= 0, got %g", horizon))
-	}
+	mustLoad("Ramp", lambda0, horizon)
+	mustLoad("Ramp", lambda1, horizon)
 	r0, r1 := 1/lambda0, 1/lambda1
 	rmax := math.Max(r0, r1)
 	rng := rand.New(rand.NewSource(seed))
@@ -95,23 +94,22 @@ func Ramp(lambda0, lambda1, horizon float64, seed int64) Trace {
 // jumps to factor/lambda — a flash crowd (a premiere, a breaking-news spike)
 // superimposed on steady background demand.  Like Ramp it is generated
 // deterministically from the seed by thinning a homogeneous process at the
-// peak rate.  It panics if lambda <= 0, factor < 1, duration < 0, or
-// horizon < 0.
+// peak rate.  It panics unless lambda and horizon pass mustLoad, factor
+// is finite and at least 1, the peak rate factor/lambda is finite, and
+// duration >= 0.
 func Flash(lambda, factor, start, duration, horizon float64, seed int64) Trace {
-	if lambda <= 0 {
-		panic(fmt.Sprintf("arrivals: Flash requires lambda > 0, got %g", lambda))
-	}
-	if factor < 1 {
-		panic(fmt.Sprintf("arrivals: Flash requires factor >= 1, got %g", factor))
+	mustLoad("Flash", lambda, horizon)
+	if !(factor >= 1) || math.IsInf(factor, 1) {
+		panic(fmt.Sprintf("arrivals: Flash requires a finite factor >= 1, got %g", factor))
 	}
 	if duration < 0 {
 		panic(fmt.Sprintf("arrivals: Flash requires duration >= 0, got %g", duration))
 	}
-	if horizon < 0 {
-		panic(fmt.Sprintf("arrivals: Flash requires horizon >= 0, got %g", horizon))
-	}
 	base := 1 / lambda
 	rmax := factor * base
+	if math.IsInf(rmax, 1) {
+		panic(fmt.Sprintf("arrivals: Flash requires a finite peak rate factor/lambda, got %g/%g", factor, lambda))
+	}
 	rng := rand.New(rand.NewSource(seed))
 	var tr Trace
 	t := 0.0

@@ -45,6 +45,64 @@ func TestConstantPanics(t *testing.T) {
 	}
 }
 
+// TestGeneratorsRefuseNonFiniteLoad pins a panic, like the one for a
+// non-positive lambda, for every value that would otherwise never end a
+// generator's loop: a NaN or infinite horizon, a NaN rate or factor, and
+// a peak rate that overflows.
+func TestGeneratorsRefuseNonFiniteLoad(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		gen  func()
+	}{
+		{"Constant NaN horizon", func() { Constant(1, nan) }},
+		{"Constant +Inf horizon", func() { Constant(1, inf) }},
+		{"Constant NaN lambda", func() { Constant(nan, 1) }},
+		{"Constant overflowing rate", func() { Constant(5e-324, 1) }},
+		{"Poisson NaN horizon", func() { Poisson(1, nan, 1) }},
+		{"Poisson +Inf horizon", func() { Poisson(1, inf, 1) }},
+		{"Poisson NaN lambda", func() { Poisson(nan, 1, 1) }},
+		{"Poisson overflowing rate", func() { Poisson(5e-324, 1, 1) }},
+		{"Ramp NaN horizon", func() { Ramp(1, 1, nan, 1) }},
+		{"Ramp +Inf horizon", func() { Ramp(1, 1, inf, 1) }},
+		{"Ramp NaN start lambda", func() { Ramp(nan, 1, 1, 1) }},
+		{"Ramp NaN end lambda", func() { Ramp(1, nan, 1, 1) }},
+		{"Ramp overflowing peak rate", func() { Ramp(1, 5e-324, 1, 1) }},
+		{"Flash NaN horizon", func() { Flash(1, 2, 0, 1, nan, 1) }},
+		{"Flash +Inf horizon", func() { Flash(1, 2, 0, 1, inf, 1) }},
+		{"Flash NaN lambda", func() { Flash(nan, 2, 0, 1, 1, 1) }},
+		{"Flash NaN factor", func() { Flash(1, nan, 0, 1, 1, 1) }},
+		{"Flash +Inf factor", func() { Flash(1, inf, 0, 1, 1, 1) }},
+		{"Flash +Inf factor, +Inf lambda", func() { Flash(inf, inf, 0, 1, 1, 1) }},
+		{"Flash overflowing peak rate", func() { Flash(1e-300, 1e10, 0, 1, 1, 1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			c.gen()
+		}()
+	}
+}
+
+// TestInfiniteMeanDrawsNothing pins that a +Inf mean inter-arrival time,
+// a rate of zero, is valid and yields an empty trace.
+func TestInfiniteMeanDrawsNothing(t *testing.T) {
+	inf := math.Inf(1)
+	for name, tr := range map[string]Trace{
+		"Constant": Constant(inf, 10),
+		"Poisson":  Poisson(inf, 10, 1),
+		"Ramp":     Ramp(inf, inf, 10, 1),
+		"Flash":    Flash(inf, 4, 2, 2, 10, 1),
+	} {
+		if len(tr) != 0 {
+			t.Errorf("%s with a +Inf mean drew %d arrivals, want 0", name, len(tr))
+		}
+	}
+}
+
 func TestPoissonDeterministic(t *testing.T) {
 	a := Poisson(0.01, 10, 42)
 	b := Poisson(0.01, 10, 42)

@@ -62,8 +62,7 @@ func HybridServer(cfg HybridConfig) (Result, error) {
 		}
 		offset += ph.Span
 	}
-	hcfg := hybrid.DefaultConfig(1.0, cfg.Delay)
-	res, err := hybrid.Run(trace, offset, hcfg)
+	res, err := hybrid.Run(trace, offset, 1.0, cfg.Delay)
 	if err != nil {
 		return Result{}, err
 	}

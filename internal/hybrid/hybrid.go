@@ -8,12 +8,15 @@
 //
 // The policy is deliberately simple, matching the spirit of the paper's
 // delay-guaranteed algorithm: time is divided into fixed decision windows of
-// a whole number of slots; a window is classified as "loaded" when the
-// fraction of its slots containing at least one arrival reaches a threshold,
+// windowSlots slots; a window is classified as "loaded" when the fraction
+// of its slots containing at least one arrival reaches occupancyThreshold,
 // and consecutive windows with the same classification are served as one
-// segment by the corresponding algorithm.  Merging never crosses a segment
-// boundary, so each segment's cost is exactly the cost of the chosen
-// algorithm on that segment.
+// segment by the corresponding algorithm, the dyadic one with the
+// golden-ratio Poisson tuning (dyadic.GoldenPoisson).  Merging never
+// crosses a segment boundary, so each segment's cost is exactly the cost
+// of the chosen algorithm on that segment.  Run is the only entry point:
+// the media length and the delay are the policy's only inputs besides the
+// trace and the horizon.
 package hybrid
 
 import (
@@ -22,7 +25,16 @@ import (
 
 	"repro/internal/arrivals"
 	"repro/internal/dyadic"
+	"repro/internal/mergetree"
 	"repro/internal/online"
+)
+
+const (
+	// windowSlots is the number of slots per load-classification window.
+	windowSlots = 50
+	// occupancyThreshold is the fraction of occupied slots at or above
+	// which a window is classified as loaded (delay-guaranteed mode).
+	occupancyThreshold = 0.8
 )
 
 // Mode identifies the algorithm serving a segment.
@@ -49,51 +61,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Config parameterizes the hybrid policy.
-type Config struct {
-	// MediaLength is the media length in the trace's time unit (usually 1).
-	MediaLength float64
-	// Delay is the guaranteed start-up delay in the same unit.
-	Delay float64
-	// WindowSlots is the number of slots per load-classification window.
-	WindowSlots int
-	// OccupancyThreshold is the fraction of occupied slots at or above which
-	// a window is classified as loaded (delay-guaranteed mode).
-	OccupancyThreshold float64
-	// Dyadic holds the parameters of the dyadic algorithm used in the
-	// lightly-loaded mode.
-	Dyadic dyadic.Params
-}
-
-// DefaultConfig returns a reasonable hybrid configuration for the given
-// media length and delay.
-func DefaultConfig(mediaLength, delay float64) Config {
-	return Config{
-		MediaLength:        mediaLength,
-		Delay:              delay,
-		WindowSlots:        50,
-		OccupancyThreshold: 0.8,
-		Dyadic:             dyadic.GoldenPoisson(),
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.MediaLength <= 0 {
-		return fmt.Errorf("hybrid: media length must be positive, got %g", c.MediaLength)
-	}
-	if c.Delay <= 0 || c.Delay > c.MediaLength {
-		return fmt.Errorf("hybrid: delay must be in (0, media length], got %g", c.Delay)
-	}
-	if c.WindowSlots < 1 {
-		return fmt.Errorf("hybrid: window must span at least one slot, got %d", c.WindowSlots)
-	}
-	if c.OccupancyThreshold <= 0 || c.OccupancyThreshold > 1 {
-		return fmt.Errorf("hybrid: occupancy threshold must be in (0,1], got %g", c.OccupancyThreshold)
-	}
-	return c.Dyadic.Validate()
-}
-
 // Segment is a maximal run of consecutive windows served in the same mode.
 type Segment struct {
 	// Start and End delimit the segment in time units.
@@ -104,6 +71,9 @@ type Segment struct {
 	Arrivals int
 	// Cost is the segment's bandwidth in complete media streams.
 	Cost float64
+	// Forest is the batched dyadic forest a dyadic segment with arrivals
+	// was priced with (Cost is its NormalizedCost); nil otherwise.
+	Forest *mergetree.RForest
 }
 
 // Result summarizes a hybrid run.
@@ -123,73 +93,63 @@ type Result struct {
 	LoadedFraction float64
 }
 
-// Run replays the arrival trace over [0, horizon) through the hybrid policy
-// and returns the mode timeline and cost comparison.
-func Run(trace arrivals.Trace, horizon float64, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// Run replays the sorted arrival trace over [0, horizon) through the
+// hybrid policy for the given media length and guaranteed start-up delay
+// (in the trace's time unit) and returns the mode timeline and cost
+// comparison.
+func Run(trace arrivals.Trace, horizon, mediaLength, delay float64) (*Result, error) {
+	if mediaLength <= 0 {
+		return nil, fmt.Errorf("hybrid: media length must be positive, got %g", mediaLength)
+	}
+	if delay <= 0 || delay > mediaLength {
+		return nil, fmt.Errorf("hybrid: delay must be in (0, media length], got %g", delay)
 	}
 	if err := trace.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("hybrid: horizon must be positive, got %g", horizon)
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
+		return nil, fmt.Errorf("hybrid: horizon must be positive and finite, got %g", horizon)
 	}
-	slotsPerMedia := int64(math.Round(cfg.MediaLength / cfg.Delay))
-	if slotsPerMedia < 1 {
-		slotsPerMedia = 1
-	}
-	totalSlots := int64(math.Ceil(horizon / cfg.Delay))
-	windowSlots := int64(cfg.WindowSlots)
-
-	// Classify each window by slot occupancy.
-	occupied := make(map[int64]bool)
-	for _, t := range trace {
-		if t < horizon {
-			occupied[int64(math.Floor(t/cfg.Delay))] = true
-		}
-	}
+	slotsPerMedia := max(int64(math.Round(mediaLength/delay)), 1)
+	totalSlots := int64(math.Ceil(horizon / delay))
 	numWindows := (totalSlots + windowSlots - 1) / windowSlots
-	modes := make([]Mode, numWindows)
-	for w := int64(0); w < numWindows; w++ {
-		startSlot := w * windowSlots
-		endSlot := startSlot + windowSlots
-		if endSlot > totalSlots {
-			endSlot = totalSlots
+	params := dyadic.GoldenPoisson()
+
+	// Count each window's occupied slots; slots at or past the horizon's
+	// last one belong to no window.
+	clipped := trace.Clip(horizon)
+	occupied := make([]int64, numWindows)
+	for _, s := range clipped.BatchToSlots(delay) {
+		if s < totalSlots {
+			occupied[s/windowSlots]++
 		}
-		occ := 0
-		for s := startSlot; s < endSlot; s++ {
-			if occupied[s] {
-				occ++
-			}
+	}
+	modeOf := func(w int64) Mode {
+		n := min(windowSlots, totalSlots-w*windowSlots)
+		if float64(occupied[w]) >= occupancyThreshold*float64(n) {
+			return ModeDelayGuaranteed
 		}
-		if float64(occ) >= cfg.OccupancyThreshold*float64(endSlot-startSlot) {
-			modes[w] = ModeDelayGuaranteed
-		} else {
-			modes[w] = ModeDyadic
-		}
+		return ModeDyadic
 	}
 
 	// Coalesce consecutive windows with the same mode into segments and cost
-	// each segment with its algorithm.
+	// each segment with its algorithm.  Segments tile the slots in order,
+	// so each one's arrivals start where the previous one's ended.
 	srv := online.NewServer(slotsPerMedia)
 	res := &Result{}
 	var loadedSlots int64
+	lo := 0
 	for w := int64(0); w < numWindows; {
-		mode := modes[w]
+		mode := modeOf(w)
 		end := w + 1
-		for end < numWindows && modes[end] == mode {
+		for end < numWindows && modeOf(end) == mode {
 			end++
 		}
-		startSlot := w * windowSlots
-		endSlot := end * windowSlots
-		if endSlot > totalSlots {
-			endSlot = totalSlots
-		}
-		segStart := float64(startSlot) * cfg.Delay
-		segEnd := float64(endSlot) * cfg.Delay
-		segTrace := sliceTrace(trace, segStart, segEnd)
-		seg := Segment{Start: segStart, End: segEnd, Mode: mode, Arrivals: len(segTrace)}
+		startSlot, endSlot := w*windowSlots, min(end*windowSlots, totalSlots)
+		seg := Segment{Start: float64(startSlot) * delay, End: float64(endSlot) * delay, Mode: mode}
+		segTrace := trace.Clip(seg.End)[lo:]
+		lo += len(segTrace)
+		seg.Arrivals = len(segTrace)
 		switch mode {
 		case ModeDelayGuaranteed:
 			n := endSlot - startSlot
@@ -197,11 +157,11 @@ func Run(trace arrivals.Trace, horizon float64, cfg Config) (*Result, error) {
 			loadedSlots += n
 		case ModeDyadic:
 			if len(segTrace) > 0 {
-				cost, err := dyadic.TotalBatchedCost(segTrace, cfg.MediaLength, cfg.Delay, cfg.Dyadic)
+				f, err := dyadic.BuildBatchedForest(segTrace, mediaLength, delay, params)
 				if err != nil {
 					return nil, err
 				}
-				seg.Cost = cost
+				seg.Forest, seg.Cost = f, f.NormalizedCost()
 			}
 		}
 		res.Segments = append(res.Segments, seg)
@@ -211,9 +171,8 @@ func Run(trace arrivals.Trace, horizon float64, cfg Config) (*Result, error) {
 
 	// Pure baselines over the whole horizon.
 	res.PureDelayGuaranteedCost = float64(srv.CostClosed(totalSlots)) / float64(slotsPerMedia)
-	clipped := trace.Clip(horizon)
 	if len(clipped) > 0 {
-		cost, err := dyadic.TotalBatchedCost(clipped, cfg.MediaLength, cfg.Delay, cfg.Dyadic)
+		cost, err := dyadic.TotalBatchedCost(clipped, mediaLength, delay, params)
 		if err != nil {
 			return nil, err
 		}
@@ -223,15 +182,4 @@ func Run(trace arrivals.Trace, horizon float64, cfg Config) (*Result, error) {
 		res.LoadedFraction = float64(loadedSlots) / float64(totalSlots)
 	}
 	return res, nil
-}
-
-// sliceTrace returns the arrivals in [from, to).
-func sliceTrace(trace arrivals.Trace, from, to float64) arrivals.Trace {
-	var out arrivals.Trace
-	for _, t := range trace {
-		if t >= from && t < to {
-			out = append(out, t)
-		}
-	}
-	return out
 }

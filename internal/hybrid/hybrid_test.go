@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/arrivals"
@@ -17,44 +18,28 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(1, 0.01).Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
-	}
-	bad := []Config{
-		{MediaLength: 0, Delay: 0.01, WindowSlots: 10, OccupancyThreshold: 0.5, Dyadic: dyadic.Original()},
-		{MediaLength: 1, Delay: 0, WindowSlots: 10, OccupancyThreshold: 0.5, Dyadic: dyadic.Original()},
-		{MediaLength: 1, Delay: 2, WindowSlots: 10, OccupancyThreshold: 0.5, Dyadic: dyadic.Original()},
-		{MediaLength: 1, Delay: 0.01, WindowSlots: 0, OccupancyThreshold: 0.5, Dyadic: dyadic.Original()},
-		{MediaLength: 1, Delay: 0.01, WindowSlots: 10, OccupancyThreshold: 0, Dyadic: dyadic.Original()},
-		{MediaLength: 1, Delay: 0.01, WindowSlots: 10, OccupancyThreshold: 1.5, Dyadic: dyadic.Original()},
-		{MediaLength: 1, Delay: 0.01, WindowSlots: 10, OccupancyThreshold: 0.5, Dyadic: dyadic.Params{Alpha: 1, Beta: 0.5}},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %d should be invalid", i)
+func TestRunErrors(t *testing.T) {
+	for _, c := range []struct {
+		name                        string
+		trace                       arrivals.Trace
+		horizon, mediaLength, delay float64
+	}{
+		{"unsorted trace", arrivals.Trace{0.5, 0.2}, 10, 1, 0.01},
+		{"zero horizon", arrivals.Trace{0.1}, 0, 1, 0.01},
+		{"NaN horizon", arrivals.Trace{0.1}, math.NaN(), 1, 0.01},
+		{"infinite horizon", arrivals.Trace{0.1}, math.Inf(1), 1, 0.01},
+		{"zero media length", arrivals.Trace{0.1}, 10, 0, 0.01},
+		{"zero delay", arrivals.Trace{0.1}, 10, 1, 0},
+		{"delay past media length", arrivals.Trace{0.1}, 10, 1, 2},
+	} {
+		if _, err := Run(c.trace, c.horizon, c.mediaLength, c.delay); err == nil {
+			t.Errorf("%s: Run succeeded, want an error", c.name)
 		}
 	}
 }
 
-func TestRunErrors(t *testing.T) {
-	cfg := DefaultConfig(1, 0.01)
-	if _, err := Run(arrivals.Trace{0.5, 0.2}, 10, cfg); err == nil {
-		t.Errorf("unsorted trace should fail")
-	}
-	if _, err := Run(arrivals.Trace{0.1}, 0, cfg); err == nil {
-		t.Errorf("non-positive horizon should fail")
-	}
-	badCfg := cfg
-	badCfg.WindowSlots = 0
-	if _, err := Run(arrivals.Trace{0.1}, 10, badCfg); err == nil {
-		t.Errorf("invalid config should fail")
-	}
-}
-
 func TestRunEmptyTraceCostsNothingInDyadicMode(t *testing.T) {
-	cfg := DefaultConfig(1, 0.01)
-	res, err := Run(arrivals.Trace{}, 10, cfg)
+	res, err := Run(arrivals.Trace{}, 10, 1, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +60,8 @@ func TestRunEmptyTraceCostsNothingInDyadicMode(t *testing.T) {
 func TestRunSaturatedTraceUsesDelayGuaranteedEverywhere(t *testing.T) {
 	// An arrival in every slot: every window is loaded, so the hybrid cost
 	// equals the pure delay-guaranteed cost.
-	cfg := DefaultConfig(1, 0.01)
 	tr := arrivals.Constant(0.005, 10) // two arrivals per slot on average
-	res, err := Run(tr, 10, cfg)
+	res, err := Run(tr, 10, 1, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +83,13 @@ func TestRunNonStationaryTraceSwitchesModes(t *testing.T) {
 	// rate).  The hybrid server must use the dyadic mode in (most of) the
 	// quiet half and the delay-guaranteed mode in the busy half, and must
 	// beat the pure delay-guaranteed server overall.
-	cfg := DefaultConfig(1, 0.01)
 	quiet := arrivals.Poisson(0.2, 10, 5)
 	var busy arrivals.Trace
 	for _, t0 := range arrivals.Constant(0.004, 10) {
 		busy = append(busy, 10+t0)
 	}
 	tr := arrivals.Merge(quiet, busy)
-	res, err := Run(tr, 20, cfg)
+	res, err := Run(tr, 20, 1, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +126,7 @@ func TestRunCostNeverWorseThanBothPureStrategiesCombined(t *testing.T) {
 	// pure dyadic cost (each segment is served by one of the two).
 	for seed := int64(0); seed < 5; seed++ {
 		tr := arrivals.Poisson(0.008, 15, seed)
-		cfg := DefaultConfig(1, 0.01)
-		res, err := Run(tr, 15, cfg)
+		res, err := Run(tr, 15, 1, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,20 +136,59 @@ func TestRunCostNeverWorseThanBothPureStrategiesCombined(t *testing.T) {
 	}
 }
 
-func TestSliceTrace(t *testing.T) {
-	tr := arrivals.Trace{0.5, 1.5, 2.5, 3.5}
-	got := sliceTrace(tr, 1, 3)
-	if len(got) != 2 || got[0] != 1.5 || got[1] != 2.5 {
-		t.Errorf("sliceTrace = %v", got)
+// TestSegmentForests checks that each dyadic segment with arrivals keeps
+// the batched dyadic forest of exactly its own arrivals, priced at its
+// cost, and that no other segment holds one.
+func TestSegmentForests(t *testing.T) {
+	quiet := arrivals.Poisson(0.2, 10, 5)
+	var busy arrivals.Trace
+	for _, t0 := range arrivals.Constant(0.004, 10) {
+		busy = append(busy, 10+t0)
+	}
+	tr := arrivals.Merge(quiet, busy)
+	res, err := Run(tr, 20, 1, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyadicWithArrivals := 0
+	for _, s := range res.Segments {
+		var own arrivals.Trace
+		for _, a := range tr {
+			if a >= s.Start && a < s.End {
+				own = append(own, a)
+			}
+		}
+		if s.Arrivals != len(own) {
+			t.Errorf("segment [%v,%v) counts %d arrivals, trace has %d there", s.Start, s.End, s.Arrivals, len(own))
+		}
+		if s.Mode != ModeDyadic || len(own) == 0 {
+			if s.Forest != nil {
+				t.Errorf("%v segment [%v,%v) with %d arrivals holds a forest", s.Mode, s.Start, s.End, len(own))
+			}
+			continue
+		}
+		dyadicWithArrivals++
+		want, err := dyadic.BuildBatchedForest(own, 1, 0.01, dyadic.GoldenPoisson())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Forest, want) {
+			t.Errorf("segment [%v,%v): forest differs from the batched dyadic forest of its arrivals", s.Start, s.End)
+		}
+		if s.Forest.NormalizedCost() != s.Cost {
+			t.Errorf("segment [%v,%v): cost %v, forest costs %v", s.Start, s.End, s.Cost, s.Forest.NormalizedCost())
+		}
+	}
+	if dyadicWithArrivals == 0 {
+		t.Fatal("no dyadic segment with arrivals: the trace does not exercise Segment.Forest")
 	}
 }
 
 func BenchmarkHybridRun(b *testing.B) {
 	tr := arrivals.Poisson(0.005, 50, 3)
-	cfg := DefaultConfig(1, 0.01)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(tr, 50, cfg); err != nil {
+		if _, err := Run(tr, 50, 1, 0.01); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -575,13 +575,11 @@ func replanUnicast(times []float64, horizon float64, p PlanParams) (PlanOutcome,
 // replanHybrid replays the Section 5 mode-switching timeline: the hybrid
 // engine classifies the epoch into loaded/unloaded segments, and each
 // segment's streams come from its mode — the oblivious on-line group
-// lengths for delay-guaranteed segments, the batched dyadic forest for
-// dyadic ones.  The cost is the engine's TotalCost, so the live number is
-// the batch hybrid's number.
+// lengths for delay-guaranteed segments, the batched dyadic forest the
+// engine priced each dyadic segment with.  The cost is the engine's
+// TotalCost, so the live number is the batch hybrid's number.
 func replanHybrid(times []float64, horizon float64, p PlanParams) (PlanOutcome, error) {
-	cfg := hybrid.DefaultConfig(p.MediaLength, p.Delay)
-	clipped := clip(times, horizon)
-	res, err := hybrid.Run(clipped, horizon, cfg)
+	res, err := hybrid.Run(clip(times, horizon), horizon, p.MediaLength, p.Delay)
 	if err != nil {
 		return PlanOutcome{}, err
 	}
@@ -603,20 +601,9 @@ func replanHybrid(times []float64, horizon float64, p PlanParams) (PlanOutcome, 
 				})
 			}
 		case hybrid.ModeDyadic:
-			if seg.Arrivals == 0 {
-				continue
+			if seg.Forest != nil {
+				out.Streams = appendForestStreams(out.Streams, seg.Forest)
 			}
-			var segTimes []float64
-			for _, t := range clipped {
-				if t >= seg.Start && t < seg.End {
-					segTimes = append(segTimes, t)
-				}
-			}
-			f, err := dyadic.BuildBatchedForest(arrivals.Trace(segTimes), p.MediaLength, p.Delay, cfg.Dyadic)
-			if err != nil {
-				return PlanOutcome{}, err
-			}
-			out.Streams = appendForestStreams(out.Streams, f)
 		}
 	}
 	return out, nil

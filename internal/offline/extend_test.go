@@ -273,9 +273,13 @@ func TestExtendLiveCadenceMatchesCold(t *testing.T) {
 
 // TestExtendAllocatesOnlyNewCells guards the append-only layout: absorbing
 // a flash-density epoch (about 10 media-length windows, a few hundred
-// arrivals each) at the live cadence, Extend may allocate at most 1.15x
-// the final table — each cell once plus chunk slack and the O(n)
-// per-arrival bookkeeping, with no realloc-and-copy of old cells.
+// arrivals each) at the live cadence, Extend may allocate at most 2.5x
+// what the final table retains (retainedBytes) — each split once plus
+// chunk slack, the live band's moves and the O(n) per-arrival
+// bookkeeping.  A clean run allocates about 2x; copying every stored
+// split each time the cell count doubles, what an append-grown split
+// store costs, reads about 2.8x, so the bound has little headroom over
+// that fault.
 func TestExtendAllocatesOnlyNewCells(t *testing.T) {
 	const (
 		n         = 4400
@@ -295,9 +299,10 @@ func TestExtendAllocatesOnlyNewCells(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	alloc := after.TotalAlloc - before.TotalAlloc
-	ratio := float64(alloc) / float64(tab.MemoryBytes())
-	t.Logf("%d arrivals, %d cells: allocated %d bytes, %.3fx the %d-byte table", n, tab.Cells(), alloc, ratio, tab.MemoryBytes())
-	if ratio > 1.15 {
-		t.Fatalf("absorbing the epoch allocated %.2fx the final table, want <= 1.15x", ratio)
+	retained := retainedBytes(tab)
+	ratio := float64(alloc) / float64(retained)
+	t.Logf("%d arrivals, %d cells: allocated %d bytes, %.3fx the %d bytes the table retains", n, tab.Cells(), alloc, ratio, retained)
+	if ratio > 2.5 {
+		t.Fatalf("absorbing the epoch allocated %.2fx what the final table retains, want <= 2.5x", ratio)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -79,15 +80,21 @@ func GenerateRequests(cat multiobject.Catalog, cfg LoadConfig) ([]Request, error
 	if err := cat.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("%w: load horizon must be positive, got %g", ErrBadConfig, cfg.Horizon)
+	if !(cfg.Horizon > 0) || math.IsInf(cfg.Horizon, 1) {
+		return nil, fmt.Errorf("%w: load horizon must be positive and finite, got %g", ErrBadConfig, cfg.Horizon)
 	}
-	if cfg.MeanInterArrival <= 0 {
-		return nil, fmt.Errorf("%w: load mean inter-arrival must be positive, got %g", ErrBadConfig, cfg.MeanInterArrival)
+	if !(cfg.MeanInterArrival > 0) || math.IsInf(cfg.MeanInterArrival, 1) {
+		return nil, fmt.Errorf("%w: load mean inter-arrival must be positive and finite, got %g", ErrBadConfig, cfg.MeanInterArrival)
 	}
 	ramp := cfg.RampFactor
+	if math.IsNaN(ramp) || math.IsInf(ramp, 0) {
+		return nil, fmt.Errorf("%w: load ramp factor must be finite, got %g", ErrBadConfig, ramp)
+	}
 	if ramp <= 0 {
 		ramp = 4
+	}
+	if cfg.Kind == FlashArrivals && ramp < 1 {
+		return nil, fmt.Errorf("%w: flash-crowd rate factor must be at least 1, got %g", ErrBadConfig, ramp)
 	}
 	var popTotal float64
 	for _, o := range cat {

@@ -1026,24 +1026,21 @@ func (s *Server) Stats() (Stats, error) {
 // readStats folds every shard's new intervals and assembles the shard
 // snapshots into a Stats.
 func (s *Server) readStats() (Stats, []shardSnapshot, error) {
-	snaps, peak, err := s.foldShards(statsRequest)
+	snaps, peak, err := s.foldShards(0)
 	if err != nil {
 		return Stats{}, nil, err
 	}
 	return s.assemble(snaps, peak), snaps, nil
 }
 
-// statsRequest builds the statsMsg of a read's fold.
-func statsRequest(from int, d settlePoint, reply chan shardSnapshot) any {
-	return statsMsg{from: from, durable: d, reply: reply}
-}
-
-// foldShards sends each shard, through the message mk builds, its fold
-// cursor and the durable settle point; it folds the answers into the
-// historical peak and returns them with it.
-func (s *Server) foldShards(mk func(from int, d settlePoint, reply chan shardSnapshot) any) ([]shardSnapshot, int, error) {
+// foldShards sends each shard a statsMsg with its fold cursor, the
+// durable settle point and drain (0 for a plain read); it folds the
+// answers into the historical peak and returns them with it.
+func (s *Server) foldShards(drain float64) ([]shardSnapshot, int, error) {
 	from, d := s.peak.request(s.savedFloor())
-	snaps, err := askAll(s, s.shards, func(i int, reply chan shardSnapshot) any { return mk(from[i], d, reply) })
+	snaps, err := askAll(s, s.shards, func(i int, reply chan shardSnapshot) any {
+		return statsMsg{drain: drain, from: from[i], durable: d, reply: reply}
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1075,7 +1072,7 @@ func (s *Server) settler() {
 			// An error means the server is closing.
 			var err error
 			for i := 0; i < 2 && err == nil; i++ {
-				_, _, err = s.foldShards(statsRequest)
+				_, _, err = s.foldShards(0)
 			}
 			if err == nil {
 				s.settles.Add(1)
@@ -1136,9 +1133,7 @@ func (s *Server) Drain(horizon float64) (*DrainResult, error) {
 	if horizon <= 0 || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
 		return nil, fmt.Errorf("%w: drain horizon must be positive and finite, got %g", ErrBadRequest, horizon)
 	}
-	snaps, peak, err := s.foldShards(func(from int, d settlePoint, reply chan shardSnapshot) any {
-		return drainMsg{horizon: horizon, from: from, durable: d, reply: reply}
-	})
+	snaps, peak, err := s.foldShards(horizon)
 	if err != nil {
 		return nil, err
 	}

@@ -348,6 +348,37 @@ func TestGenerateRequestsDeterministicAndSorted(t *testing.T) {
 	}
 }
 
+// TestGenerateRequestsRefusesBadLoad pins ErrBadConfig, not a generator
+// panic or a loop that never ends, for every load value the generators
+// cannot draw from.
+func TestGenerateRequestsRefusesBadLoad(t *testing.T) {
+	cat := multiobject.ZipfCatalog(3, 1.0, 0.1, 1.0)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		cfg  serve.LoadConfig
+	}{
+		{"NaN horizon", serve.LoadConfig{Horizon: nan, MeanInterArrival: 0.1, Kind: serve.PoissonArrivals}},
+		{"+Inf horizon", serve.LoadConfig{Horizon: inf, MeanInterArrival: 0.1, Kind: serve.ConstantArrivals}},
+		{"zero horizon", serve.LoadConfig{Horizon: 0, MeanInterArrival: 0.1, Kind: serve.PoissonArrivals}},
+		{"NaN mean", serve.LoadConfig{Horizon: 5, MeanInterArrival: nan, Kind: serve.PoissonArrivals}},
+		{"+Inf mean", serve.LoadConfig{Horizon: 5, MeanInterArrival: inf, Kind: serve.PoissonArrivals}},
+		{"zero mean", serve.LoadConfig{Horizon: 5, MeanInterArrival: 0, Kind: serve.PoissonArrivals}},
+		{"NaN ramp factor", serve.LoadConfig{Horizon: 5, MeanInterArrival: 0.1, Kind: serve.RampArrivals, RampFactor: nan}},
+		{"+Inf ramp factor", serve.LoadConfig{Horizon: 5, MeanInterArrival: 0.1, Kind: serve.RampArrivals, RampFactor: inf}},
+		{"-Inf flash factor", serve.LoadConfig{Horizon: 5, MeanInterArrival: 0.1, Kind: serve.FlashArrivals, RampFactor: -inf}},
+		{"flash factor below 1", serve.LoadConfig{Horizon: 5, MeanInterArrival: 0.1, Kind: serve.FlashArrivals, RampFactor: 0.5}},
+	} {
+		if _, err := serve.GenerateRequests(cat, c.cfg); !errors.Is(err, serve.ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", c.name, err)
+		}
+	}
+	// A ramp factor below 1 ramps the rate down: valid for a ramp.
+	if _, err := serve.GenerateRequests(cat, serve.LoadConfig{Horizon: 5, MeanInterArrival: 0.1, Kind: serve.RampArrivals, RampFactor: 0.5}); err != nil {
+		t.Errorf("ramp factor 0.5: %v", err)
+	}
+}
+
 // TestRampArrivals checks the ramp process is valid, deterministic, and
 // actually ramps: the second half of the horizon sees more arrivals than
 // the first when the rate quadruples.

@@ -48,8 +48,10 @@ type pauseMsg struct {
 // statsMsg asks the shard for a snapshot of its objects and of the
 // finalized intervals from index from on (the server's fold cursor for
 // the shard).  The shard first forgets the intervals before from that end
-// by the durable settle point.
+// by the durable settle point.  A positive drain asks it to finalize
+// every object at that horizon first; 0 is a plain read.
 type statsMsg struct {
+	drain   float64
 	from    int
 	durable settlePoint
 	reply   chan shardSnapshot
@@ -61,16 +63,7 @@ type objectMsg struct {
 	reply chan ObjectStats
 }
 
-// drainMsg asks the shard to finalize every object at the horizon, then
-// answers like a statsMsg with the same cursor and settle point.
-type drainMsg struct {
-	horizon float64
-	from    int
-	durable settlePoint
-	reply   chan shardSnapshot
-}
-
-// shardSnapshot is a shard's answer to statsMsg/drainMsg.
+// shardSnapshot is a shard's answer to statsMsg.
 type shardSnapshot struct {
 	// objects are the shard's object stats in shard order; index[k] is
 	// objects[k]'s catalog position.
@@ -454,12 +447,12 @@ func (sh *shard) handle(m any) bool {
 		sh.walCh <- walMsg{kind: walSnapshot, snap: sh.captureSnapshot(), errc: msg.reply}
 		sh.nextSnap = sh.now + sh.snapEvery
 	case statsMsg:
+		if msg.drain > 0 {
+			sh.drain(msg.drain)
+		}
 		msg.reply <- sh.snapshot(msg.from, msg.durable)
 	case objectMsg:
 		msg.reply <- sh.objectStats(msg.st)
-	case drainMsg:
-		sh.drain(msg.horizon)
-		msg.reply <- sh.snapshot(msg.from, msg.durable)
 	case pauseMsg:
 		close(msg.ack)
 		select {

@@ -101,11 +101,11 @@ func RunWorkload(ctx context.Context, cfg WorkloadConfig) (*WorkloadResult, erro
 	if len(cfg.Catalog) == 0 {
 		return nil, fmt.Errorf("sim: workload catalog is empty")
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("sim: workload horizon must be positive, got %g", cfg.Horizon)
+	if !(cfg.Horizon > 0) || math.IsInf(cfg.Horizon, 1) {
+		return nil, fmt.Errorf("sim: workload horizon must be positive and finite, got %g", cfg.Horizon)
 	}
-	if cfg.MeanInterArrival <= 0 {
-		return nil, fmt.Errorf("sim: workload mean inter-arrival must be positive, got %g", cfg.MeanInterArrival)
+	if !(cfg.MeanInterArrival > 0) || math.IsInf(cfg.MeanInterArrival, 1) {
+		return nil, fmt.Errorf("sim: workload mean inter-arrival must be positive and finite, got %g", cfg.MeanInterArrival)
 	}
 	var popTotal float64
 	for _, o := range cfg.Catalog {

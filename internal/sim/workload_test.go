@@ -100,6 +100,11 @@ func TestRunWorkloadValidation(t *testing.T) {
 		{"empty-catalog", func(c *WorkloadConfig) { c.Catalog = nil }},
 		{"bad-horizon", func(c *WorkloadConfig) { c.Horizon = 0 }},
 		{"bad-mean", func(c *WorkloadConfig) { c.MeanInterArrival = -1 }},
+		{"nan-horizon", func(c *WorkloadConfig) { c.Horizon = math.NaN() }},
+		{"inf-horizon", func(c *WorkloadConfig) { c.Horizon = math.Inf(1) }},
+		{"nan-mean", func(c *WorkloadConfig) { c.MeanInterArrival = math.NaN() }},
+		{"inf-mean", func(c *WorkloadConfig) { c.MeanInterArrival = math.Inf(1) }},
+		{"nan-horizon-constant", func(c *WorkloadConfig) { c.Horizon, c.Poisson = math.NaN(), false }},
 		{"bad-object", func(c *WorkloadConfig) { c.Catalog[0].Delay = -1 }},
 	}
 	for _, tc := range cases {

@@ -43,7 +43,7 @@ func TestPlannersMatchAlgorithms(t *testing.T) {
 		},
 		"batching": func() (float64, error) { return batching.BatchedCost(clipped, delay), nil },
 		"hybrid": func() (float64, error) {
-			res, err := hybrid.Run(clipped, 10, hybrid.DefaultConfig(1, delay))
+			res, err := hybrid.Run(clipped, 10, 1, delay)
 			if err != nil {
 				return 0, err
 			}

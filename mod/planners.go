@@ -181,7 +181,7 @@ func runHybrid(ctx context.Context, trace arrivals.Trace, horizon float64, st Se
 	if err := checkDelay(st); err != nil {
 		return 0, nil, err
 	}
-	res, err := hybrid.Run(trace.Clip(horizon), horizon, hybrid.DefaultConfig(st.MediaLength, st.Delay))
+	res, err := hybrid.Run(trace.Clip(horizon), horizon, st.MediaLength, st.Delay)
 	if err != nil {
 		return 0, nil, err
 	}
